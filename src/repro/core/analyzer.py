@@ -11,134 +11,163 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.sampler import WeightedTotal
-from repro.core.trailer import ObjectRecord
+from repro.core.sampler import WeightedTotal, merge_lazy_totals, seeded_totals
+from repro.core.trailer import ObjectRecord, space_time
 
 
-class SiteGroup:
-    """All logged objects sharing one partition key (a site label, a
-    nested-site chain, or a (site, last-use-site) pair).
+class SiteStats:
+    """Running aggregates for one partition key: a site label, a
+    nested-site chain, or a (site, last-use site) pair.
 
-    Aggregate totals are running sums maintained by :meth:`add`, so the
-    report/sort paths never rescan ``records`` (groups can hold tens of
-    thousands of records and the sort comparators hit ``total_drag``
-    repeatedly).
+    Both analyzers fold records into these; :class:`SiteGroup` adds the
+    record list for the queries that need raw records.
     """
 
     __slots__ = (
         "key",
-        "records",
-        "_total_bytes",
-        "_total_drag",
-        "_total_in_use",
-        "_never_used_count",
-        "_never_used_drag",
-        "_est_count",
-        "_est_bytes",
-        "_est_drag",
-        "_est_in_use",
-        "_est_never_used_drag",
+        "count",
+        "total_bytes",
+        "total_drag",
+        "total_in_use",
+        "never_used_count",
+        "never_used_drag",
+        "type_names",
+        "_est",
     )
 
     def __init__(self, key) -> None:
         self.key = key
-        self.records: List[ObjectRecord] = []
-        self._total_bytes = 0
-        self._total_drag = 0
-        self._total_in_use = 0
-        self._never_used_count = 0
-        self._never_used_drag = 0
-        # Weight-corrected (Horvitz-Thompson) estimates. For full-rate
-        # profiles every weight is 1.0 and each weighted_* property
-        # returns the exact int, so these stay equal — as ints — to the
-        # observed sums above. WeightedTotal keeps the float part exact
-        # (order-independent), which is what lets batch, streaming, and
-        # sharded-merge analyses agree bit for bit on sampled data.
-        self._est_count = WeightedTotal()
-        self._est_bytes = WeightedTotal()
-        self._est_drag = WeightedTotal()
-        self._est_in_use = WeightedTotal()
-        self._est_never_used_drag = WeightedTotal()
+        self.count = 0
+        self.total_bytes = 0
+        self.total_drag = 0  # sum of drag space-time products (bytes²)
+        self.total_in_use = 0
+        self.never_used_count = 0
+        self.never_used_drag = 0
+        self.type_names: List[str] = []  # insertion-ordered, deduplicated
+        # Weight-corrected (Horvitz-Thompson) estimates of count, bytes,
+        # drag, in-use and never-used drag, as WeightedTotals — whose
+        # float part is exact and order-independent, so batch, streaming
+        # and sharded-merge analyses agree bit for bit on sampled data.
+        # None until the first weighted record: until then the observed
+        # ints above *are* the estimates, and stay ints.
+        self._est: Optional[List[WeightedTotal]] = None
+
+    def _observed(self):
+        return (
+            self.count,
+            self.total_bytes,
+            self.total_drag,
+            self.total_in_use,
+            self.never_used_drag,
+        )
 
     def add(self, record: ObjectRecord) -> None:
-        self.records.append(record)
-        drag = record.drag
-        self._total_bytes += record.size
-        self._total_drag += drag
-        self._total_in_use += record.size * record.in_use_time
-        self._est_count.add(record.weighted_count)
-        self._est_bytes.add(record.weighted_size)
-        est_drag = record.weighted_drag
-        self._est_drag.add(est_drag)
-        self._est_in_use.add(record.weighted_in_use)
-        if record.never_used:
-            self._never_used_count += 1
-            self._never_used_drag += drag
-            self._est_never_used_drag.add(est_drag)
+        _, drag, in_use = space_time(record)
+        self._fold(
+            record, record.size, drag, in_use, record.last_use_time == 0,
+            record.weight,
+        )
 
-    # -- aggregates ---------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        return len(self.records)
-
-    @property
-    def total_bytes(self) -> int:
-        return self._total_bytes
-
-    @property
-    def total_drag(self) -> int:
-        """Sum of drag space-time products (bytes²) over the group."""
-        return self._total_drag
-
-    @property
-    def total_in_use(self) -> int:
-        return self._total_in_use
+    def _fold(self, record, size, drag, in_use, never_used, weight) -> None:
+        """Fold one record whose facts the caller already computed."""
+        est = self._est
+        if weight != 1.0:
+            if est is None:
+                est = self._est = seeded_totals(self._observed())
+            weighted_drag = weight * drag
+            est[0].add(weight)
+            est[1].add(weight * size)
+            est[2].add(weighted_drag)
+            est[3].add(weight * in_use)
+            if never_used:
+                est[4].add(weighted_drag)
+        elif est is not None:
+            est[0].ints += 1
+            est[1].ints += size
+            est[2].ints += drag
+            est[3].ints += in_use
+            if never_used:
+                est[4].ints += drag
+        self.count += 1
+        self.total_bytes += size
+        self.total_drag += drag
+        self.total_in_use += in_use
+        if never_used:
+            self.never_used_count += 1
+            self.never_used_drag += drag
+        type_name = record.type_name
+        if type_name not in self.type_names:
+            self.type_names.append(type_name)
 
     # Weight-corrected estimates of the population quantities. Exact
     # ints (== the observed sums) for full-rate groups.
 
     @property
-    def est_count(self) -> float:
-        return self._est_count.value
+    def est_count(self):
+        return self.count if self._est is None else self._est[0].value
 
     @property
-    def est_bytes(self) -> float:
-        return self._est_bytes.value
+    def est_bytes(self):
+        return self.total_bytes if self._est is None else self._est[1].value
 
     @property
-    def est_drag(self) -> float:
+    def est_drag(self):
         """Estimated total drag (bytes²) this group stands for."""
-        return self._est_drag.value
+        return self.total_drag if self._est is None else self._est[2].value
 
     @property
-    def est_in_use(self) -> float:
-        return self._est_in_use.value
+    def est_in_use(self):
+        return self.total_in_use if self._est is None else self._est[3].value
 
     @property
-    def est_never_used_drag(self) -> float:
-        return self._est_never_used_drag.value
-
-    @property
-    def never_used_records(self) -> List[ObjectRecord]:
-        return [r for r in self.records if r.never_used]
-
-    @property
-    def never_used_count(self) -> int:
-        return self._never_used_count
-
-    @property
-    def never_used_drag(self) -> int:
-        return self._never_used_drag
+    def est_never_used_drag(self):
+        return self.never_used_drag if self._est is None else self._est[4].value
 
     @property
     def never_used_fraction(self) -> float:
         """Fraction of the group's drag due to never-used objects."""
-        drag = self.total_drag
-        return self.never_used_drag / drag if drag > 0 else 0.0
+        return self.never_used_drag / self.total_drag if self.total_drag > 0 else 0.0
 
-    def drag_times(self) -> List[int]:
-        return [r.drag_time for r in self.records]
+    @property
+    def all_never_used(self) -> bool:
+        return self.count > 0 and self.never_used_count == self.count
+
+    def merge(self, other: "SiteStats") -> None:
+        """Fold another shard's stats for the same key into this one
+        (the multi-process merge primitive)."""
+        if other.key != self.key:
+            raise ValueError(f"cannot merge {other.key!r} into {self.key!r}")
+        self._est = merge_lazy_totals(
+            self._est, self._observed(), other._est, other._observed()
+        )
+        self.count += other.count
+        self.total_bytes += other.total_bytes
+        self.total_drag += other.total_drag
+        self.total_in_use += other.total_in_use
+        self.never_used_count += other.never_used_count
+        self.never_used_drag += other.never_used_drag
+        for name in other.type_names:
+            if name not in self.type_names:
+                self.type_names.append(name)
+
+    def __repr__(self) -> str:
+        return f"<stats {self.key} n={self.count} drag={self.total_drag}>"
+
+
+class SiteGroup(SiteStats):
+    """A :class:`SiteStats` that also keeps its records, for the batch
+    analyzer's record-level queries (last-use partition, lifetime
+    breakdowns, pattern classification)."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, key) -> None:
+        super().__init__(key)
+        self.records: List[ObjectRecord] = []
+
+    def _fold(self, record, size, drag, in_use, never_used, weight) -> None:
+        self.records.append(record)
+        SiteStats._fold(self, record, size, drag, in_use, never_used, weight)
 
     def partition_by_last_use(self) -> Dict[Optional[str], "SiteGroup"]:
         """§2.2: 'we also partition dragged objects according to nested
@@ -160,14 +189,6 @@ class SiteGroup:
         or ``drag``."""
         values = [getattr(r, attr) for r in self.records]
         return Histogram(attr, values, buckets)
-
-    @property
-    def type_names(self) -> List[str]:
-        seen = []
-        for record in self.records:
-            if record.type_name not in seen:
-                seen.append(record.type_name)
-        return seen
 
     def __repr__(self) -> str:
         return f"<group {self.key} n={self.count} drag={self.total_drag}>"
@@ -229,55 +250,67 @@ class Histogram:
         return f"<histogram {self.attr} n={len(self.values)}>"
 
 
-def _group_by(records: Iterable[ObjectRecord], key_fn) -> Dict[object, SiteGroup]:
-    out: Dict[object, SiteGroup] = {}
-    for record in records:
-        key = key_fn(record)
-        group = out.get(key)
-        if group is None:
-            group = out[key] = SiteGroup(key)
-        group.add(record)
-    return out
+class DragAggregate:
+    """The three partitions and the log totals, folded a record at a time.
 
+    Partitions: ``by_site`` (plain allocation site), ``by_nested``
+    (call chain) and ``by_site_and_use`` ((site, last-use frame)). The
+    batch :class:`DragAnalysis` and the streaming
+    :class:`repro.stream.aggregate.StreamingDragAnalysis` are both this
+    fold; they differ only in their group type and in how records
+    arrive, so they agree exactly on any stream. Each record's facts
+    are computed once here and shared by its three groups, and every
+    total is maintained as the records arrive, never rescanned.
+    """
 
-class DragAnalysis:
-    """The analyzer's view of one profile log."""
+    group_type = SiteStats
 
-    def __init__(
-        self,
-        records: Iterable[ObjectRecord],
-        include_library_sites: bool = True,
-    ) -> None:
-        all_records = [r for r in records if not r.excluded]
-        if not include_library_sites:
-            all_records = [r for r in all_records if not r.site_is_library]
-        self.records = all_records
-        # Coarse partition: by allocation site alone (§2.2: "sometimes an
-        # allocation site is used in many contexts and a large drag may be
-        # distributed among several smaller drag groups" under the nested
-        # partition).
-        self.by_site = _group_by(all_records, lambda r: r.site_label)
-        # Fine partition: by nested allocation site (call chain).
-        self.by_nested = _group_by(all_records, lambda r: r.nested_alloc or (r.site_label,))
-        # By allocation site and last-use site.
-        self.by_site_and_use = _group_by(
-            all_records, lambda r: (r.site_label, r.last_use_frame)
-        )
+    def __init__(self) -> None:
+        self.by_site: Dict[object, SiteStats] = {}
+        self.by_nested: Dict[object, SiteStats] = {}
+        self.by_site_and_use: Dict[object, SiteStats] = {}
+        self.object_count = 0
+        self.total_bytes = 0
+        # Observed drag: the sum over *logged* records, uncorrected.
+        self.total_drag = 0
+        # Weight-corrected object count, bytes and drag; None (the
+        # observed ints are the estimates) until a weighted record.
+        self._est: Optional[List[WeightedTotal]] = None
+        self.sampled = False  # True once any record carries a non-unit weight
 
-    # -- totals ---------------------------------------------------------------
-
-    @property
-    def total_drag(self) -> int:
-        """Observed drag: the sum over *logged* records, uncorrected."""
-        return sum(r.drag for r in self.records)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.size for r in self.records)
-
-    @property
-    def object_count(self) -> int:
-        return len(self.records)
+    def _fold(self, record: ObjectRecord) -> None:
+        size = record.size
+        weight = record.weight
+        _, drag, in_use = space_time(record)
+        never_used = record.last_use_time == 0
+        est = self._est
+        if weight != 1.0:
+            self.sampled = True
+            if est is None:
+                est = self._est = seeded_totals(
+                    (self.object_count, self.total_bytes, self.total_drag)
+                )
+            est[0].add(weight)
+            est[1].add(weight * size)
+            est[2].add(weight * drag)
+        elif est is not None:
+            est[0].ints += 1
+            est[1].ints += size
+            est[2].ints += drag
+        self.object_count += 1
+        self.total_bytes += size
+        self.total_drag += drag
+        label = record.site_label
+        new_group = self.group_type
+        for table, key in (
+            (self.by_site, label),
+            (self.by_nested, record.nested_alloc or (label,)),
+            (self.by_site_and_use, (label, record.last_use_frame)),
+        ):
+            group = table.get(key)
+            if group is None:
+                group = table[key] = new_group(key)
+            group._fold(record, size, drag, in_use, never_used, weight)
 
     # Weight-corrected (Horvitz-Thompson) population estimates. On a
     # full-rate profile every record weight is 1.0 and these are the
@@ -286,29 +319,16 @@ class DragAnalysis:
     # unconditionally.
 
     @property
-    def est_total_drag(self) -> float:
-        return self._est_sum("weighted_drag")
+    def est_object_count(self):
+        return self.object_count if self._est is None else self._est[0].value
 
     @property
-    def est_total_bytes(self) -> float:
-        return self._est_sum("weighted_size")
+    def est_total_bytes(self):
+        return self.total_bytes if self._est is None else self._est[1].value
 
     @property
-    def est_object_count(self) -> float:
-        return self._est_sum("weighted_count")
-
-    def _est_sum(self, attr: str):
-        # WeightedTotal, not sum(): its value is order-independent, so
-        # batch totals equal streaming/sharded ones exactly.
-        total = WeightedTotal()
-        for record in self.records:
-            total.add(getattr(record, attr))
-        return total.value
-
-    @property
-    def sampled(self) -> bool:
-        """True when any record carries a non-unit weight."""
-        return any(r.weight != 1.0 for r in self.records)
+    def est_total_drag(self):
+        return self.total_drag if self._est is None else self._est[2].value
 
     @property
     def effective_sample_rate(self) -> float:
@@ -316,36 +336,62 @@ class DragAnalysis:
         est = self.est_total_bytes
         return self.total_bytes / est if est > 0 else 1.0
 
-    # -- sorted views (the tool's primary output) -------------------------------
+    def drag_share(self, group: SiteStats) -> float:
+        total = self.est_total_drag
+        return group.est_drag / total if total > 0 else 0.0
+
+    # -- sorted views (the tool's primary output) -------------------------
     #
     # Rankings order by *estimated* drag, which equals observed drag
     # (as an int) for full-rate profiles — the pre-weight sort order.
 
-    def sorted_sites(self, limit: Optional[int] = None) -> List[SiteGroup]:
+    def sorted_sites(self, limit: Optional[int] = None) -> List[SiteStats]:
         groups = sorted(self.by_site.values(), key=lambda g: (-g.est_drag, str(g.key)))
         return groups[:limit] if limit else groups
 
-    def sorted_nested(self, limit: Optional[int] = None) -> List[SiteGroup]:
+    def sorted_nested(self, limit: Optional[int] = None) -> List[SiteStats]:
         groups = sorted(self.by_nested.values(), key=lambda g: (-g.est_drag, str(g.key)))
         return groups[:limit] if limit else groups
 
-    def never_used_sites(self, limit: Optional[int] = None) -> List[SiteGroup]:
+    def never_used_sites(self, limit: Optional[int] = None) -> List[SiteStats]:
         """Sites whose drag is entirely due to never-used objects —
         'a sure bet for code rewriting' (§2.2)."""
         groups = [
-            g
-            for g in self.by_site.values()
-            if g.count > 0 and g.never_used_count == g.count and g.total_drag > 0
+            g for g in self.by_site.values() if g.all_never_used and g.total_drag > 0
         ]
         groups.sort(key=lambda g: (-g.est_drag, str(g.key)))
         return groups[:limit] if limit else groups
 
-    def site(self, label: str) -> Optional[SiteGroup]:
+    def site(self, label: str) -> Optional[SiteStats]:
         return self.by_site.get(label)
 
-    def drag_share(self, group: SiteGroup) -> float:
-        total = self.est_total_drag
-        return group.est_drag / total if total > 0 else 0.0
+
+class DragAnalysis(DragAggregate):
+    """The analyzer's view of one profile log: the fold over its
+    records, with record-keeping :class:`SiteGroup` partitions.
+
+    Coarse partition ``by_site``: §2.2, "sometimes an allocation site is
+    used in many contexts and a large drag may be distributed among
+    several smaller drag groups" under the fine ``by_nested`` one.
+    Nothing changes an analysis after construction, so every total is
+    final once ``__init__`` returns.
+    """
+
+    group_type = SiteGroup
+
+    def __init__(
+        self,
+        records: Iterable[ObjectRecord],
+        include_library_sites: bool = True,
+    ) -> None:
+        super().__init__()
+        all_records = [r for r in records if not r.excluded]
+        if not include_library_sites:
+            all_records = [r for r in all_records if not r.site_is_library]
+        self.records = all_records
+        fold = self._fold
+        for record in all_records:
+            fold(record)
 
 
 class DragDelta:

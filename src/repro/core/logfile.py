@@ -174,7 +174,7 @@ def _read_v1_header(f: IO[str], path) -> dict:
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise ProfileError(f"{path}: bad log header: {exc}") from exc
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ProfileError(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
         raise ProfileError(f"{path}: unsupported version {header.get('version')}")
@@ -189,7 +189,7 @@ def _iter_v1_records(f: IO[str], path, strict: bool) -> Iterator[ObjectRecord]:
             continue
         try:
             yield ObjectRecord.from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             if not strict and truncated:
                 # A final line without its newline is the signature of a
                 # run that died mid-write; everything before it is good.
@@ -211,8 +211,11 @@ def iter_log(
         yield from iter_v2_log(path, strict=strict)
         return
     with open(path, "r", encoding="utf-8") as f:
-        _read_v1_header(f, path)
-        yield from _iter_v1_records(f, path, strict)
+        try:
+            _read_v1_header(f, path)
+            yield from _iter_v1_records(f, path, strict)
+        except UnicodeDecodeError as exc:
+            raise ProfileError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_log(path: Union[str, Path], strict: bool = True) -> LoadedLog:
@@ -223,8 +226,11 @@ def read_log(path: Union[str, Path], strict: bool = True) -> LoadedLog:
 
         return read_v2_log(path, strict=strict)
     with open(path, "r", encoding="utf-8") as f:
-        header = _read_v1_header(f, path)
-        records = list(_iter_v1_records(f, path, strict))
+        try:
+            header = _read_v1_header(f, path)
+            records = list(_iter_v1_records(f, path, strict))
+        except UnicodeDecodeError as exc:
+            raise ProfileError(f"{path}: not UTF-8 text: {exc}") from exc
     return LoadedLog(
         records,
         header.get("end_time"),

@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.core.analyzer import SiteGroup
+from repro.core.trailer import space_time
 
 
 class LifetimePattern(Enum):
@@ -50,9 +51,10 @@ def constructor_only_use(record, ctor_use_window: int = 2048) -> bool:
     ambiguous (uses with no intervening allocation take zero time); the
     deciding signal is the nested last-use site being a ``<init>`` frame.
     """
-    if record.never_used:
+    last_use = record.last_use_time
+    if last_use == 0:
         return True
-    if record.in_use_time > ctor_use_window:
+    if last_use - record.creation_time > ctor_use_window:
         return False
     frame = record.last_use_frame
     return frame is not None and ".<init>:" in frame
@@ -77,16 +79,26 @@ def classify_group(
     if group.count == 0 or group.total_drag == 0:
         return LifetimePattern.UNCLASSIFIED
 
-    never_drag = sum(
-        r.drag for r in group.records if constructor_only_use(r, ctor_use_window)
-    )
+    # One pass over the records reads each one's raw fields once and
+    # yields everything the four tests below need.
+    drags = []
+    never_drag = 0
+    large = 0
+    half_interval = interval_bytes // 2
+    for record in group.records:
+        drag_time, drag, _ = space_time(record)
+        drags.append(drag)
+        if constructor_only_use(record, ctor_use_window):
+            never_drag += drag
+        if drag_time >= half_interval:
+            large += 1
+
     never_fraction = never_drag / group.total_drag
     if never_fraction >= all_threshold:
         return LifetimePattern.ALL_NEVER_USED
     if never_fraction >= most_threshold:
         return LifetimePattern.MOSTLY_NEVER_USED
 
-    drags = [r.drag for r in group.records]
     mean = sum(drags) / len(drags)
     if mean > 0 and len(drags) > 1:
         variance = sum((d - mean) ** 2 for d in drags) / len(drags)
@@ -94,7 +106,6 @@ def classify_group(
         if cv > variance_cv:
             return LifetimePattern.HIGH_VARIANCE
 
-    large = sum(1 for r in group.records if r.drag_time >= interval_bytes // 2)
     if large / group.count >= large_drag_fraction:
         return LifetimePattern.LARGE_DRAG
     return LifetimePattern.UNCLASSIFIED

@@ -39,8 +39,15 @@ from __future__ import annotations
 
 import math
 import random
+from typing import List, Optional, Sequence
 
-__all__ = ["ByteSampler", "WeightedTotal", "inclusion_probability"]
+__all__ = [
+    "ByteSampler",
+    "WeightedTotal",
+    "inclusion_probability",
+    "merge_lazy_totals",
+    "seeded_totals",
+]
 
 
 def inclusion_probability(size: int, sample_bytes: int) -> float:
@@ -177,3 +184,42 @@ class WeightedTotal:
 
     def __repr__(self) -> str:
         return f"<WeightedTotal {self.value}>"
+
+
+# Aggregates keep their weight-corrected estimates lazily: ``None`` until
+# the first weighted record, because until then the observed ints *are*
+# the estimates. These two helpers are the whole protocol.
+
+
+def seeded_totals(observed: Sequence[int]) -> List[WeightedTotal]:
+    """WeightedTotals holding ``observed`` as their int parts: exactly
+    what eager weight-1.0 accumulation of the same records would hold.
+    Called on an aggregate's first weighted record."""
+    out = []
+    for value in observed:
+        total = WeightedTotal()
+        total.ints = value
+        out.append(total)
+    return out
+
+
+def merge_lazy_totals(
+    mine: Optional[List[WeightedTotal]],
+    mine_observed: Sequence[int],
+    theirs: Optional[List[WeightedTotal]],
+    theirs_observed: Sequence[int],
+) -> Optional[List[WeightedTotal]]:
+    """Fold one side's lazy estimates into the other's; returns the
+    merged list (``mine``, updated in place, when it existed), or None
+    when neither side has seen a weighted record."""
+    if mine is None and theirs is None:
+        return None
+    if mine is None:
+        mine = seeded_totals(mine_observed)
+    if theirs is None:
+        for total, value in zip(mine, theirs_observed):
+            total.ints += value
+    else:
+        for total, other in zip(mine, theirs):
+            total.merge(other)
+    return mine

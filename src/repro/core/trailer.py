@@ -56,6 +56,29 @@ class Trailer:
         self.weight = weight
 
 
+def space_time(record: "ObjectRecord") -> Tuple[int, int, int]:
+    """``(drag_time, drag, in_use)`` of one record, from its raw fields.
+
+    The paper's definitions, kept here only: drag time is collection −
+    last use, or collection − creation for a never-used object, clamped
+    at 0; drag is size × drag time (bytes²); in_use is size × (last use
+    − creation), 0 for a never-used object. The analysis folds call this
+    once per record rather than reading the chained properties.
+    """
+    size = record.size
+    creation = record.creation_time
+    last_use = record.last_use_time
+    if last_use == 0:
+        drag_time = record.collection_time - creation
+        in_use = 0
+    else:
+        drag_time = record.collection_time - last_use
+        in_use = size * (last_use - creation)
+    if drag_time < 0:
+        drag_time = 0
+    return drag_time, size * drag_time, in_use
+
+
 class ObjectRecord:
     """One line of the phase-1 log: everything known about one object
     at the time it was reclaimed (or the program ended)."""
@@ -155,15 +178,13 @@ class ObjectRecord:
 
     @property
     def drag_time(self) -> int:
-        """Time reachable but not in use: collection − last use (or
-        collection − creation for never-used objects)."""
-        start = self.creation_time if self.never_used else self.last_use_time
-        return max(0, self.collection_time - start)
+        """Time reachable but not in use (see :func:`space_time`)."""
+        return space_time(self)[0]
 
     @property
     def drag(self) -> int:
         """The drag space-time product: size × drag time (bytes²)."""
-        return self.size * self.drag_time
+        return space_time(self)[1]
 
     @property
     def lifetime(self) -> int:

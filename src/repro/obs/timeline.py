@@ -42,8 +42,8 @@ import math
 from typing import Dict, List, Optional
 
 from repro.core.integrals import MB, HeapCurve, curve_from_events
-from repro.core.sampler import WeightedTotal
-from repro.core.trailer import ObjectRecord
+from repro.core.sampler import WeightedTotal, merge_lazy_totals, seeded_totals
+from repro.core.trailer import ObjectRecord, space_time
 from repro.stream.sinks import ProfileSink
 
 __all__ = [
@@ -309,7 +309,7 @@ class SiteTimeline:
         "count",
         "total_bytes",
         "total_drag",
-        "_est_drag",
+        "_est",
         "drag_series",
         "lifetime_hist",
         "drag_hist",
@@ -320,32 +320,27 @@ class SiteTimeline:
         self.count = 0
         self.total_bytes = 0
         self.total_drag = 0
-        # None until the first weighted contribution: at full rate the
-        # observed total IS the estimate.
-        self._est_drag: Optional[WeightedTotal] = None
+        # [drag] as a WeightedTotal; None until the first weighted
+        # contribution: at full rate the observed total IS the estimate.
+        self._est: Optional[List[WeightedTotal]] = None
         self.drag_series = BinnedSeries()
         self.lifetime_hist = Log2Histogram()
         self.drag_hist = Log2Histogram()
 
     @property
     def est_drag(self):
-        est = self._est_drag
-        return self.total_drag if est is None else est.value
+        est = self._est
+        return self.total_drag if est is None else est[0].value
 
     def merge(self, other: "SiteTimeline") -> None:
         if other.label != self.label:
             raise ValueError(f"cannot merge {other.label!r} into {self.label!r}")
-        if other._est_drag is not None and self._est_drag is None:
-            est = self._est_drag = WeightedTotal()
-            est.ints = self.total_drag
+        self._est = merge_lazy_totals(
+            self._est, (self.total_drag,), other._est, (other.total_drag,)
+        )
         self.count += other.count
         self.total_bytes += other.total_bytes
         self.total_drag += other.total_drag
-        if self._est_drag is not None:
-            if other._est_drag is not None:
-                self._est_drag.merge(other._est_drag)
-            else:
-                self._est_drag.ints += other.total_drag
         self.drag_series.merge(other.drag_series)
         self.lifetime_hist.merge(other.lifetime_hist)
         self.drag_hist.merge(other.drag_hist)
@@ -368,9 +363,7 @@ class TimelineBuilder:
         "object_count",
         "total_bytes",
         "total_drag",
-        "_est_object_count",
-        "_est_total_bytes",
-        "_est_total_drag",
+        "_est",
         "sampled",
         "end_time",
         "last_time",
@@ -391,11 +384,10 @@ class TimelineBuilder:
         self.object_count = 0
         self.total_bytes = 0
         self.total_drag = 0
-        # All three stay None until the first weighted record; the
-        # observed int totals double as the estimates until then.
-        self._est_object_count: Optional[WeightedTotal] = None
-        self._est_total_bytes: Optional[WeightedTotal] = None
-        self._est_total_drag: Optional[WeightedTotal] = None
+        # [count, bytes, drag] as WeightedTotals; None until the first
+        # weighted record, the observed int totals doubling as the
+        # estimates until then.
+        self._est: Optional[List[WeightedTotal]] = None
         self.sampled = False
         self.end_time: Optional[int] = None
         self.last_time = 0
@@ -419,26 +411,11 @@ class TimelineBuilder:
 
     # -- ingestion --------------------------------------------------------
 
-    def _materialize_est(self) -> WeightedTotal:
-        """First weighted record: seed the est totals with the observed
-        ints accumulated so far (exactly what eager weight-1.0
-        accumulation would hold)."""
-        count = WeightedTotal()
-        count.ints = self.object_count
-        total_bytes = WeightedTotal()
-        total_bytes.ints = self.total_bytes
-        total_drag = WeightedTotal()
-        total_drag.ints = self.total_drag
-        self._est_object_count = count
-        self._est_total_bytes = total_bytes
-        self._est_total_drag = total_drag
-        return count
-
     def add(self, record: ObjectRecord) -> None:
         # Hot path: one call per reclaimed object during a live run.
         # Raw fields are read once and every derived quantity (interval
-        # endpoints, drag, lifetime, weighted_*) is computed locally —
-        # the ObjectRecord properties recompute on each access, which
+        # endpoints, lifetime, weighted_*) is computed locally — the
+        # ObjectRecord properties recompute on each access, which
         # profiles as the dominant cost when done per kind.
         size = record.size
         weight = record.weight
@@ -447,35 +424,34 @@ class TimelineBuilder:
         collection = record.collection_time
         never_used = last_use == 0
         drag_start = creation if never_used else last_use
-        drag_time = collection - drag_start
-        if drag_time < 0:
-            drag_time = 0
-        drag = size * drag_time
+        drag_time, drag, _ = space_time(record)
         lifetime = collection - creation
         if lifetime < 0:
             lifetime = 0
-        est_count = self._est_object_count
-        if weight != 1.0 and est_count is None:
-            est_count = self._materialize_est()
+        est = self._est
+        if weight != 1.0 and est is None:
+            est = self._est = seeded_totals(
+                (self.object_count, self.total_bytes, self.total_drag)
+            )
         self.object_count += 1
         self.total_bytes += size
         self.total_drag += drag
-        if est_count is None:
+        if est is None:
             weighted_count = 1
             weighted_drag = drag
         elif weight == 1.0:
             weighted_count = 1
             weighted_drag = drag
-            est_count.ints += 1
-            self._est_total_bytes.ints += size
-            self._est_total_drag.ints += drag
+            est[0].ints += 1
+            est[1].ints += size
+            est[2].ints += drag
         else:
             self.sampled = True
             weighted_count = weight
             weighted_drag = weight * drag
-            est_count.add(weight)
-            self._est_total_bytes.add(weight * size)
-            self._est_total_drag.add(weighted_drag)
+            est[0].add(weight)
+            est[1].add(weight * size)
+            est[2].add(weighted_drag)
         if collection > self.last_time:
             self.last_time = collection
         bin_bytes = self.bin_bytes
@@ -531,18 +507,17 @@ class TimelineBuilder:
             site = self.sites[label] = SiteTimeline(label)
         # Per-site fold, inlined: this loop is the only writer —
         # SiteTimeline itself only knows how to merge.
-        est = site._est_drag
+        est = site._est
         if not fast and est is None:
-            est = site._est_drag = WeightedTotal()
-            est.ints = site.total_drag
+            est = site._est = seeded_totals((site.total_drag,))
         site.count += 1
         site.total_bytes += size
         site.total_drag += drag
         if est is not None:
             if fast:
-                est.ints += drag
+                est[0].ints += drag
             else:
-                est.add(weighted_drag)
+                est[0].add(weighted_drag)
         hist = site.lifetime_hist
         if fast and not hist.weighted:
             bucket = lifetime.bit_length()
@@ -609,21 +584,15 @@ class TimelineBuilder:
             raise ValueError(
                 f"cannot merge timelines with bin_bytes {other.bin_bytes} != {self.bin_bytes}"
             )
-        if other._est_object_count is not None and self._est_object_count is None:
-            self._materialize_est()
+        self._est = merge_lazy_totals(
+            self._est,
+            (self.object_count, self.total_bytes, self.total_drag),
+            other._est,
+            (other.object_count, other.total_bytes, other.total_drag),
+        )
         self.object_count += other.object_count
         self.total_bytes += other.total_bytes
         self.total_drag += other.total_drag
-        est_count = self._est_object_count
-        if est_count is not None:
-            if other._est_object_count is not None:
-                est_count.merge(other._est_object_count)
-                self._est_total_bytes.merge(other._est_total_bytes)
-                self._est_total_drag.merge(other._est_total_drag)
-            else:
-                est_count.ints += other.object_count
-                self._est_total_bytes.ints += other.total_bytes
-                self._est_total_drag.ints += other.total_drag
         self.sampled = self.sampled or other.sampled
         self._s_reachable.merge(other._s_reachable)
         self._s_in_use.merge(other._s_in_use)
@@ -676,18 +645,18 @@ class TimelineBuilder:
 
     @property
     def est_object_count(self):
-        est = self._est_object_count
-        return self.object_count if est is None else est.value
+        est = self._est
+        return self.object_count if est is None else est[0].value
 
     @property
     def est_total_bytes(self):
-        est = self._est_total_bytes
-        return self.total_bytes if est is None else est.value
+        est = self._est
+        return self.total_bytes if est is None else est[1].value
 
     @property
     def est_total_drag(self):
-        est = self._est_total_drag
-        return self.total_drag if est is None else est.value
+        est = self._est
+        return self.total_drag if est is None else est[2].value
 
     @property
     def effective_sample_rate(self) -> float:

@@ -52,7 +52,8 @@ from repro.stream.codec import (
     FRAME_RECORD,
     FRAME_SAMPLE,
     FrameParser,
-    _read_uvarint,
+    _CORRUPT,
+    decode_sample,
     peek_record_size,
     peek_site_label,
     record_weight,
@@ -118,6 +119,7 @@ class StreamInfo:
     __slots__ = (
         "stream_id", "peer", "metadata", "frames", "records", "samples",
         "bytes", "ended", "truncated", "end_time", "sampler", "sampled_out",
+        "corrupt_records",
     )
 
     def __init__(self, stream_id: int, peer: str, metadata: dict) -> None:
@@ -134,6 +136,8 @@ class StreamInfo:
         # Server-side resampling state (None == route every record).
         self.sampler: Optional[ByteSampler] = None
         self.sampled_out = 0
+        # Routed records a shard could not decode (not in ``records``).
+        self.corrupt_records = 0
 
     def to_dict(self) -> dict:
         return {
@@ -148,6 +152,7 @@ class StreamInfo:
             "truncated": self.truncated,
             "end_time": self.end_time,
             "sampled_out": self.sampled_out,
+            "corrupt_records": self.corrupt_records,
         }
 
 
@@ -194,7 +199,11 @@ class DragServer:
             "repro_serve_streams_total", "Client streams accepted")
         self._m_truncated = reg.counter(
             "repro_serve_truncated_streams_total",
-            "Streams that disconnected mid-frame or without an END frame")
+            "Streams that disconnected mid-frame, without an END frame,"
+            " or with a frame that did not decode")
+        self._m_corrupt_records = reg.counter(
+            "repro_serve_corrupt_records_total",
+            "Routed records a shard could not decode")
         self._m_bytes = reg.counter(
             "repro_serve_bytes_ingested_total", "Raw bytes read from clients")
         self._m_frames = reg.counter(
@@ -296,46 +305,48 @@ class DragServer:
         weighted_records = 0
         weighted_bytes = 0
         sampler = info.sampler
-        for frame_type, payload in frames:
-            if frame_type == FRAME_RECORD:
-                size = peek_record_size(payload)
-                if sampler is not None:
-                    # Server-side resampling never decodes the record:
-                    # peek the size, roll the stream's sampler, and
-                    # either drop the frame or splice the composed
-                    # weight into its trailing weight field.
-                    extra = sampler.sample(size)
-                    if not extra:
-                        info.sampled_out += 1
-                        self._m_sampled_out.inc()
-                        continue
-                    if extra != 1.0:
-                        payload = reweight_record(
-                            payload, record_weight(payload) * extra
-                        )
-                weight = record_weight(payload)
-                observed_bytes += size
-                if weight == 1.0:
-                    weighted_records += 1
-                    weighted_bytes += size
-                else:
-                    weighted_records += weight
-                    weighted_bytes += weight * size
-                label = peek_site_label(payload, parser.strings)
-                buckets[site_shard(label, nshards)].append(payload)
-                records += 1
-            elif frame_type == FRAME_SAMPLE:
-                info.samples += 1
-                self._m_samples.inc()
-                if self.config.timeline_bin_bytes:
-                    # SAMPLE payload: time, reachable bytes, object
-                    # count as uvarints — kept loop-side as timeline
-                    # snapshot markers.
-                    sample_time, pos = _read_uvarint(payload, 0)
-                    reachable, pos = _read_uvarint(payload, pos)
-                    count, _ = _read_uvarint(payload, pos)
-                    self._timeline_samples.append([sample_time, reachable, count])
-                    self._m_timeline_markers.inc()
+        try:
+            for frame_type, payload in frames:
+                if frame_type == FRAME_RECORD:
+                    size = peek_record_size(payload)
+                    if sampler is not None:
+                        # Server-side resampling never decodes the record:
+                        # peek the size, roll the stream's sampler, and
+                        # either drop the frame or splice the composed
+                        # weight into its trailing weight field.
+                        extra = sampler.sample(size)
+                        if not extra:
+                            info.sampled_out += 1
+                            self._m_sampled_out.inc()
+                            continue
+                        if extra != 1.0:
+                            payload = reweight_record(
+                                payload, record_weight(payload) * extra
+                            )
+                    weight = record_weight(payload)
+                    observed_bytes += size
+                    if weight == 1.0:
+                        weighted_records += 1
+                        weighted_bytes += size
+                    else:
+                        weighted_records += weight
+                        weighted_bytes += weight * size
+                    label = peek_site_label(payload, parser.strings)
+                    buckets[site_shard(label, nshards)].append(payload)
+                    records += 1
+                elif frame_type == FRAME_SAMPLE:
+                    info.samples += 1
+                    self._m_samples.inc()
+                    if self.config.timeline_bin_bytes:
+                        # Kept loop-side as timeline snapshot markers.
+                        self._timeline_samples.append(list(decode_sample(payload)))
+                        self._m_timeline_markers.inc()
+        except _CORRUPT as exc:
+            # A well-framed RECORD or SAMPLE whose payload does not
+            # parse: the same verdict as a frame that does not parse.
+            raise ProfileError(
+                f"{parser.source}: corrupt v2 frame payload: {exc}"
+            ) from exc
         info.frames += len(frames)
         info.records += records
         self._m_frames.inc(len(frames))
@@ -420,14 +431,14 @@ class DragServer:
                 self._m_bytes.inc(len(chunk))
                 try:
                     frames = parser.feed_frames(chunk)
-                except (ProfileError, IndexError, UnicodeDecodeError):
+                    sent_strings = await self._route_frames(
+                        info, parser, frames, sent_strings
+                    )
+                except ProfileError:
                     # A poisoned stream kills this connection only; the
-                    # shards never see its partial frame.
+                    # shards never see the batch holding the bad frame.
                     corrupt = True
                     break
-                sent_strings = await self._route_frames(
-                    info, parser, frames, sent_strings
-                )
                 if parser.ended:
                     break
         except (ConnectionError, OSError):
@@ -435,17 +446,23 @@ class DragServer:
         finally:
             self._active -= 1
             self._m_active.set(self._active)
-        info.ended = True
-        info.end_time = parser.end_time
-        info.truncated = corrupt or parser.truncated
-        if info.truncated:
-            self._m_truncated.inc()
-        await asyncio.gather(
+        undecoded = await asyncio.gather(
             *(
                 self._call(shard, "end_stream", info.stream_id, parser.end_time)
                 for shard in self.shards
             )
         )
+        info.corrupt_records = sum(undecoded)
+        if info.corrupt_records:
+            # Payloads that passed the site-label peek but not the
+            # shard's decode: folded nowhere, so not counted as records.
+            info.records -= info.corrupt_records
+            self._m_corrupt_records.inc(info.corrupt_records)
+        info.ended = True
+        info.end_time = parser.end_time
+        info.truncated = corrupt or parser.truncated or bool(info.corrupt_records)
+        if info.truncated:
+            self._m_truncated.inc()
         self._log(
             f"stream {info.stream_id} finished: {info.records} records, "
             f"{info.bytes} bytes"

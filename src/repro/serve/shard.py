@@ -15,6 +15,12 @@ String-table frames are broadcast to every shard (record payloads
 reference string ids, and ids are per-stream), keyed by stream id so
 concurrent clients cannot alias each other's tables.
 
+The accept loop peeks a RECORD payload only as far as its site label,
+so a payload can still turn out malformed in the shard. The shard
+folds every payload that decodes, counts the ones that do not per
+stream, and :meth:`end_stream` returns that count so the accept loop
+ends the stream as truncated. Both flavours behave the same way.
+
 Two interchangeable shard flavours:
 
 * :class:`InlineShard` — in-process, for tests, ``--inline`` serving,
@@ -32,6 +38,7 @@ import threading
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ProfileError
 from repro.stream.aggregate import StreamingDragAnalysis
 from repro.stream.codec import _decode_record
 
@@ -68,18 +75,28 @@ class _ShardState:
             self.analysis.timeline = TimelineBuilder(bin_bytes=timeline_bin_bytes)
         self.tables: Dict[int, List[str]] = {}
         self.records_seen = 0
+        # Per open stream: payloads that did not decode.
+        self.corrupt: Dict[int, int] = {}
 
     def add_strings(self, stream_id: int, strings: Sequence[str]) -> None:
         self.tables.setdefault(stream_id, []).extend(strings)
 
     def add_records(self, stream_id: int, payloads: Sequence[bytes]) -> None:
+        """Fold every payload of the batch that decodes; count the rest
+        against the stream."""
         table = self.tables.setdefault(stream_id, [])
-        add = self.analysis.add
+        records = []
         for payload in payloads:
-            add(_decode_record(payload, table))
-        self.records_seen += len(payloads)
+            try:
+                records.append(_decode_record(payload, table))
+            except ProfileError:
+                self.corrupt[stream_id] = self.corrupt.get(stream_id, 0) + 1
+        self.analysis.consume(records)
+        self.records_seen += len(records)
 
-    def end_stream(self, stream_id: int, end_time: Optional[int]) -> None:
+    def end_stream(self, stream_id: int, end_time: Optional[int]) -> int:
+        """Close the stream's table; returns how many of its payloads
+        did not decode."""
         self.tables.pop(stream_id, None)
         if end_time is not None:
             if self.analysis.end_time is None:
@@ -88,6 +105,7 @@ class _ShardState:
                 self.analysis.end_time = max(self.analysis.end_time, end_time)
             if self.analysis.timeline is not None:
                 self.analysis.timeline.note_end(end_time)
+        return self.corrupt.pop(stream_id, 0)
 
     def snapshot(self) -> Tuple[StreamingDragAnalysis, int]:
         return self.analysis, self.records_seen
@@ -107,7 +125,7 @@ def _shard_main(index: int, conn, timeline_bin_bytes: Optional[int] = None) -> N
         elif cmd == "records":
             state.add_records(msg[1], msg[2])
         elif cmd == "end_stream":
-            state.end_stream(msg[1], msg[2])
+            conn.send(state.end_stream(msg[1], msg[2]))
         elif cmd == "snapshot":
             conn.send(state.snapshot())
         elif cmd == "stop":
@@ -129,8 +147,8 @@ class InlineShard:
     def feed_records(self, stream_id: int, payloads: Sequence[bytes]) -> None:
         self._state.add_records(stream_id, payloads)
 
-    def end_stream(self, stream_id: int, end_time: Optional[int] = None) -> None:
-        self._state.end_stream(stream_id, end_time)
+    def end_stream(self, stream_id: int, end_time: Optional[int] = None) -> int:
+        return self._state.end_stream(stream_id, end_time)
 
     def snapshot(self) -> Tuple[StreamingDragAnalysis, int]:
         return self._state.snapshot()
@@ -178,9 +196,12 @@ class ProcessShard:
         with self._lock:
             self._conn.send(("records", stream_id, list(payloads)))
 
-    def end_stream(self, stream_id: int, end_time: Optional[int] = None) -> None:
+    def end_stream(self, stream_id: int, end_time: Optional[int] = None) -> int:
+        """Replies once the worker has folded everything sent before it,
+        so the returned count of undecodable payloads is final."""
         with self._lock:
             self._conn.send(("end_stream", stream_id, end_time))
+            return self._conn.recv()
 
     def snapshot(self) -> Tuple[StreamingDragAnalysis, int]:
         with self._lock:

@@ -2,135 +2,27 @@
 
 :class:`StreamingDragAnalysis` consumes one record at a time and
 maintains exactly the aggregates the batch
-:class:`repro.core.analyzer.DragAnalysis` derives from its record
-lists — per-site count/bytes/drag/in-use sums, the never-used
-partition, and the nested and (site, last-use) partitions — without
-ever holding the records themselves. Sorting and filtering reproduce
-the batch comparators bit for bit, so the two analyses agree exactly
-on any stream (the equivalence is pinned by
-``tests/stream/test_aggregate.py`` on real benchmark profiles).
+:class:`repro.core.analyzer.DragAnalysis` derives — per-site
+count/bytes/drag/in-use sums, the never-used partition, and the nested
+and (site, last-use) partitions — without ever holding the records
+themselves. Both are the same :class:`~repro.core.analyzer.DragAggregate`
+fold, so the two analyses agree exactly on any stream (the equivalence
+is pinned by ``tests/stream/test_aggregate.py`` on real benchmark
+profiles).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.sampler import WeightedTotal
+from repro.core.analyzer import DragAggregate, SiteStats
+from repro.core.sampler import merge_lazy_totals
 from repro.core.trailer import ObjectRecord
 
-
-class SiteStats:
-    """Running aggregates for one partition key — the streaming
-    counterpart of :class:`repro.core.analyzer.SiteGroup`, minus the
-    record list."""
-
-    __slots__ = (
-        "key",
-        "count",
-        "total_bytes",
-        "total_drag",
-        "total_in_use",
-        "never_used_count",
-        "never_used_drag",
-        "_est_count",
-        "_est_bytes",
-        "_est_drag",
-        "_est_in_use",
-        "_est_never_used_drag",
-        "type_names",
-    )
-
-    def __init__(self, key) -> None:
-        self.key = key
-        self.count = 0
-        self.total_bytes = 0
-        self.total_drag = 0
-        self.total_in_use = 0
-        self.never_used_count = 0
-        self.never_used_drag = 0
-        # Weight-corrected estimates, mirroring SiteGroup.est_*: exact
-        # ints equal to the observed sums while every weight is 1.0,
-        # order-independent exact floats (WeightedTotal) once weighted
-        # records appear — so a sharded merge lands on the same bits as
-        # a single-stream fold.
-        self._est_count = WeightedTotal()
-        self._est_bytes = WeightedTotal()
-        self._est_drag = WeightedTotal()
-        self._est_in_use = WeightedTotal()
-        self._est_never_used_drag = WeightedTotal()
-        self.type_names: List[str] = []  # insertion-ordered, deduplicated
-
-    def add(self, record: ObjectRecord) -> None:
-        drag = record.drag
-        self.count += 1
-        self.total_bytes += record.size
-        self.total_drag += drag
-        self.total_in_use += record.size * record.in_use_time
-        self._est_count.add(record.weighted_count)
-        self._est_bytes.add(record.weighted_size)
-        est_drag = record.weighted_drag
-        self._est_drag.add(est_drag)
-        self._est_in_use.add(record.weighted_in_use)
-        if record.never_used:
-            self.never_used_count += 1
-            self.never_used_drag += drag
-            self._est_never_used_drag.add(est_drag)
-        if record.type_name not in self.type_names:
-            self.type_names.append(record.type_name)
-
-    @property
-    def est_count(self) -> float:
-        return self._est_count.value
-
-    @property
-    def est_bytes(self) -> float:
-        return self._est_bytes.value
-
-    @property
-    def est_drag(self) -> float:
-        return self._est_drag.value
-
-    @property
-    def est_in_use(self) -> float:
-        return self._est_in_use.value
-
-    @property
-    def est_never_used_drag(self) -> float:
-        return self._est_never_used_drag.value
-
-    @property
-    def never_used_fraction(self) -> float:
-        return self.never_used_drag / self.total_drag if self.total_drag > 0 else 0.0
-
-    @property
-    def all_never_used(self) -> bool:
-        return self.count > 0 and self.never_used_count == self.count
-
-    def merge(self, other: "SiteStats") -> None:
-        """Fold another shard's stats for the same key into this one
-        (the multi-process merge primitive)."""
-        if other.key != self.key:
-            raise ValueError(f"cannot merge {other.key!r} into {self.key!r}")
-        self.count += other.count
-        self.total_bytes += other.total_bytes
-        self.total_drag += other.total_drag
-        self.total_in_use += other.total_in_use
-        self.never_used_count += other.never_used_count
-        self.never_used_drag += other.never_used_drag
-        self._est_count.merge(other._est_count)
-        self._est_bytes.merge(other._est_bytes)
-        self._est_drag.merge(other._est_drag)
-        self._est_in_use.merge(other._est_in_use)
-        self._est_never_used_drag.merge(other._est_never_used_drag)
-        for name in other.type_names:
-            if name not in self.type_names:
-                self.type_names.append(name)
-
-    def __repr__(self) -> str:
-        return f"<stats {self.key} n={self.count} drag={self.total_drag}>"
+__all__ = ["SiteStats", "StreamingDragAnalysis"]
 
 
-class StreamingDragAnalysis:
+class StreamingDragAnalysis(DragAggregate):
     """One-pass, bounded-memory analyzer over a record stream.
 
     Mirrors the partitions of the batch analyzer: ``by_site`` (plain
@@ -142,18 +34,8 @@ class StreamingDragAnalysis:
     """
 
     def __init__(self, include_library_sites: bool = True) -> None:
+        super().__init__()
         self.include_library_sites = include_library_sites
-        self.by_site: Dict[object, SiteStats] = {}
-        self.by_nested: Dict[object, SiteStats] = {}
-        self.by_site_and_use: Dict[object, SiteStats] = {}
-        self.object_count = 0
-        self.total_bytes = 0
-        self.total_drag = 0
-        # Weight-corrected totals (== the observed ints at full rate).
-        self._est_object_count = WeightedTotal()
-        self._est_total_bytes = WeightedTotal()
-        self._est_total_drag = WeightedTotal()
-        self.sampled = False
         self.end_time: Optional[int] = None
         # Optional attached repro.obs.timeline.TimelineBuilder (duck
         # typed so this module never imports obs). When present it sees
@@ -173,21 +55,7 @@ class StreamingDragAnalysis:
             return
         if not self.include_library_sites and record.site_is_library:
             return
-        self.object_count += 1
-        self.total_bytes += record.size
-        self.total_drag += record.drag
-        self._est_object_count.add(record.weighted_count)
-        self._est_total_bytes.add(record.weighted_size)
-        self._est_total_drag.add(record.weighted_drag)
-        if record.weight != 1.0:
-            self.sampled = True
-        self._bump(self.by_site, record.site_label, record)
-        self._bump(
-            self.by_nested, record.nested_alloc or (record.site_label,), record
-        )
-        self._bump(
-            self.by_site_and_use, (record.site_label, record.last_use_frame), record
-        )
+        self._fold(record)
 
     def consume(self, records) -> "StreamingDragAnalysis":
         """Fold in an iterable of records (e.g. ``iter_log(path)``);
@@ -196,71 +64,21 @@ class StreamingDragAnalysis:
             self.add(record)
         return self
 
-    @staticmethod
-    def _bump(table: Dict[object, SiteStats], key, record: ObjectRecord) -> None:
-        stats = table.get(key)
-        if stats is None:
-            stats = table[key] = SiteStats(key)
-        stats.add(record)
-
-    # -- sorted views (batch-identical comparators) -----------------------
-
-    def sorted_sites(self, limit: Optional[int] = None) -> List[SiteStats]:
-        groups = sorted(
-            self.by_site.values(), key=lambda g: (-g.est_drag, str(g.key))
-        )
-        return groups[:limit] if limit else groups
-
-    def sorted_nested(self, limit: Optional[int] = None) -> List[SiteStats]:
-        groups = sorted(
-            self.by_nested.values(), key=lambda g: (-g.est_drag, str(g.key))
-        )
-        return groups[:limit] if limit else groups
-
-    def never_used_sites(self, limit: Optional[int] = None) -> List[SiteStats]:
-        groups = [
-            g for g in self.by_site.values() if g.all_never_used and g.total_drag > 0
-        ]
-        groups.sort(key=lambda g: (-g.est_drag, str(g.key)))
-        return groups[:limit] if limit else groups
-
-    def site(self, label: str) -> Optional[SiteStats]:
-        return self.by_site.get(label)
-
-    @property
-    def est_object_count(self):
-        return self._est_object_count.value
-
-    @property
-    def est_total_bytes(self):
-        return self._est_total_bytes.value
-
-    @property
-    def est_total_drag(self):
-        return self._est_total_drag.value
-
-    @property
-    def effective_sample_rate(self) -> float:
-        """Observed bytes / estimated bytes — 1.0 for full-rate streams."""
-        est = self.est_total_bytes
-        return self.total_bytes / est if est > 0 else 1.0
-
-    def drag_share(self, stats: SiteStats) -> float:
-        total = self.est_total_drag
-        return stats.est_drag / total if total > 0 else 0.0
-
     # -- merge ------------------------------------------------------------
 
     def merge(self, other: "StreamingDragAnalysis") -> "StreamingDragAnalysis":
         """Fold another aggregator (e.g. from a sharded run) into this
         one; per-site sums are associative so the result equals a
         single-stream analysis of the concatenated logs."""
+        self._est = merge_lazy_totals(
+            self._est,
+            (self.object_count, self.total_bytes, self.total_drag),
+            other._est,
+            (other.object_count, other.total_bytes, other.total_drag),
+        )
         self.object_count += other.object_count
         self.total_bytes += other.total_bytes
         self.total_drag += other.total_drag
-        self._est_object_count.merge(other._est_object_count)
-        self._est_total_bytes.merge(other._est_total_bytes)
-        self._est_total_drag.merge(other._est_total_drag)
         self.sampled = self.sampled or other.sampled
         for table_name in ("by_site", "by_nested", "by_site_and_use"):
             mine: Dict[object, SiteStats] = getattr(self, table_name)

@@ -71,16 +71,23 @@ def _write_uvarint(buf: bytearray, value: int) -> None:
 
 
 def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
-    """Decode one uvarint at ``pos``; returns (value, next_pos)."""
-    result = 0
-    shift = 0
+    """Decode one uvarint at ``pos``; returns (value, next_pos).
+
+    Raises IndexError when the varint runs off the end of ``data``.
+    Values below 0x80 (ids, lengths, most sizes) return on the first
+    byte without entering the loop.
+    """
+    byte = data[pos]
+    pos += 1
+    if byte < 0x80:
+        return byte, pos
+    result = byte & 0x7F
+    shift = 7
     while True:
-        if pos >= len(data):
-            raise IndexError("truncated varint")
         byte = data[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if byte < 0x80:
             return result, pos
         shift += 7
 
@@ -266,62 +273,91 @@ class V2LogWriter(V2FrameEncoder):
 # Decoding
 # ---------------------------------------------------------------------------
 
+_unpack_double = struct.Struct("<d").unpack_from
 
-def _decode_record(payload: bytes, strings: List[str]) -> ObjectRecord:
-    pos = 0
-    flags = payload[pos]
-    pos += 1
-    handle, pos = _read_uvarint(payload, pos)
-    size, pos = _read_uvarint(payload, pos)
-    created, pos = _read_uvarint(payload, pos)
-    first_use, pos = _read_uvarint(payload, pos)
-    last_use, pos = _read_uvarint(payload, pos)
-    collected, pos = _read_uvarint(payload, pos)
+# What a malformed frame raises inside the decoder. Every reader turns
+# these into one ProfileError that names its source and the offset.
+_CORRUPT = (IndexError, struct.error, UnicodeDecodeError)
+
+
+def _read_strings(buf, pos: int, strings: List[str]) -> Tuple[Tuple[str, ...], int]:
+    """Decode a count-prefixed list of string-table ids at ``pos``."""
+    read = _read_uvarint
+    count, pos = read(buf, pos)
+    if count > len(buf) - pos:  # every id takes at least one byte
+        raise IndexError(f"string list of {count} ids overruns the buffer")
+    out = []
+    for _ in range(count):
+        sid, pos = read(buf, pos)
+        out.append(strings[sid])
+    return tuple(out), pos
+
+
+def _decode_record_at(buf, pos: int, end: int, strings: List[str]) -> ObjectRecord:
+    """Decode the RECORD payload ``buf[pos:end]`` in place.
+
+    This is the only record decoder: the frame loop runs it over its
+    buffer without copying the payload out, and the serve shards run it
+    over standalone payloads (:func:`_decode_record`). A malformed
+    payload raises one of ``_CORRUPT``.
+    """
+    read = _read_uvarint
+    flags = buf[pos]
+    handle, pos = read(buf, pos + 1)
+    size, pos = read(buf, pos)
+    created, pos = read(buf, pos)
+    first_use, pos = read(buf, pos)
+    last_use, pos = read(buf, pos)
+    collected, pos = read(buf, pos)
     alloc_site = None
     if flags & _F_HAS_SITE:
-        alloc_site, pos = _read_uvarint(payload, pos)
-    type_id, pos = _read_uvarint(payload, pos)
-    label_id, pos = _read_uvarint(payload, pos)
-    kind_id, pos = _read_uvarint(payload, pos)
-    nested_len, pos = _read_uvarint(payload, pos)
-    nested = []
-    for _ in range(nested_len):
-        sid, pos = _read_uvarint(payload, pos)
-        nested.append(strings[sid])
+        alloc_site, pos = read(buf, pos)
+    type_id, pos = read(buf, pos)
+    label_id, pos = read(buf, pos)
+    kind_id, pos = read(buf, pos)
+    nested, pos = _read_strings(buf, pos, strings)
     use_frame = None
     if flags & _F_HAS_USE_FRAME:
-        sid, pos = _read_uvarint(payload, pos)
+        sid, pos = read(buf, pos)
         use_frame = strings[sid]
     use_chain = None
     if flags & _F_HAS_USE_CHAIN:
-        chain_len, pos = _read_uvarint(payload, pos)
-        chain = []
-        for _ in range(chain_len):
-            sid, pos = _read_uvarint(payload, pos)
-            chain.append(strings[sid])
-        use_chain = tuple(chain)
+        use_chain, pos = _read_strings(buf, pos, strings)
     weight = 1.0
     if flags & _F_HAS_WEIGHT:
-        weight = struct.unpack_from("<d", payload, pos)[0]
+        weight = _unpack_double(buf, pos)[0]
+        pos += 8
+    if pos > end:
+        raise IndexError("RECORD payload overruns its frame")
+    # Trailing bytes past the known fields are tolerated: that is how
+    # readers predating a strictly trailing field (the weight) parse it.
     return ObjectRecord(
-        handle=handle,
-        type_name=strings[type_id],
-        size=size,
-        creation_time=created,
-        first_use_time=first_use,
-        last_use_time=last_use,
-        collection_time=collected,
-        alloc_site=alloc_site,
-        site_label=strings[label_id],
-        site_kind=strings[kind_id],
-        site_is_library=bool(flags & _F_LIBRARY),
-        nested_alloc=tuple(nested),
-        last_use_frame=use_frame,
-        last_use_chain=use_chain,
-        excluded=bool(flags & _F_EXCLUDED),
-        survived_to_end=bool(flags & _F_SURVIVED),
-        weight=weight,
+        handle, strings[type_id], size, created, last_use, collected,
+        alloc_site, strings[label_id], strings[kind_id],
+        bool(flags & _F_LIBRARY), nested, use_frame, use_chain,
+        bool(flags & _F_EXCLUDED), bool(flags & _F_SURVIVED),
+        first_use, weight,
     )
+
+
+def _decode_record(
+    payload: bytes, strings: List[str], source: str = "<record>"
+) -> ObjectRecord:
+    """Decode one standalone RECORD payload (the serve shards' path)."""
+    try:
+        return _decode_record_at(payload, 0, len(payload), strings)
+    except _CORRUPT as exc:
+        raise ProfileError(f"{source}: corrupt v2 RECORD payload: {exc}") from exc
+
+
+def decode_sample(buf, pos: int = 0, end: Optional[int] = None) -> Tuple[int, int, int]:
+    """Decode a SAMPLE payload into ``(time, reachable_bytes, object_count)``."""
+    time, pos = _read_uvarint(buf, pos)
+    reachable, pos = _read_uvarint(buf, pos)
+    count, pos = _read_uvarint(buf, pos)
+    if pos > (len(buf) if end is None else end):
+        raise IndexError("SAMPLE payload overruns its frame")
+    return time, reachable, count
 
 
 def record_weight(payload: bytes) -> float:
@@ -411,15 +447,15 @@ def decode_end_totals(payload: bytes) -> Tuple[Optional[float], Optional[float]]
     return None, None
 
 
-class _FrameParser:
+class FrameParser:
     """Incremental frame decoder over an append-only byte stream.
 
-    Feed it chunks as the file grows; it yields complete events and
-    keeps partial frames pending. This is the engine behind the one-shot
-    readers, :class:`V2TailReader`, and — via the undecoded
-    :meth:`feed_frames` layer — the serve daemon's per-connection
-    ingest, which routes raw frames to shard workers without decoding
-    records centrally.
+    Feed it chunks as the file grows; it returns complete events and
+    keeps partial frames pending. Every reader shares its one decode
+    loop, :meth:`_scan`: the one-shot readers, :class:`V2TailReader`,
+    and — via the undecoded :meth:`feed_frames` layer — the serve
+    daemon's per-connection ingest, which routes raw frames to shard
+    workers without decoding records centrally.
     """
 
     def __init__(self, source: str = "<stream>") -> None:
@@ -445,6 +481,7 @@ class _FrameParser:
         self.est_bytes: Optional[float] = None
         self.ended = False
         self._buf = bytearray()
+        self._base = 0  # stream offset of _buf[0], for error messages
         self._header_done = False
 
     @property
@@ -462,48 +499,103 @@ class _FrameParser:
         frames without decoding them. STRING frames still update
         :attr:`strings` (every downstream consumer needs the table);
         END frames still set the end-of-stream state."""
-        self._buf += chunk
         frames: List[Tuple[int, bytes]] = []
-        if not self._header_done and not self._parse_header():
-            return frames
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frame_type, payload = frame
-            if frame_type == FRAME_STRING:
-                self.strings.append(payload.decode("utf-8"))
-            elif frame_type == FRAME_END:
-                self.end_time, self.declared_count, self.finalizer_errors = (
-                    decode_end(payload)
-                )
-                self.est_objects, self.est_bytes = decode_end_totals(payload)
-                self.ended = True
-            elif frame_type not in (FRAME_RECORD, FRAME_SAMPLE):
-                raise ProfileError(
-                    f"{self.source}: unknown v2 frame type 0x{frame_type:02x}"
-                )
-            frames.append((frame_type, payload))
+        append = frames.append
+        self._scan(chunk, None, lambda frame_type, payload: append((frame_type, payload)))
+        return frames
 
     def feed(self, chunk: bytes) -> List[Tuple[str, object]]:
         """Absorb ``chunk``; return the newly completed events as
         ``("record", ObjectRecord)`` / ``("sample", HeapSample)`` /
-        ``("end", end_time)`` tuples."""
+        ``("end", end_time)`` tuples, in stream order."""
         events: List[Tuple[str, object]] = []
-        for frame_type, payload in self.feed_frames(chunk):
-            if frame_type == FRAME_RECORD:
-                events.append(("record", _decode_record(payload, self.strings)))
-            elif frame_type == FRAME_SAMPLE:
-                from repro.core.profiler import HeapSample
-
-                pos = 0
-                time, pos = _read_uvarint(payload, pos)
-                reachable, pos = _read_uvarint(payload, pos)
-                count, pos = _read_uvarint(payload, pos)
-                events.append(("sample", HeapSample(time, reachable, count)))
-            elif frame_type == FRAME_END:
-                events.append(("end", self.end_time))
+        append = events.append
+        self._scan(
+            chunk,
+            lambda record: append(("record", record)),
+            lambda kind, value: append((kind, value)),
+        )
         return events
+
+    def _scan(self, chunk: bytes, on_record, on_other) -> None:
+        """Decode every complete frame of the buffer plus ``chunk``.
+
+        One offset walks the buffer; payloads are decoded where they
+        lie, and the consumed prefix is dropped once at the end. With
+        ``on_record`` set, each RECORD is decoded and passed to it, and
+        ``on_other`` gets ``("sample", HeapSample)`` and ``("end",
+        end_time)``. With ``on_record`` None, ``on_other`` gets every
+        frame raw as ``(frame_type, payload)``. Either way STRING frames
+        grow :attr:`strings` and the END frame sets the end state. A
+        malformed frame raises :class:`ProfileError`.
+        """
+        buf = self._buf
+        buf += chunk
+        if not self._header_done and not self._parse_header():
+            return
+        strings = self.strings
+        decode = on_record is not None
+        n = len(buf)
+        pos = 0
+        frame_type = 0
+        try:
+            while True:
+                start = pos + 2
+                if start > n:
+                    break
+                frame_type = buf[pos]
+                length = buf[pos + 1]
+                if length > 0x7F:
+                    try:
+                        length, start = _read_uvarint(buf, pos + 1)
+                    except IndexError:  # the length varint is still arriving
+                        break
+                end = start + length
+                if end > n:
+                    break
+                if frame_type == FRAME_RECORD:
+                    if decode:
+                        on_record(_decode_record_at(buf, start, end, strings))
+                    else:
+                        on_other(frame_type, bytes(buf[start:end]))
+                elif frame_type == FRAME_STRING:
+                    payload = bytes(buf[start:end])
+                    strings.append(payload.decode("utf-8"))
+                    if not decode:
+                        on_other(frame_type, payload)
+                elif frame_type == FRAME_SAMPLE:
+                    if decode:
+                        from repro.core.profiler import HeapSample
+
+                        on_other("sample", HeapSample(*decode_sample(buf, start, end)))
+                    else:
+                        on_other(frame_type, bytes(buf[start:end]))
+                elif frame_type == FRAME_END:
+                    payload = bytes(buf[start:end])
+                    self.end_time, self.declared_count, self.finalizer_errors = (
+                        decode_end(payload)
+                    )
+                    self.est_objects, self.est_bytes = decode_end_totals(payload)
+                    self.ended = True
+                    if decode:
+                        on_other("end", self.end_time)
+                    else:
+                        on_other(frame_type, payload)
+                else:
+                    raise ProfileError(
+                        f"{self.source}: unknown v2 frame type 0x{frame_type:02x}"
+                        f" at byte {self._base + pos}"
+                    )
+                pos = end
+        except _CORRUPT as exc:
+            raise ProfileError(
+                f"{self.source}: corrupt v2 frame (type 0x{frame_type:02x})"
+                f" at byte {self._base + pos}: {exc}"
+            ) from exc
+        finally:
+            if pos:
+                del buf[:pos]
+                self._base += pos
 
     def _parse_header(self) -> bool:
         buf = self._buf
@@ -522,48 +614,30 @@ class _FrameParser:
             return False
         try:
             header = json.loads(bytes(buf[pos : pos + length]).decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
             raise ProfileError(f"{self.source}: bad v2 header: {exc}") from exc
-        self.metadata = header.get("metadata") or {}
+        metadata = header.get("metadata") if isinstance(header, dict) else None
+        if not isinstance(header, dict) or not isinstance(metadata or {}, dict):
+            raise ProfileError(f"{self.source}: bad v2 header: not a JSON object")
+        self.metadata = metadata or {}
         del self._buf[: pos + length]
+        self._base += pos + length
         self._header_done = True
         return True
 
-    def _next_frame(self) -> Optional[Tuple[int, bytes]]:
-        buf = self._buf
-        if not buf:
-            return None
-        try:
-            length, pos = _read_uvarint(buf, 1)
-        except IndexError:
-            return None
-        if len(buf) < pos + length:
-            return None
-        frame_type = buf[0]
-        payload = bytes(buf[pos : pos + length])
-        del buf[: pos + length]
-        return frame_type, payload
 
-
-#: Public name for per-connection stream ingest (the serve daemon).
-FrameParser = _FrameParser
-
-
-def _iter_v2_events(
-    path: Union[str, Path], strict: bool, parser: Optional[_FrameParser] = None
-) -> Iterator[Tuple[str, object]]:
-    if parser is None:
-        parser = _FrameParser(source=str(path))
+def _scan_file(path: Union[str, Path], strict: bool, on_record, on_other) -> Iterator[FrameParser]:
+    """Feed a log file through one parser chunk by chunk, yielding the
+    parser after each chunk; checks the header and (``strict``) the END
+    frame once the file is exhausted."""
+    parser = FrameParser(source=str(path))
     with open(path, "rb") as f:
         while True:
             chunk = f.read(1 << 16)
             if not chunk:
                 break
-            try:
-                for event in parser.feed(chunk):
-                    yield event
-            except IndexError as exc:  # corrupt payload inside a frame
-                raise ProfileError(f"{path}: corrupt v2 frame: {exc}") from exc
+            parser._scan(chunk, on_record, on_other)
+            yield parser
     if not parser._header_done:
         raise ProfileError(f"{path}: truncated v2 header")
     if strict and (parser.pending_bytes or not parser.ended):
@@ -572,35 +646,39 @@ def _iter_v2_events(
             f"({parser.pending_bytes} trailing bytes, "
             f"END frame {'missing' if not parser.ended else 'seen'})"
         )
+    yield parser
+
+
+def _ignore(kind, value) -> None:
+    pass
 
 
 def iter_v2_log(
     path: Union[str, Path], strict: bool = True
 ) -> Iterator[ObjectRecord]:
-    """Generator over a v2 log's object records, decoded one at a time."""
-    for kind, value in _iter_v2_events(path, strict):
-        if kind == "record":
-            yield value
+    """Generator over a v2 log's object records, decoded a chunk at a time."""
+    records: List[ObjectRecord] = []
+    for _ in _scan_file(path, strict, records.append, _ignore):
+        yield from records
+        records.clear()
 
 
 def read_v2_log(path: Union[str, Path], strict: bool = True):
     """Read a whole v2 log into a :class:`repro.core.logfile.LoadedLog`."""
     from repro.core.logfile import LoadedLog
 
-    parser = _FrameParser(source=str(path))
     records: List[ObjectRecord] = []
     samples: List = []
-    end_time: Optional[int] = None
-    for kind, value in _iter_v2_events(path, strict, parser=parser):
-        if kind == "record":
-            records.append(value)
-        elif kind == "sample":
+
+    def on_other(kind, value) -> None:
+        if kind == "sample":
             samples.append(value)
-        elif kind == "end":
-            end_time = value
+
+    for parser in _scan_file(path, strict, records.append, on_other):
+        pass
     return LoadedLog(
         records,
-        end_time,
+        parser.end_time,
         parser.metadata,
         samples=samples,
         finalizer_errors=parser.finalizer_errors,
@@ -619,7 +697,7 @@ class V2TailReader:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._parser = _FrameParser(source=str(path))
+        self._parser = FrameParser(source=str(path))
         self._offset = 0
 
     @property

@@ -27,7 +27,15 @@ from repro.serve.client import (
 from repro.serve.merge import rankings_payload
 from repro.serve.protocol import encode_hello, read_json_frame_sync
 from repro.serve.server import ServeConfig, start_server_thread
-from repro.stream.codec import V2LogWriter, read_v2_log
+from repro.serve.shard import InlineShard, ProcessShard
+from repro.stream.codec import (
+    FRAME_RECORD,
+    FrameParser,
+    V2FrameEncoder,
+    V2LogWriter,
+    _write_uvarint,
+    read_v2_log,
+)
 from repro.core.profiler import HeapSample
 from tests.core.test_analyzer import make_record
 
@@ -187,6 +195,116 @@ def test_garbage_after_handshake_is_truncated_not_fatal():
     # the daemon is still fully alive
     assert fetch_json(handle.http_addr, "/healthz")["ok"] is True
     handle.stop()
+
+
+@pytest.mark.parametrize("payload", [b"\x00", b"\x08\x05"])
+def test_malformed_record_payload_is_truncated_not_fatal(payload):
+    """A well-framed RECORD whose payload does not parse (here 1 and 2
+    bytes) is a corrupt stream: the client gets its FIN, the truncation
+    counter moves, and every shard is told the stream ended."""
+    registry = MetricsRegistry()
+    handle = start(workers=1, inline=True, registry=registry)
+    host, port = handle.ingest_addr
+    body = io.BytesIO()
+    V2FrameEncoder(body).write_record(make_record(handle=1))
+    body.write(bytes([FRAME_RECORD, len(payload)]) + payload)
+    with socket.create_connection((host, port), timeout=30) as sock:
+        fp = sock.makefile("rwb")
+        fp.write(encode_hello())
+        fp.write(body.getvalue())
+        fp.flush()
+        read_json_frame_sync(fp)  # ACK
+        sock.shutdown(socket.SHUT_WR)
+        fin = read_json_frame_sync(fp)
+    assert fin["truncated"] is True and fin["ok"] is False
+    text = fetch_metrics_text(handle.http_addr)
+    assert metric_value(text, "repro_serve_truncated_streams_total") == 1
+    # end_stream dropped the stream's string table from the shard
+    assert handle.server.shards[0]._state.tables == {}
+    assert fetch_json(handle.http_addr, "/healthz")["ok"] is True
+    handle.stop()
+
+
+def _stream_with_undecodable_record(records, bad_index):
+    """A v2 stream of ``records`` whose ``bad_index``-th RECORD payload
+    lacks its last byte: malformed past the site label, so it passes the
+    accept loop's peek and fails only in the shard's decode."""
+    body = io.BytesIO()
+    encoder = V2FrameEncoder(body)
+    for record in records:
+        encoder.write_record(record)
+    encoder.write_end(end_time=5000)
+    header = io.BytesIO()
+    V2FrameEncoder(header)
+    out = bytearray(header.getvalue())
+    seen = 0
+    for frame_type, payload in FrameParser().feed_frames(body.getvalue()):
+        if frame_type == FRAME_RECORD:
+            if seen == bad_index:
+                payload = payload[:-1]
+            seen += 1
+        out.append(frame_type)
+        _write_uvarint(out, len(payload))
+        out += payload
+    return bytes(out)
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
+def test_shard_counts_records_it_cannot_decode(inline):
+    """Both shard flavours fold every payload that decodes and report
+    the rest when the stream ends."""
+    records = [make_record(handle=1), make_record(handle=2)]
+    body = _stream_with_undecodable_record(records, bad_index=1)
+    parser = FrameParser()
+    good, bad = [p for t, p in parser.feed_frames(body) if t == FRAME_RECORD]
+    shard = InlineShard(0) if inline else ProcessShard(0)
+    try:
+        shard.feed_strings(1, parser.strings)
+        shard.feed_records(1, [good, bad])
+        shard.feed_records(1, [good])
+        analysis, seen = shard.snapshot()
+        assert seen == 2 and analysis.object_count == 2
+        assert shard.end_stream(1) == 1
+        assert shard.end_stream(1) == 0
+    finally:
+        shard.stop()
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
+def test_undecodable_record_truncates_the_stream(inline):
+    """Across two shards, a record that passes the peek but not the
+    shard's decode ends the stream truncated, whichever shard flavour
+    serves it; every other record is folded and counted."""
+    records = [
+        make_record(handle=i, site_label=f"Site.m:{i % 7}", last_use=0)
+        for i in range(200)
+    ]
+    kept = records[:50] + records[51:]
+    data = _stream_with_undecodable_record(records, bad_index=50)
+    registry = MetricsRegistry()
+    handle = start(workers=2, inline=inline, registry=registry)
+    try:
+        host, port = handle.ingest_addr
+        with socket.create_connection((host, port), timeout=30) as sock:
+            fp = sock.makefile("rwb")
+            fp.write(encode_hello())
+            fp.write(data)
+            fp.flush()
+            read_json_frame_sync(fp)  # ACK
+            fin = read_json_frame_sync(fp)
+        assert fin["truncated"] is True and fin["ok"] is False
+        assert fin["records"] == len(kept)
+        summary = fetch_json(handle.http_addr, "/summary")
+        assert summary["objects"] == len(kept)
+        assert summary["streams"][0]["corrupt_records"] == 1
+        assert fetch_rankings(handle.http_addr, top=None) == rankings_payload(
+            DragAnalysis(kept), top=None
+        )
+        text = fetch_metrics_text(handle.http_addr)
+        assert metric_value(text, "repro_serve_truncated_streams_total") == 1
+        assert metric_value(text, "repro_serve_corrupt_records_total") == 1
+    finally:
+        handle.stop()
 
 
 def test_serve_sink_streams_live_profile():

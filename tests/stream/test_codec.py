@@ -281,3 +281,48 @@ def test_old_end_frame_layout_still_parses(tmp_path):
     loaded = read_v2_log(path)
     assert loaded.end_time == 500
     assert loaded.finalizer_errors is None
+
+
+def _log_with_bad_frame(case: str) -> bytes:
+    """A complete one-record log with one malformed frame before END."""
+    import io
+
+    from repro.stream.codec import (
+        FRAME_RECORD,
+        FRAME_STRING,
+        FrameParser,
+        V2FrameEncoder,
+    )
+
+    out = io.BytesIO()
+    encoder = V2FrameEncoder(out)
+    encoder.write_record(make_record(handle=1))
+    if case == "short_weight":
+        # The record again, weight flag set but 3 of the double's 8 bytes.
+        payload = [p for t, p in FrameParser().feed_frames(out.getvalue())
+                   if t == FRAME_RECORD][0]
+        encoder._frame(FRAME_RECORD, bytes([payload[0] | 0x40]) + payload[1:] + b"\x01\x02\x03")
+    else:
+        encoder._frame(FRAME_STRING, b"\xff\xfe not utf-8")
+    encoder.write_end(end_time=10)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", ["short_weight", "bad_utf8"])
+def test_corrupt_frame_is_a_profile_error_naming_the_source(tmp_path, case):
+    """Every reader reports a malformed frame as a ProfileError that
+    names its source, never as a raw struct/Unicode/Index error."""
+    from repro.stream.codec import FrameParser
+
+    data = _log_with_bad_frame(case)
+    path = tmp_path / f"{case}.dlog2"
+    path.write_bytes(data)
+    for strict in (True, False):
+        with pytest.raises(ProfileError, match=f"{case}.dlog2: corrupt v2 frame"):
+            read_log(path, strict=strict)
+        with pytest.raises(ProfileError, match=f"{case}.dlog2: corrupt v2 frame"):
+            list(iter_log(path, strict=strict))
+    with pytest.raises(ProfileError, match=f"{case}.dlog2: corrupt v2 frame"):
+        V2TailReader(path).poll()
+    with pytest.raises(ProfileError, match="sock-1: corrupt v2 frame"):
+        FrameParser(source="sock-1").feed(data)
