@@ -5,14 +5,11 @@ Prints each panel's four series sampled at 24 points (the paper plots
 them as curves; the ASCII renderer in examples/heap_profile_charts.py
 draws them) and asserts the qualitative features §4.1 describes.
 
-The curves now come off the streaming ``TimelineBuilder``
-(``figure2_series`` folds each run through it); this bench pins the
-refactor by recomputing each curve the old batch way and asserting the
-series are bit-identical, so the emitted table cannot drift.
+The curves are ``figure2_series``'s exact step functions
+(``curve_from_records`` over each run's records).
 """
 
 from repro.benchmarks.runner import figure2_series
-from repro.core.integrals import curve_from_records
 
 MB = 1024.0 * 1024.0
 POINTS = 24
@@ -22,15 +19,6 @@ def _sample(curve, end_time):
     return [
         curve.value_at(end_time * i // (POINTS - 1)) / MB for i in range(POINTS)
     ]
-
-
-def _assert_matches_batch(run, curves):
-    for result, prefix in ((run.original, "original"), (run.revised, "revised")):
-        for kind in ("reachable", "in_use"):
-            timeline_curve = curves[f"{prefix}_{kind}"]
-            batch_curve = curve_from_records(result.records, kind)
-            assert timeline_curve.times == batch_curve.times
-            assert timeline_curve.values == batch_curve.values
 
 
 def bench_figure2(benchmark, emit, pairs, benchmark_names):
@@ -43,7 +31,6 @@ def bench_figure2(benchmark, emit, pairs, benchmark_names):
     for name in benchmark_names:
         run = runs[name]
         curves = figure2_series(run)
-        _assert_matches_batch(run, curves)
         emit(f"--- {name} (x axis: 0..{run.original.end_time / MB:.2f} MB allocated, "
              f"revised run: 0..{run.revised.end_time / MB:.2f} MB) ---")
         for key, end in (

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.integrals import HeapCurve, SavingsRow, savings
+from repro.core.integrals import HeapCurve, SavingsRow, curve_from_records, savings
 from repro.core.profiler import ProfileResult, profile_program
 from repro.mjava.compiler import compile_program
 from repro.mjava.metrics import count_classes, count_statements
@@ -93,16 +93,14 @@ def heap_timeline(result: ProfileResult, bin_bytes: Optional[int] = None):
 
 def figure2_series(run: BenchmarkRun) -> Dict[str, HeapCurve]:
     """The four curves of one Figure-2 panel: original and revised,
-    reachable and in-use heap size over allocation time.  Served off
-    the streaming timeline builder, whose event maps reproduce the old
-    batch ``curve_from_records`` curves exactly."""
-    original = heap_timeline(run.original)
-    revised = heap_timeline(run.revised)
+    reachable and in-use heap size over allocation time, as the exact
+    step functions ``curve_from_records`` builds from each run's
+    records (the binned series of :func:`heap_timeline` are their
+    per-bin integrals)."""
     return {
-        "original_reachable": original.curve("reachable"),
-        "original_in_use": original.curve("in_use"),
-        "revised_reachable": revised.curve("reachable"),
-        "revised_in_use": revised.curve("in_use"),
+        f"{label}_{kind}": curve_from_records(result.records, kind)
+        for label, result in (("original", run.original), ("revised", run.revised))
+        for kind in ("reachable", "in_use")
     }
 
 

@@ -74,24 +74,11 @@ def _interval(record: ObjectRecord, kind: str) -> Optional[Tuple[int, int]]:
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
-def curve_from_events(events: Dict[int, int]) -> HeapCurve:
-    """Build a :class:`HeapCurve` from a ``{time: ±bytes}`` edge-event
-    map (allocation adds ``+size`` at the interval start, ``-size`` at
-    the end). Integer prefix sums over the sorted times, so the result
-    is exact and independent of the order the events were accumulated —
-    the property the streaming timeline leans on to reproduce the batch
-    curves bit for bit."""
-    times = sorted(events)
-    values = []
-    level = 0
-    for t in times:
-        level += events[t]
-        values.append(level)
-    return HeapCurve(times, values)
-
-
 def curve_from_records(records: Iterable[ObjectRecord], kind: str = "reachable") -> HeapCurve:
-    """Build the reachable / in-use / drag byte curve from log records."""
+    """Build the reachable / in-use / drag byte curve from log records:
+    ``+size`` at each interval's start and ``-size`` at its end, then
+    integer prefix sums over the sorted event times, so the curve is
+    exact and independent of record order."""
     events: Dict[int, int] = {}
     for record in records:
         span = _interval(record, kind)
@@ -102,7 +89,13 @@ def curve_from_records(records: Iterable[ObjectRecord], kind: str = "reachable")
             continue
         events[start] = events.get(start, 0) + record.size
         events[end] = events.get(end, 0) - record.size
-    return curve_from_events(events)
+    times = sorted(events)
+    values = []
+    level = 0
+    for t in times:
+        level += events[t]
+        values.append(level)
+    return HeapCurve(times, values)
 
 
 def integral_bytes2(records: Iterable[ObjectRecord], kind: str = "reachable") -> int:

@@ -32,8 +32,10 @@ Design constraints (all pinned by ``tests/obs/test_timeline.py``):
 
 The builder deliberately applies **no record filter** (not even
 ``excluded``): the timeline is a log-level view, like the raw v2 log
-itself, so a recompute from the same log always agrees and the batch
-``curve_from_records`` curves are reproduced exactly (:meth:`curve`).
+itself, so a recompute from the same log always agrees.  It keeps no
+per-record state, so its size grows with bins and sites only.  The
+exact (unbinned) heap curves come from
+:func:`repro.core.integrals.curve_from_records` alone.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from repro.core.integrals import MB, HeapCurve, curve_from_events
+from repro.core.integrals import MB
 from repro.core.sampler import WeightedTotal, merge_lazy_totals, seeded_totals
 from repro.core.trailer import ObjectRecord, space_time
 from repro.stream.sinks import ProfileSink
@@ -353,9 +355,9 @@ class TimelineBuilder:
     :class:`TimelineSink` during a live run); it maintains the three
     global Figure-2 series, per-site drag series and histograms for
     *every* site (pruning to top-K happens only at :meth:`payload`
-    time — mid-stream pruning would make merges order-dependent), the
-    exact edge-event maps backing :meth:`curve`, and the deep-GC
-    snapshot markers.
+    time — mid-stream pruning would make merges order-dependent) and
+    the deep-GC snapshot markers.  Nothing is kept per record, so the
+    state is O(bins + sites) however many records it has folded.
     """
 
     __slots__ = (
@@ -367,14 +369,10 @@ class TimelineBuilder:
         "sampled",
         "end_time",
         "last_time",
-        "events",
         "sites",
         "samples",
         "_s_reachable",
         "_s_in_use",
-        "_ev_reachable",
-        "_ev_in_use",
-        "_ev_drag",
     )
 
     def __init__(self, bin_bytes: int = DEFAULT_BIN_BYTES) -> None:
@@ -398,14 +396,6 @@ class TimelineBuilder:
         # being paid for on the per-record hot path.
         self._s_reachable = BinnedSeries()
         self._s_in_use = BinnedSeries()
-        # Edge events as flat [t0, ±size0, t1, ±size1, ...] append
-        # logs, compacted to a {time: ±bytes} map only in :meth:`curve`
-        # — appends are cheaper than dict upserts on mostly-unique
-        # byte-clock keys.
-        self.events: Dict[str, List[int]] = {kind: [] for kind in KINDS}
-        self._ev_reachable = self.events["reachable"]
-        self._ev_in_use = self.events["in_use"]
-        self._ev_drag = self.events["drag"]
         self.sites: Dict[str, SiteTimeline] = {}
         self.samples: List[List[int]] = []
 
@@ -481,7 +471,6 @@ class TimelineBuilder:
                         full[last] = full.get(last, 0) - body
             else:
                 s.add(creation, collection, size, weight, bin_bytes)
-            self._ev_reachable.extend((creation, size, collection, -size))
         if not never_used and last_use > creation:
             s = self._s_in_use
             if fast and not s.weighted:
@@ -500,7 +489,6 @@ class TimelineBuilder:
                         full[last] = full.get(last, 0) - body
             else:
                 s.add(creation, last_use, size, weight, bin_bytes)
-            self._ev_in_use.extend((creation, size, last_use, -size))
         label = record.site_label
         site = self.sites.get(label)
         if site is None:
@@ -550,7 +538,6 @@ class TimelineBuilder:
                         full[last] = full.get(last, 0) - body
             else:
                 s.add(drag_start, collection, size, weight, bin_bytes)
-            self._ev_drag.extend((drag_start, size, collection, -size))
 
     def add_marker(self, time: int, reachable_bytes: int, object_count: int) -> None:
         """Record one deep-GC safepoint marker (a heap sample)."""
@@ -576,9 +563,6 @@ class TimelineBuilder:
 
     # -- merge (the shard primitive) --------------------------------------
 
-    def empty_like(self) -> "TimelineBuilder":
-        return TimelineBuilder(bin_bytes=self.bin_bytes)
-
     def merge(self, other: "TimelineBuilder") -> "TimelineBuilder":
         if other.bin_bytes != self.bin_bytes:
             raise ValueError(
@@ -596,8 +580,6 @@ class TimelineBuilder:
         self.sampled = self.sampled or other.sampled
         self._s_reachable.merge(other._s_reachable)
         self._s_in_use.merge(other._s_in_use)
-        for kind in KINDS:
-            self.events[kind].extend(other.events[kind])
         for label, theirs in other.sites.items():
             mine = self.sites.get(label)
             if mine is None:
@@ -621,18 +603,6 @@ class TimelineBuilder:
         if span <= 0:
             return 0
         return (span + self.bin_bytes - 1) // self.bin_bytes
-
-    def curve(self, kind: str = "reachable") -> HeapCurve:
-        """The *exact* batch heap curve — bit-identical to
-        ``curve_from_records(records, kind)`` over the same records
-        (same event times, same prefix sums), kept so Figure-2 plots
-        can come straight off the streaming builder."""
-        log = self.events[kind]
-        events: Dict[int, int] = {}
-        for i in range(0, len(log), 2):
-            t = log[i]
-            events[t] = events.get(t, 0) + log[i + 1]
-        return curve_from_events(events)
 
     def _fold_sites(self, attr: str, empty):
         """Global view of a per-site accumulator: the associative fold

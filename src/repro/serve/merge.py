@@ -25,11 +25,12 @@ from typing import Iterable, List, Optional, Sequence
 from repro.stream.aggregate import StreamingDragAnalysis
 
 
-def merge_snapshots(
-    snapshots: Iterable[StreamingDragAnalysis],
-) -> StreamingDragAnalysis:
-    """Fold shard snapshots into one fresh analysis (inputs untouched)."""
-    merged = StreamingDragAnalysis()
+def merge_snapshots(snapshots: Iterable, into=None):
+    """Fold shard snapshots into ``into`` (inputs untouched): a fresh
+    analysis by default, or an empty
+    :class:`~repro.obs.timeline.TimelineBuilder` for timeline
+    snapshots."""
+    merged = StreamingDragAnalysis() if into is None else into
     for snapshot in snapshots:
         merged.merge(snapshot)
     return merged
@@ -41,6 +42,10 @@ def _key_json(key) -> object:
     if isinstance(key, str):
         return key
     return list(key)
+
+
+#: The ``table`` choices of ``GET /rankings``, default first.
+RANKINGS_TABLES = ("site", "nested", "never_used")
 
 
 def rankings_payload(
@@ -174,12 +179,12 @@ def prove_merge_equals_batch(
     required to equal the batch analyzer's. Raises AssertionError on
     the first mismatch.
 
-    With ``timelines=True``, each per-shard analysis also carries a
-    :class:`~repro.obs.timeline.TimelineBuilder` (as the serve shards
-    do) and the merged untruncated ``/timeline`` payload must equal a
-    batch builder's over the same records — every bin of every series,
-    site strip, and histogram bucket. ``end_time`` pins the declared
-    stream end on both sides, mirroring the END frame.
+    With ``timelines=True``, each shard also folds its records into a
+    :class:`~repro.obs.timeline.TimelineBuilder` beside its analysis
+    (as the serve shards do), and the merged untruncated ``/timeline``
+    payload must equal a batch builder's over the same records — every
+    bin of every series, site strip, and histogram bucket. ``end_time``
+    pins the declared stream end on both sides, mirroring the END frame.
     """
     from repro.core.analyzer import DragAnalysis
 
@@ -187,8 +192,7 @@ def prove_merge_equals_batch(
 
     batch = DragAnalysis(records)
     expected = {
-        table: rankings_payload(batch, table=table)
-        for table in ("site", "nested", "never_used")
+        table: rankings_payload(batch, table=table) for table in RANKINGS_TABLES
     }
     expected_timeline = None
     bin_bytes = None
@@ -210,25 +214,24 @@ def prove_merge_equals_batch(
             random_split[rng.randrange(k)].append(record)
         splits.append(random_split)
         for split in splits:
-            analyses = []
-            for shard in split:
-                analysis = StreamingDragAnalysis()
-                if timelines:
-                    from repro.obs.timeline import TimelineBuilder
-
-                    analysis.timeline = TimelineBuilder(bin_bytes=bin_bytes)
-                analysis.consume(shard)
-                if timelines:
-                    analysis.timeline.note_end(end_time)
-                analyses.append(analysis)
-            merged = merge_snapshots(analyses)
+            merged = merge_snapshots(
+                StreamingDragAnalysis().consume(shard) for shard in split
+            )
             for table, want in expected.items():
                 got = rankings_payload(merged, table=table)
                 assert got == want, (
                     f"merge != batch for K={k} shards, table={table!r}"
                 )
             if timelines:
-                got_timeline = merged.timeline.payload(
+                shard_timelines = []
+                for shard in split:
+                    timeline = TimelineBuilder(bin_bytes=bin_bytes).consume(shard)
+                    timeline.note_end(end_time)
+                    shard_timelines.append(timeline)
+                merged_timeline = merge_snapshots(
+                    shard_timelines, TimelineBuilder(bin_bytes=bin_bytes)
+                )
+                got_timeline = merged_timeline.payload(
                     top=None, include_samples=False
                 )
                 assert got_timeline == expected_timeline, (

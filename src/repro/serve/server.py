@@ -20,6 +20,11 @@ record), and answers HTTP on a second port:
 * ``GET /metrics`` — Prometheus text from the PR 5
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
+Each read snapshots and merges only what it serves: ``/rankings`` and
+``/summary`` the shards' analyses, ``/timeline`` their timelines. A
+``top`` or ``table`` the endpoint cannot serve is a ``400 Bad Request``
+with a JSON ``error`` body.
+
 SIGTERM/SIGINT drain gracefully: stop accepting, let in-flight streams
 finish (bounded by ``drain_timeout``), take a final merge, stop the
 workers, exit 0.
@@ -39,7 +44,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.core.sampler import ByteSampler
 from repro.errors import ProfileError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.merge import merge_snapshots, rankings_payload
+from repro.serve.merge import RANKINGS_TABLES, merge_snapshots, rankings_payload
 from repro.serve.protocol import (
     DEFAULT_PORT,
     ProtocolError,
@@ -47,7 +52,7 @@ from repro.serve.protocol import (
     read_hello,
 )
 from repro.serve.shard import InlineShard, make_shards, site_shard
-from repro.obs.timeline import DEFAULT_BIN_BYTES
+from repro.obs.timeline import DEFAULT_BIN_BYTES, TimelineBuilder
 from repro.stream.codec import (
     FRAME_RECORD,
     FRAME_SAMPLE,
@@ -64,6 +69,11 @@ _MERGE_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
     0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
+
+
+class BadRequest(Exception):
+    """A read's query string asks for something the endpoint cannot
+    serve; answered with ``400 Bad Request``."""
 
 
 class ServeConfig:
@@ -105,9 +115,10 @@ class ServeConfig:
         # summary. The file is parsed lazily and re-read when it grows,
         # so a profiler can stream snapshots into it mid-run.
         self.snapshot_file = snapshot_file
-        # Heap-timeline bin width for GET /timeline. Defaults on (the
-        # builder is O(bins + sites) and adds only dict arithmetic per
-        # record); 0 disables the timeline entirely.
+        # Heap-timeline bin width for GET /timeline. Defaults on: each
+        # shard keeps a TimelineBuilder beside its analysis, O(bins +
+        # sites) in size and only dict arithmetic per record, and only
+        # /timeline reads snapshot it. 0 disables the timeline entirely.
         self.timeline_bin_bytes = (
             DEFAULT_BIN_BYTES if timeline_bin_bytes is None else timeline_bin_bytes
         )
@@ -280,14 +291,18 @@ class DragServer:
             self._pool, fn, *args
         )
 
-    async def merged(self):
-        """Snapshot every shard and merge associatively — the on-demand
-        read path behind /rankings and /summary."""
+    async def merged(self, part: str = "analysis"):
+        """Snapshot ``part`` of every shard and merge associatively —
+        the on-demand read path: analyses behind /rankings and
+        /summary, timelines behind /timeline."""
         started = time.perf_counter()
         snaps = await asyncio.gather(
-            *(self._call(shard, "snapshot") for shard in self.shards)
+            *(self._call(shard, "snapshot", part) for shard in self.shards)
         )
-        merged = merge_snapshots(analysis for analysis, _ in snaps)
+        into = None
+        if part == "timeline":
+            into = TimelineBuilder(bin_bytes=self.config.timeline_bin_bytes)
+        merged = merge_snapshots((state for state, _ in snaps), into)
         self._m_merges.inc()
         self._m_merge_latency.observe(time.perf_counter() - started)
         return merged, [count for _, count in snaps]
@@ -525,9 +540,7 @@ class DragServer:
                 }).encode("utf-8")
                 writer.write(self._http_response("200 OK", body, "application/json"))
             elif path == "/rankings":
-                raw_top = query.get("top", [str(self.config.top_k)])[0]
-                top = None if raw_top in ("0", "all") else int(raw_top)
-                table = query.get("table", ["site"])[0]
+                top, table = self._read_query(query, tables=RANKINGS_TABLES)
                 analysis, _ = await self.merged()
                 payload = rankings_payload(analysis, top=top, table=table)
                 body = json.dumps(payload).encode("utf-8")
@@ -568,18 +581,8 @@ class DragServer:
                     writer.write(self._http_response(
                         "404 Not Found", body, "application/json"))
                 else:
-                    raw_top = query.get("top", [str(self.config.top_k)])[0]
-                    top = None if raw_top in ("0", "all") else int(raw_top)
-                    analysis, _ = await self.merged()
-                    timeline = getattr(analysis, "timeline", None)
-                    if timeline is None:
-                        # No records routed yet: an empty builder keeps
-                        # the payload shape stable for early pollers.
-                        from repro.obs.timeline import TimelineBuilder
-
-                        timeline = TimelineBuilder(
-                            bin_bytes=self.config.timeline_bin_bytes
-                        )
+                    top, _ = self._read_query(query)
+                    timeline, _ = await self.merged("timeline")
                     payload = timeline.payload(top=top, include_samples=False)
                     payload["samples"] = sorted(self._timeline_samples)
                     self._m_timeline_requests.inc()
@@ -604,11 +607,45 @@ class DragServer:
                     "404 Not Found", b"unknown path\n", "text/plain"))
             await writer.drain()
             writer.close()
+        except BadRequest as exc:
+            body = json.dumps({"error": str(exc)}).encode("utf-8")
+            try:
+                writer.write(self._http_response(
+                    "400 Bad Request", body, "application/json"))
+                await writer.drain()
+                writer.close()
+            except (ConnectionError, OSError):
+                pass
         except (ValueError, ConnectionError, OSError):
             try:
                 writer.close()
             except OSError:
                 pass
+
+    def _read_query(self, query: dict, tables=()) -> Tuple[Optional[int], Optional[str]]:
+        """``(top, table)`` from a read's query string. ``top`` is a
+        count of sites, or None for all (``0`` or ``all``); ``table``
+        is read only when ``tables`` names the choices. Raises
+        :class:`BadRequest` for anything else."""
+        raw_top = query.get("top", [str(self.config.top_k)])[0]
+        top = None
+        if raw_top not in ("0", "all"):
+            try:
+                top = int(raw_top)
+            except ValueError:
+                pass
+            if top is None or top < 0:
+                raise BadRequest(
+                    f"top must be a non-negative integer or 'all', got {raw_top!r}"
+                )
+        table = None
+        if tables:
+            table = query.get("table", [tables[0]])[0]
+            if table not in tables:
+                raise BadRequest(
+                    f"table must be one of {', '.join(tables)}, got {table!r}"
+                )
+        return top, table
 
     def _snapshot_payload(self) -> dict:
         """The /snapshot body: the configured snapshot file's

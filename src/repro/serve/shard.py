@@ -4,8 +4,10 @@ The accept loop never decodes a RECORD frame. It peeks the allocation
 site label (:func:`repro.stream.codec.peek_site_label`), hashes it to a
 shard index, and forwards the raw frame payload; the shard worker owns
 the full decode and folds the record into its own incremental
-:class:`~repro.stream.aggregate.StreamingDragAnalysis`. Because the
-partition key is the site label, every site's stats live wholly in one
+:class:`~repro.stream.aggregate.StreamingDragAnalysis` and, when the
+timeline is on, its own :class:`~repro.obs.timeline.TimelineBuilder`.
+A snapshot returns only the one of the two an endpoint serves. Because
+the partition key is the site label, every site's stats live wholly in one
 shard, and the on-demand merge (:mod:`repro.serve.merge`) only has to
 union disjoint-ish tables — but correctness never depends on the
 partition: per-site sums are associative, so *any* assignment of
@@ -61,18 +63,23 @@ def partition_records(records: Sequence, nshards: int) -> List[List]:
     return shards
 
 
+#: What :meth:`_ShardState.snapshot` can return: the drag analysis
+#: behind /rankings and /summary, or the heap timeline behind /timeline.
+SNAPSHOT_PARTS = ("analysis", "timeline")
+
+
 class _ShardState:
-    """The aggregation state shared by both shard flavours."""
+    """The aggregation state shared by both shard flavours: a drag
+    analysis and, unless the timeline is off, a heap timeline, side by
+    side and fed the same decoded records."""
 
     def __init__(self, timeline_bin_bytes: Optional[int] = None) -> None:
         self.analysis = StreamingDragAnalysis()
+        self.timeline = None
         if timeline_bin_bytes:
             from repro.obs.timeline import TimelineBuilder
 
-            # Rides along on the analysis so snapshot pickling and the
-            # merge (StreamingDragAnalysis.merge adopts timelines) need
-            # no extra plumbing.
-            self.analysis.timeline = TimelineBuilder(bin_bytes=timeline_bin_bytes)
+            self.timeline = TimelineBuilder(bin_bytes=timeline_bin_bytes)
         self.tables: Dict[int, List[str]] = {}
         self.records_seen = 0
         # Per open stream: payloads that did not decode.
@@ -91,6 +98,10 @@ class _ShardState:
                 records.append(_decode_record(payload, table))
             except ProfileError:
                 self.corrupt[stream_id] = self.corrupt.get(stream_id, 0) + 1
+        if self.timeline is not None:
+            # A log-level view: the timeline sees every record, before
+            # the analysis's excluded/library filters.
+            self.timeline.consume(records)
         self.analysis.consume(records)
         self.records_seen += len(records)
 
@@ -103,12 +114,17 @@ class _ShardState:
                 self.analysis.end_time = end_time
             else:
                 self.analysis.end_time = max(self.analysis.end_time, end_time)
-            if self.analysis.timeline is not None:
-                self.analysis.timeline.note_end(end_time)
+            if self.timeline is not None:
+                self.timeline.note_end(end_time)
         return self.corrupt.pop(stream_id, 0)
 
-    def snapshot(self) -> Tuple[StreamingDragAnalysis, int]:
-        return self.analysis, self.records_seen
+    def snapshot(self, part: str = "analysis") -> Tuple[object, int]:
+        """``(state, records folded)``, where ``part`` (one of
+        :data:`SNAPSHOT_PARTS`) names the state an endpoint serves, so
+        a read pickles and merges nothing it does not use."""
+        if part not in SNAPSHOT_PARTS:
+            raise ValueError(f"unknown snapshot part {part!r}")
+        return getattr(self, part), self.records_seen
 
 
 def _shard_main(index: int, conn, timeline_bin_bytes: Optional[int] = None) -> None:
@@ -127,7 +143,7 @@ def _shard_main(index: int, conn, timeline_bin_bytes: Optional[int] = None) -> N
         elif cmd == "end_stream":
             conn.send(state.end_stream(msg[1], msg[2]))
         elif cmd == "snapshot":
-            conn.send(state.snapshot())
+            conn.send(state.snapshot(msg[1]))
         elif cmd == "stop":
             conn.send(state.snapshot())
             break
@@ -150,8 +166,8 @@ class InlineShard:
     def end_stream(self, stream_id: int, end_time: Optional[int] = None) -> int:
         return self._state.end_stream(stream_id, end_time)
 
-    def snapshot(self) -> Tuple[StreamingDragAnalysis, int]:
-        return self._state.snapshot()
+    def snapshot(self, part: str = "analysis") -> Tuple[object, int]:
+        return self._state.snapshot(part)
 
     def stop(self) -> Tuple[StreamingDragAnalysis, int]:
         return self._state.snapshot()
@@ -203,9 +219,9 @@ class ProcessShard:
             self._conn.send(("end_stream", stream_id, end_time))
             return self._conn.recv()
 
-    def snapshot(self) -> Tuple[StreamingDragAnalysis, int]:
+    def snapshot(self, part: str = "analysis") -> Tuple[object, int]:
         with self._lock:
-            self._conn.send(("snapshot",))
+            self._conn.send(("snapshot", part))
             return self._conn.recv()
 
     def stop(self) -> Tuple[StreamingDragAnalysis, int]:

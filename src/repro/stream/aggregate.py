@@ -37,20 +37,12 @@ class StreamingDragAnalysis(DragAggregate):
         super().__init__()
         self.include_library_sites = include_library_sites
         self.end_time: Optional[int] = None
-        # Optional attached repro.obs.timeline.TimelineBuilder (duck
-        # typed so this module never imports obs). When present it sees
-        # *every* record, before the excluded/library filters: the
-        # timeline is a log-level view, which is what keeps it
-        # bit-identical to a recompute from the raw v2 log.
-        self.timeline = None
 
     # -- ingestion --------------------------------------------------------
 
     def add(self, record: ObjectRecord) -> None:
         """Fold one record in; applies the same excluded/library filter
         as the batch analyzer's constructor."""
-        if self.timeline is not None:
-            self.timeline.add(record)
         if record.excluded:
             return
         if not self.include_library_sites and record.site_is_library:
@@ -91,11 +83,6 @@ class StreamingDragAnalysis(DragAggregate):
                     mine[key] = fresh
                 else:
                     existing.merge(stats)
-        other_timeline = getattr(other, "timeline", None)
-        if other_timeline is not None:
-            if self.timeline is None:
-                self.timeline = other_timeline.empty_like()
-            self.timeline.merge(other_timeline)
         if other.end_time is not None:
             if self.end_time is None:
                 self.end_time = other.end_time
