@@ -9,8 +9,8 @@ The package provides, end to end:
 * the two-phase drag profiler — the paper's contribution
   (:mod:`repro.core`);
 * the Section-5 static analyses (:mod:`repro.analysis`);
-* the three drag-reducing transformations and a profile-driven
-  automatic optimizer (:mod:`repro.transform`);
+* the three drag-reducing transformations, applied by a verified
+  profile-driven optimization pipeline (:mod:`repro.transform`);
 * the nine benchmark programs and the harness regenerating every table
   and figure of the evaluation (:mod:`repro.benchmarks`).
 
@@ -48,13 +48,7 @@ from repro.runtime.compiled import CompiledInterpreter
 from repro.runtime.engine import Engine, VMConfig, create_vm, run_program
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.library import link
-from repro.transform import (
-    assign_null_to_local,
-    clear_array_slot_on_remove,
-    lazy_allocate_field,
-    optimize,
-    remove_dead_allocations,
-)
+from repro.transform import OptimizationPipeline
 
 __version__ = "1.0.0"
 
@@ -86,10 +80,6 @@ __all__ = [
     "create_vm",
     "run_program",
     "link",
-    "assign_null_to_local",
-    "clear_array_slot_on_remove",
-    "lazy_allocate_field",
-    "optimize",
-    "remove_dead_allocations",
+    "OptimizationPipeline",
     "__version__",
 ]

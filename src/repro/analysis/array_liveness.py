@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.analysis.usage import field_target_name
 from repro.mjava import ast
 from repro.mjava.sema import ClassInfo, ClassTable
 
@@ -33,14 +34,6 @@ def _names_in(expr: ast.Expr) -> List[str]:
         if isinstance(node, ast.Name):
             out.append(node.ident)
     return out
-
-
-def _is_field_name(expr: ast.Expr, field: str) -> bool:
-    return (isinstance(expr, ast.Name) and expr.ident == field) or (
-        isinstance(expr, ast.FieldAccess)
-        and isinstance(expr.target, ast.This)
-        and expr.name == field
-    )
 
 
 class _ReadScanner:
@@ -68,11 +61,11 @@ class _ReadScanner:
                 lhs, rhs = cond.right, cond.left
             else:
                 return
-            bound_ok = _is_field_name(rhs, self.size_field) and cond.op in ("<", ">")
+            bound_ok = field_target_name(rhs) == self.size_field and cond.op in ("<", ">")
             bound_ok = bound_ok or (
                 isinstance(rhs, ast.Binary)
                 and rhs.op == "-"
-                and _is_field_name(rhs.left, self.size_field)
+                and field_target_name(rhs.left) == self.size_field
             )
             if bound_ok and isinstance(lhs, ast.Name):
                 names.add(lhs.ident)
@@ -87,10 +80,10 @@ class _ReadScanner:
                 self._negated_guard_bounds(cond.left, names)
                 self._negated_guard_bounds(cond.right, names)
                 return
-            if cond.op == ">=" and _is_field_name(cond.right, self.size_field):
+            if cond.op == ">=" and field_target_name(cond.right) == self.size_field:
                 if isinstance(cond.left, ast.Name):
                     names.add(cond.left.ident)
-            elif cond.op == "<=" and _is_field_name(cond.left, self.size_field):
+            elif cond.op == "<=" and field_target_name(cond.left) == self.size_field:
                 if isinstance(cond.right, ast.Name):
                     names.add(cond.right.ident)
 
@@ -104,12 +97,12 @@ class _ReadScanner:
 
     def _index_is_bounded(self, index: ast.Expr) -> bool:
         # count or count-1 themselves
-        if _is_field_name(index, self.size_field):
+        if field_target_name(index) == self.size_field:
             return True
         if (
             isinstance(index, ast.Binary)
             and index.op == "-"
-            and _is_field_name(index.left, self.size_field)
+            and field_target_name(index.left) == self.size_field
         ):
             return True
         if isinstance(index, ast.Name):
@@ -198,7 +191,7 @@ class _ReadScanner:
                 self.scan_expr(child)
 
     def scan_expr(self, expr: ast.Expr) -> None:
-        if isinstance(expr, ast.Index) and _is_field_name(expr.array, self.array_field):
+        if isinstance(expr, ast.Index) and field_target_name(expr.array) == self.array_field:
             if not self._index_is_bounded(expr.index):
                 self.unbounded.append(expr)
             self.scan_expr(expr.index)
@@ -218,10 +211,10 @@ def _decrements_of(info: ClassInfo, size_field: str):
         for node in body.walk():
             if (
                 isinstance(node, ast.Assign)
-                and _is_field_name(node.target, size_field)
+                and field_target_name(node.target) == size_field
                 and isinstance(node.value, ast.Binary)
                 and node.value.op == "-"
-                and _is_field_name(node.value.left, size_field)
+                and field_target_name(node.value.left) == size_field
             ):
                 out.append((name, node))
     return out

@@ -9,19 +9,110 @@ lazy allocating the object is inserted before every possible use."
 Our variant works on the field level the jack rewrite needs: for a
 candidate field it enumerates every *possible first use* — each read of
 the field in its visibility scope — which are exactly the program
-points the null-check-then-allocate test must guard. The transformation
-in :mod:`repro.transform.lazy_alloc` factors all of them through one
+points the null-check-then-allocate test must guard. The lazy-allocation
+applier in :mod:`repro.transform.apply` factors all of them through one
 accessor (a simple but safe instance of PRE-style placement: the checks
 are inserted at use sites rather than hoisted, trading a test per use
 for correctness on all paths).
+
+:func:`lazy_allocation_gates` evaluates the §3.3.3/§5.5 safety gates
+once for both consumers: the linter grades DRAG003 by them and the
+applier refuses a rewrite the first one fails.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
+from repro.analysis.purity import ctor_purity
+from repro.analysis.usage import field_target_name
 from repro.mjava import ast
 from repro.mjava.sema import ClassTable
+
+_CONSTANTS = (ast.IntLit, ast.CharLit, ast.BoolLit, ast.StringLit, ast.NullLit)
+
+
+class LazyGates(NamedTuple):
+    """The §3.3.3 gates for lazily allocating one instance field."""
+
+    allocation: Optional[ast.Expr]  # first allocating initialization
+    line: int  # its line (ctor assignment or field initializer)
+    single_assignment: bool  # one initialization, no method assigns f/this.f
+    constant_args: bool
+    ctor_lazy_safe: bool  # pure constructor that reads no program state
+    oom_unhandled: bool
+    refusal: Optional[str]  # the first failed gate, worded for the applier
+
+
+def lazy_allocation_gates(
+    table: ClassTable, decl: ast.ClassDecl, field: ast.FieldDecl, oom_unhandled: bool
+) -> LazyGates:
+    """Evaluate the shared lazy-allocation gates for ``decl.field``.
+
+    The initializations are the field initializer plus every
+    constructor assignment to ``f``/``this.f``; exactly one may exist,
+    it must be ``new C(constant args)`` with a ``lazy_safe``
+    constructor, no method of the class may assign the field, and the
+    program may not handle OutOfMemoryError.
+    """
+    inits = []  # (value, line, refusal when not a plain allocation)
+    if field.init is not None:
+        inits.append((field.init, field.pos.line, "field initializer is not a plain allocation"))
+    for ctor in decl.ctors:
+        for node in ctor.body.walk():
+            if isinstance(node, ast.Assign) and field_target_name(node.target) == field.name:
+                inits.append((node.value, node.pos.line, "constructor assigns a non-allocation value"))
+    allocs = [(v, line) for v, line, _ in inits if isinstance(v, (ast.New, ast.NewArray))]
+    allocation, line = allocs[0] if allocs else (None, 0)
+    assigner = next(
+        (
+            m.name
+            for m in decl.methods
+            if m.body is not None
+            and any(
+                isinstance(n, ast.Assign) and field_target_name(n.target) == field.name
+                for n in m.body.walk()
+            )
+        ),
+        None,
+    )
+    new = allocation if isinstance(allocation, ast.New) else None
+    constant = new is not None and all(isinstance(a, _CONSTANTS) for a in new.args)
+    purity = (
+        ctor_purity(table, new.class_name)
+        if new is not None and table.has(new.class_name)
+        else None
+    )
+    lazy_safe = purity is not None and purity.lazy_safe
+
+    bad_init = next((why for v, _, why in inits if not isinstance(v, ast.New)), None)
+    if bad_init is not None:
+        refusal = bad_init
+    elif len(inits) != 1:
+        refusal = f"{decl.name}.{field.name} must have exactly one initializing allocation"
+    elif assigner is not None:
+        refusal = (
+            f"{decl.name}.{assigner} assigns {field.name}; "
+            "cannot prove a single initialization point"
+        )
+    elif not constant:
+        refusal = "constructor arguments are not constants"
+    elif not lazy_safe:
+        reasons = purity.reasons if purity is not None else ["unknown class"]
+        refusal = f"constructor of {new.class_name} is not lazy-safe: {reasons}"
+    elif not oom_unhandled:
+        refusal = "program has a handler for OutOfMemoryError"
+    else:
+        refusal = None
+    return LazyGates(
+        allocation,
+        line,
+        len(inits) == 1 and assigner is None,
+        constant,
+        lazy_safe,
+        oom_unhandled,
+        refusal,
+    )
 
 
 class FirstUseSite(NamedTuple):

@@ -9,8 +9,8 @@ transformed to assign null to dead references."
 The analysis runs per method on the bytecode CFG (Agesen-style
 method-at-a-time granularity, §5.3). Both consumers are implemented:
 
-* :meth:`LivenessResult.dead_after` feeds the assign-null transformation
-  (and the report of last-use points);
+* :func:`null_insertion_candidates` feeds the assign-null transformation
+  (and the linter's droppable-locals report);
 * :meth:`LivenessResult.live_slots_at` feeds the liveness-aided GC
   ablation (dead locals dropped from the root set).
 """
@@ -93,3 +93,66 @@ def liveness(
     # assign-null transform never targets catch slots, and for GC-root
     # filtering over-approximating liveness is always sound.
     return LivenessResult(method, cfg, live_in, live_out)
+
+
+def null_insertion_blocker(method: CompiledMethod, var_name: str, line: int) -> Optional[str]:
+    """Why ``var_name = null`` may not go after the statement at
+    ``line``, or None when liveness proves it safe: no later program
+    point may rely on the slot.
+
+    The insertion point is "after the statement at ``line``": every
+    control-flow successor that leaves that line must find the slot
+    dead. This is robust to loops (a back edge to an earlier line is
+    still a successor and is checked).
+    """
+    try:
+        slot = method.slot_names.index(var_name)
+    except ValueError:
+        return f"no local {var_name} in {method.qualified_name}"
+    if method.slot_types[slot] != "ref":
+        return f"{var_name} is not a reference variable"
+    stmt_pcs = [pc for pc, instr in enumerate(method.code) if instr.line == line]
+    if not stmt_pcs:
+        return f"line {line} has no code in {method.qualified_name}"
+    live = liveness(method)
+    on_line = set(stmt_pcs)
+    for pc in stmt_pcs:
+        for succ in live.cfg.succs[pc]:
+            if succ not in on_line and slot in live.live_in[succ]:
+                return (
+                    f"{var_name} is still live after line {line} "
+                    f"(at pc {succ}, line {method.code[succ].line}); "
+                    "assigning null would change semantics"
+                )
+    return None
+
+
+def null_insertion_candidates(method: CompiledMethod, var_name: str) -> List[int]:
+    """Lines after which ``var_name = null`` would be liveness-safe,
+    earliest first.
+
+    For a variable whose last read sits inside a loop there is no
+    single "last use instruction" (the backward analysis keeps it live
+    around the back edge); the death happens on the loop-exit edge, so
+    the safe insertion point is after the enclosing loop statement —
+    which this sweep finds naturally.
+    """
+    try:
+        slot = method.slot_names.index(var_name)
+    except ValueError:
+        return []
+    if method.slot_types[slot] != "ref":
+        return []
+    load_lines = [
+        instr.line
+        for instr in method.code
+        if instr.op == Op.LOAD and instr.args == (slot,)
+    ]
+    if not load_lines:
+        return []
+    first_load = min(load_lines)
+    candidates = sorted({instr.line for instr in method.code if instr.line >= first_load})
+    return [
+        line for line in candidates
+        if null_insertion_blocker(method, var_name, line) is None
+    ]

@@ -14,7 +14,8 @@ Mirrors the paper's two-phase workflow::
 ``report`` is phase 2 (the offline analyzer). ``--sink stream`` makes
 phase 1 stream records to disk with bounded memory, and ``watch``
 tails such a log — even mid-run — with live drag metrics. ``optimize``
-runs the §3.4 advisor and writes the rewritten source.
+runs the verified §3.2/§3.4 optimization pipeline and writes the
+rewritten source.
 
 The service mode (see :mod:`repro.serve`)::
 
@@ -616,24 +617,6 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
-def cmd_chart(args) -> int:
-    from repro.core.analyzer import DragAnalysis
-    from repro.core.integrals import curve_from_records
-    from repro.core.logfile import read_log
-    from repro.core.report import heap_profile_chart
-
-    loaded = read_log(args.log)
-    records = [r for r in loaded.records if not r.excluded]
-    curves = {
-        "#": curve_from_records(records, "reachable"),
-        ".": curve_from_records(records, "in_use"),
-    }
-    print(heap_profile_chart(curves, width=args.width, height=args.height,
-                             end_time=loaded.end_time))
-    print("legend: # reachable   . in-use")
-    return 0
-
-
 def _snapshot_markers(path: str) -> list:
     """Join deep-GC snapshot markers with PR 9 retained sizes: one dict
     per snapshot, keyed by byte-clock, carrying the single biggest
@@ -1005,12 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     snap_diff.add_argument("--top", type=int, default=10)
     snap_diff.add_argument("--lenient", action="store_true")
     snap_diff.set_defaults(fn=cmd_snapshot)
-
-    chart = sub.add_parser("chart", help="render Figure-2-style heap curves from a log")
-    chart.add_argument("log")
-    chart.add_argument("--width", type=int, default=72)
-    chart.add_argument("--height", type=int, default=16)
-    chart.set_defaults(fn=cmd_chart)
 
     timeline = sub.add_parser(
         "timeline",

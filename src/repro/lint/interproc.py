@@ -8,8 +8,9 @@ upgrades them to whole-program verdicts over the CHA call graph:
   restricted to call-graph-reachable methods (§5.4's "(R)" refinement),
   with the §5.5 exception gate (removal is only proposed when no
   handler could observe the removed code's OutOfMemoryError). This is
-  literally :func:`repro.transform.dead_code.dead_allocation_candidates`
-  — the linter and the rewriter share one analysis core by design.
+  literally :func:`repro.analysis.usage.dead_allocation_candidates`
+  — the linter and the dead-code applier share one analysis core by
+  design.
 
 * **must-used fields** — a forward must-analysis (intersection merge,
   TOP initialization, :func:`repro.analysis.dataflow.solve_forward_must`)
@@ -28,13 +29,15 @@ upgrades them to whole-program verdicts over the CHA call graph:
   heap object and have a liveness-safe nulling point strictly before
   the method's last statement ("last use before allocation-site
   exit"): the §3.3.1 assign-null opportunity, validated by the same
-  :func:`~repro.transform.assign_null.null_insertion_candidates` sweep
-  the rewriter uses.
+  :func:`~repro.analysis.liveness.null_insertion_candidates` sweep
+  the planner uses.
 
 * **lazy field candidates** — constructor-assigned allocation fields
-  with their §3.3.3 safety gates evaluated (single assignment, constant
-  args, ``lazy_safe`` constructor purity, no OutOfMemoryError handler
-  anywhere — the last via :mod:`repro.analysis.exceptions`).
+  with their §3.3.3 safety gates evaluated by
+  :func:`~repro.analysis.lazy_points.lazy_allocation_gates`, the same
+  helper the lazy-allocation applier refuses by (single assignment,
+  constant args, ``lazy_safe`` constructor purity, no
+  OutOfMemoryError handler anywhere).
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.dataflow import solve_forward_must
-from repro.analysis.purity import ctor_purity
+from repro.analysis.lazy_points import lazy_allocation_gates
+from repro.analysis.liveness import null_insertion_candidates
+from repro.analysis.usage import DeadAllocationCandidates, dead_allocation_candidates
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import CompiledMethod
 from repro.mjava import ast
-from repro.transform.assign_null import null_insertion_candidates
-from repro.transform.dead_code import DeadAllocationCandidates, dead_allocation_candidates
 
 MethodKey = Tuple[str, str]
 
@@ -112,11 +115,7 @@ class InterproceduralUseAnalysis:
         if self._dead is None:
             ctx = self.context
             self._dead = dead_allocation_candidates(
-                ctx.program_ast,
-                ctx.main_class,
-                table=ctx.table,
-                compiled=ctx.compiled,
-                callgraph=ctx.callgraph,
+                ctx.program_ast, ctx.table, ctx.compiled, ctx.callgraph, ctx.exceptions
             )
         return self._dead
 
@@ -310,81 +309,26 @@ class InterproceduralUseAnalysis:
             compiled_cls = ctx.compiled.classes.get(decl.name)
             if compiled_cls is None or compiled_cls.is_library:
                 continue
-            assignments = self._ctor_field_allocations(decl)
-            for field_name, allocs in sorted(assignments.items()):
-                field_decl = next(
-                    (f for f in decl.fields if f.name == field_name), None
-                )
-                if field_decl is None or field_decl.mods.static:
+            for field in sorted(decl.fields, key=lambda f: f.name):
+                if field.mods.static:
                     continue
-                single = len(allocs) == 1 and not self._assigned_outside_ctor(
-                    decl, field_name
-                )
-                expr, line = allocs[0]
-                constant = isinstance(expr, ast.New) and all(
-                    isinstance(a, (ast.IntLit, ast.CharLit, ast.BoolLit, ast.StringLit, ast.NullLit))
-                    for a in expr.args
-                )
-                lazy_safe = (
-                    isinstance(expr, ast.New)
-                    and ctx.table.has(expr.class_name)
-                    and ctor_purity(ctx.table, expr.class_name).lazy_safe
-                )
+                gates = lazy_allocation_gates(ctx.table, decl, field, oom_unhandled)
+                if gates.allocation is None:
+                    continue
                 out.append(
                     LazyFieldCandidate(
                         decl.name,
-                        field_name,
-                        line,
-                        _describe_alloc(expr),
-                        single,
-                        constant,
-                        lazy_safe,
+                        field.name,
+                        gates.line,
+                        _describe_alloc(gates.allocation),
+                        gates.single_assignment,
+                        gates.constant_args,
+                        gates.ctor_lazy_safe,
                         oom_unhandled,
-                        self.field_definitely_used(decl.name, field_name, static=False),
+                        self.field_definitely_used(decl.name, field.name, static=False),
                     )
                 )
         return out
-
-    def _ctor_field_allocations(self, decl: ast.ClassDecl):
-        """field name -> [(alloc expr, line)] for ctor assignments and
-        field initializers whose right-hand side allocates."""
-        out: Dict[str, List[Tuple[ast.Expr, int]]] = {}
-        for field in decl.fields:
-            if field.init is not None and isinstance(field.init, (ast.New, ast.NewArray)):
-                out.setdefault(field.name, []).append((field.init, field.pos.line))
-        field_names = {f.name for f in decl.fields}
-        for ctor in decl.ctors:
-            for node in ctor.body.walk():
-                if not isinstance(node, ast.Assign):
-                    continue
-                target = node.target
-                name = None
-                if isinstance(target, ast.Name) and target.ident in field_names:
-                    name = target.ident
-                elif isinstance(target, ast.FieldAccess) and isinstance(
-                    target.target, ast.This
-                ):
-                    name = target.name
-                if name is not None and isinstance(node.value, (ast.New, ast.NewArray)):
-                    out.setdefault(name, []).append((node.value, node.pos.line))
-        return out
-
-    def _assigned_outside_ctor(self, decl: ast.ClassDecl, field_name: str) -> bool:
-        for method in decl.methods:
-            if method.body is None:
-                continue
-            for node in method.body.walk():
-                if isinstance(node, ast.Assign):
-                    target = node.target
-                    if (
-                        isinstance(target, ast.Name) and target.ident == field_name
-                    ) or (
-                        isinstance(target, ast.FieldAccess)
-                        and target.name == field_name
-                        and isinstance(target.target, ast.This)
-                    ):
-                        return True
-        return False
 
 
 def _describe_alloc(expr: ast.Expr) -> str:

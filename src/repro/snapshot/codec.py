@@ -254,13 +254,19 @@ def read_snapshots(path: Union[str, Path], strict: bool = False) -> SnapshotFile
     """Parse a snapshot file.
 
     ``strict=False`` (the default, matching the v2 log reader): a
-    truncated tail keeps every complete snapshot and flags
-    ``truncated``; ``strict=True`` raises :class:`SnapshotError`.
+    truncated tail — a frame running off the end of the file, a torn
+    snapshot, a missing END — keeps every complete snapshot and flags
+    ``truncated``; ``strict=True`` raises :class:`SnapshotError`. A
+    malformed header or frame (bad UTF-8, a string id or edge target
+    out of range, inconsistent totals) raises :class:`SnapshotError`
+    naming the offset in both modes.
     """
     with open(path, "rb") as f:
         data = f.read()
     if data[: len(MAGIC)] != MAGIC:
         raise SnapshotError(f"{path}: not a heap snapshot file (bad magic)")
+    if len(data) == len(MAGIC):
+        raise SnapshotError(f"{path}: truncated header at offset {len(MAGIC)}")
     version = data[len(MAGIC)]
     if version != VERSION:
         raise SnapshotError(f"{path}: unsupported snapshot version {version}")
@@ -270,7 +276,9 @@ def read_snapshots(path: Union[str, Path], strict: bool = False) -> SnapshotFile
         header = json.loads(data[pos : pos + header_len].decode("utf-8"))
         pos += header_len
     except (IndexError, ValueError) as exc:
-        raise SnapshotError(f"{path}: corrupt header: {exc}")
+        raise SnapshotError(f"{path}: corrupt header at offset {pos}: {exc}")
+    if not isinstance(header, dict) or not isinstance(header.get("metadata", {}), dict):
+        raise SnapshotError(f"{path}: corrupt header at offset {len(MAGIC) + 1}")
 
     strings: List[str] = []
     snapshots: List[HeapSnapshot] = []
@@ -281,15 +289,25 @@ def read_snapshots(path: Union[str, Path], strict: bool = False) -> SnapshotFile
     def opt(index: int) -> Optional[str]:
         return None if index == 0 else strings[index - 1]
 
-    try:
-        while pos < len(data):
-            frame_type = data[pos]
-            pos += 1
-            length, pos = _read_uvarint(data, pos)
-            if pos + length > len(data):
-                raise IndexError("truncated frame payload")
-            payload = data[pos : pos + length]
-            pos += length
+    while pos < len(data):
+        start = pos
+        frame_type = data[pos]
+        try:
+            length, pos = _read_uvarint(data, pos + 1)
+        except IndexError:
+            length = len(data)  # the length prefix itself is cut off
+        if pos + length > len(data):
+            # The frame runs off the end of the file: the writer died
+            # mid-frame. Keep the complete snapshots.
+            if strict:
+                raise SnapshotError(
+                    f"{path}: truncated snapshot file (frame at offset {start})"
+                )
+            truncated = True
+            break
+        payload = data[pos : pos + length]
+        pos += length
+        try:
             if frame_type == FRAME_STRING:
                 strings.append(payload.decode("utf-8"))
             elif frame_type == FRAME_SNAP:
@@ -298,7 +316,9 @@ def read_snapshots(path: Union[str, Path], strict: bool = False) -> SnapshotFile
                 current = HeapSnapshot(clock, strings[reason_id])
             elif frame_type == FRAME_NODE:
                 if current is None:
-                    raise SnapshotError(f"{path}: NODE frame outside a snapshot")
+                    raise SnapshotError(
+                        f"{path}: NODE frame outside a snapshot at offset {start}"
+                    )
                 type_id, p = _read_uvarint(payload, 0)
                 site_id, p = _read_uvarint(payload, p)
                 size, p = _read_uvarint(payload, p)
@@ -314,7 +334,9 @@ def read_snapshots(path: Union[str, Path], strict: bool = False) -> SnapshotFile
                 )
             elif frame_type == FRAME_ENDSNAP:
                 if current is None:
-                    raise SnapshotError(f"{path}: ENDSNAP frame outside a snapshot")
+                    raise SnapshotError(
+                        f"{path}: ENDSNAP frame outside a snapshot at offset {start}"
+                    )
                 n_nodes, p = _read_uvarint(payload, 0)
                 n_edges, p = _read_uvarint(payload, p)
                 n_bytes, p = _read_uvarint(payload, p)
@@ -324,10 +346,17 @@ def read_snapshots(path: Union[str, Path], strict: bool = False) -> SnapshotFile
                     or n_bytes != current.total_bytes
                 ):
                     raise SnapshotError(
-                        f"{path}: snapshot totals mismatch "
+                        f"{path}: snapshot totals mismatch at offset {start} "
                         f"(declared {n_nodes}/{n_edges}/{n_bytes}B, "
                         f"parsed {current.node_count}/{current.edge_count}/"
                         f"{current.total_bytes}B)"
+                    )
+                if not n_nodes or any(
+                    dst >= n_nodes for node in current.nodes for dst, _ in node.edges
+                ):
+                    raise SnapshotError(
+                        f"{path}: snapshot closed at offset {start} has no root "
+                        "or an edge past its last node"
                     )
                 snapshots.append(current)
                 current = None
@@ -335,25 +364,26 @@ def read_snapshots(path: Union[str, Path], strict: bool = False) -> SnapshotFile
                 declared, _p = _read_uvarint(payload, 0)
                 if declared != len(snapshots):
                     raise SnapshotError(
-                        f"{path}: END declares {declared} snapshot(s), parsed {len(snapshots)}"
+                        f"{path}: END at offset {start} declares {declared} "
+                        f"snapshot(s), parsed {len(snapshots)}"
                     )
                 complete = True
                 break
             else:
-                raise SnapshotError(f"{path}: unknown frame type 0x{frame_type:02x}")
-    except IndexError:
-        # A frame (or a varint inside one) ran off the end of the file:
-        # the writer died mid-frame. Keep the complete snapshots.
-        if strict:
-            raise SnapshotError(f"{path}: truncated snapshot file")
-        truncated = True
+                raise SnapshotError(
+                    f"{path}: unknown frame type 0x{frame_type:02x} at offset {start}"
+                )
+        except (IndexError, UnicodeDecodeError) as exc:
+            # The frame arrived whole, so running off its payload or
+            # naming a string that was never interned is corruption.
+            raise SnapshotError(f"{path}: corrupt frame at offset {start}: {exc}")
     if current is not None:
         # SNAP opened but ENDSNAP never arrived — a torn snapshot.
         if strict:
-            raise SnapshotError(f"{path}: torn snapshot (no ENDSNAP)")
+            raise SnapshotError(f"{path}: torn snapshot (no ENDSNAP by offset {pos})")
         truncated = True
     if not complete:
         if strict:
-            raise SnapshotError(f"{path}: missing END frame")
+            raise SnapshotError(f"{path}: missing END frame (file ends at offset {pos})")
         truncated = True
     return SnapshotFile(header, snapshots, truncated, complete)

@@ -108,16 +108,8 @@ class AggregatorSink(ProfileSink):
     def on_record(self, record) -> None:
         self.analysis.add(record)
 
-    def on_sample(self, sample) -> None:
-        timeline = getattr(self.analysis, "timeline", None)
-        if timeline is not None:
-            timeline.add_sample(sample)
-
     def on_end(self, end_time: int, finalizer_errors: int = 0) -> None:
         self.analysis.end_time = end_time
-        timeline = getattr(self.analysis, "timeline", None)
-        if timeline is not None:
-            timeline.note_end(end_time)
 
 
 class TeeSink(ProfileSink):

@@ -9,27 +9,23 @@ validated by the Section-5 static analyses before being applied:
 * dead-code removal of allocations of never-used objects,
 * lazy allocation of rarely-used objects.
 
-Since the pipeline refactor the layer is split plan/apply:
+The layer is split plan/apply:
 
 * :mod:`~repro.transform.planners` — strategies emitting structured
   :class:`~repro.transform.patch.Patch` objects from profile drag
   groups joined with lint diagnostics;
 * :mod:`~repro.transform.apply` — pure patch application
-  (:func:`apply_patches`);
+  (:func:`apply_patches`), the one place programs are rewritten;
 * :mod:`~repro.transform.verify` — differential verification (stdout
   identical, drag non-increasing) through the engine facade;
 * :mod:`~repro.transform.pipeline` — the §3.2 fixpoint loop with
-  per-patch rollback;
-* :mod:`~repro.transform.advisor` — the legacy one-cycle facade.
+  per-patch rollback.
+
+The analysis half of each transformation lives in
+:mod:`repro.analysis`, shared with the linter.
 """
 
 from repro.transform.rewriter import clone_program, clone_node
-from repro.transform.assign_null import (
-    assign_null_to_local,
-    clear_array_slot_on_remove,
-)
-from repro.transform.dead_code import remove_dead_allocations
-from repro.transform.lazy_alloc import lazy_allocate_field
 from repro.transform.patch import Patch, PatchOutcome, PlannedSkip
 from repro.transform.apply import APPLIERS, apply_patch, apply_patches
 from repro.transform.planners import (
@@ -51,20 +47,10 @@ from repro.transform.pipeline import (
     OptimizationPipeline,
     PipelineResult,
 )
-from repro.transform.advisor import (
-    Advisor,
-    AdvisorReport,
-    optimize,
-    optimize_iteratively,
-)
 
 __all__ = [
     "clone_program",
     "clone_node",
-    "assign_null_to_local",
-    "clear_array_slot_on_remove",
-    "remove_dead_allocations",
-    "lazy_allocate_field",
     "Patch",
     "PatchOutcome",
     "PlannedSkip",
@@ -84,8 +70,4 @@ __all__ = [
     "CycleReport",
     "OptimizationPipeline",
     "PipelineResult",
-    "Advisor",
-    "AdvisorReport",
-    "optimize",
-    "optimize_iteratively",
 ]

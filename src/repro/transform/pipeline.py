@@ -17,8 +17,7 @@ One :class:`OptimizationPipeline` run is the paper's workflow:
    recorded, and the pipeline continues with the last accepted AST.
 6. **Repeat** until a cycle applies nothing or ``max_cycles`` is hit.
 
-The legacy advisor (:mod:`repro.transform.advisor`) is a thin shim
-over one unverified cycle of this pipeline.
+``verify=False`` runs the same cycle without the differential runs.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from repro.transform.planners import (
     Transformation,
     default_strategies,
 )
-from repro.transform.rewriter import clone_program
 from repro.transform.verify import ReferenceRun, verify_revision
 
 
@@ -52,8 +50,8 @@ class CycleReport:
     """Everything one profile→plan→apply(→verify) cycle did.
 
     ``entries`` holds :class:`PatchOutcome` and :class:`PlannedSkip`
-    objects in *planning* order (drag rank), which is also the report
-    order the seed advisor used; application order is the scheduler's
+    objects in *planning* order (drag rank), which is also the
+    :meth:`summary` order; application order is the scheduler's
     (priority, drag) order.
     """
 
@@ -101,39 +99,28 @@ class CycleReport:
     def describe_plan(self) -> str:
         return describe_plan(self.entries)
 
-    # -- advisor compatibility --------------------------------------------
-
-    def to_advisor_report(self):
-        """Project the cycle onto the legacy
-        :class:`~repro.transform.advisor.AdvisorReport` shape — one
-        :class:`Action` per skip and per patch, with the program-wide
-        dead-code patch expanded to one action per never-used site,
-        exactly as ``Advisor.run`` reported it."""
-        from repro.transform.advisor import Action, AdvisorReport
-
-        report = AdvisorReport()
+    def summary(self) -> str:
+        """One line per skip and per patch outcome, in planning order;
+        the program-wide dead-code patch gets one line per never-used
+        site it covers."""
+        lines = []
         for entry in self.entries:
             if isinstance(entry, PlannedSkip):
-                report.actions.append(
-                    Action(entry.site, entry.pattern, entry.strategy, False, entry.detail)
-                )
-                continue
-            patch = entry.patch
-            applied = entry.status == APPLIED
-            if patch.kind == "remove-dead-allocations":
-                for site in patch.params.get("sites", [patch.site]):
-                    report.actions.append(
-                        Action(site, LifetimePattern.ALL_NEVER_USED,
-                               patch.strategy, applied, entry.detail)
-                    )
+                rows = [(False, entry.strategy, entry.site)]
             else:
-                report.actions.append(
-                    Action(patch.site, patch.pattern, patch.strategy, applied, entry.detail)
+                patch = entry.patch
+                sites = (
+                    patch.params.get("sites", [patch.site])
+                    if patch.kind == "remove-dead-allocations"
+                    else [patch.site]
                 )
-        return report
-
-    def summary(self) -> str:
-        return self.to_advisor_report().summary()
+                rows = [(entry.status == APPLIED, patch.strategy, site) for site in sites]
+            for applied, strategy, site in rows:
+                status = "APPLIED" if applied else "skipped"
+                lines.append(
+                    f"{status:8s} {strategy or '-':18s} {str(site):40s} {entry.detail}"
+                )
+        return "\n".join(lines)
 
 
 class PipelineResult:
@@ -148,9 +135,6 @@ class PipelineResult:
 
     def rolled_back(self) -> List[PatchOutcome]:
         return [o for cycle in self.cycles for o in cycle.rolled_back()]
-
-    def reports(self):
-        return [cycle.to_advisor_report() for cycle in self.cycles]
 
     @property
     def drag_before(self) -> int:
@@ -201,8 +185,7 @@ class OptimizationPipeline:
         # Opt-in snapshot mode: capture heap snapshots during the
         # reference profile, attach the dominator analysis to the lint
         # context (enabling DRAG008), and plan dominating-reference
-        # cuts. Off by default so the static-only plan stays
-        # byte-identical to the Advisor's.
+        # cuts. Off by default so the static-only plan is unchanged.
         self.snapshot = snapshot
         if snapshot:
             from repro.transform.planners import RetainerCutPlanner
@@ -235,12 +218,14 @@ class OptimizationPipeline:
     ) -> CycleReport:
         """One profile→plan→apply(→verify) cycle over ``program_ast``.
 
-        ``context``/``lint`` let a caller (the advisor shim, the linter)
-        share its own analysis artifacts; ``reference`` lets the
-        fixpoint loop reuse the previous cycle's accepted verification
-        run instead of re-profiling the same AST.
+        ``context``/``lint`` let a caller share its own analysis
+        artifacts for ``program_ast`` (the appliers reuse ``context``
+        until the first patch lands); ``reference`` lets the fixpoint
+        loop reuse the previous cycle's accepted verification run
+        instead of re-profiling the same AST.
         """
         from repro.core.profiler import profile_program
+        from repro.lint.passes import AnalysisContext
 
         telemetry = self.telemetry
 
@@ -250,8 +235,6 @@ class OptimizationPipeline:
             return telemetry.span(name, category="optimize", **args)
 
         if context is None:
-            from repro.lint.passes import AnalysisContext
-
             context = AnalysisContext(program_ast, self.main_class)
         # Snapshot mode profiles *first*: the reference run doubles as
         # the capture run, and its dominator analysis plus drag ranking
@@ -344,11 +327,13 @@ class OptimizationPipeline:
         schedule = sorted(
             report.outcomes, key=lambda o: (o.patch.priority, -o.patch.drag)
         )
-        current = clone_program(program_ast)
+        current, current_context = program_ast, context
         for outcome in schedule:
+            if current_context is None:
+                current_context = AnalysisContext(current, self.main_class)
             with span("optimize.apply", kind=outcome.patch.kind):
                 try:
-                    candidate, detail = apply_patch(current, outcome.patch)
+                    candidate, detail = apply_patch(current, outcome.patch, current_context)
                 except TransformError as exc:
                     outcome.status = FAILED
                     outcome.detail = str(exc)
@@ -358,7 +343,7 @@ class OptimizationPipeline:
                     telemetry.record_patch("failed")
                 continue
             if not self.verify:
-                current = candidate
+                current, current_context = candidate, None
                 outcome.status = APPLIED
                 outcome.detail = detail
                 if telemetry is not None:
@@ -376,7 +361,7 @@ class OptimizationPipeline:
                 )
             outcome.verification = result
             if result.ok:
-                current = candidate
+                current, current_context = candidate, None
                 reference = run
                 outcome.status = APPLIED
                 outcome.detail = detail

@@ -7,9 +7,7 @@ allocation, DRAG002 for droppable references), and emits
 :class:`~repro.transform.patch.Patch` objects — or
 :class:`~repro.transform.patch.PlannedSkip` entries naming why the
 site was declined. No planner touches the AST: application is
-:mod:`repro.transform.apply`'s job, and the decision procedure here is
-exactly the seed advisor's (same anchor walk, same lint joins, same
-skip messages), so pipeline reports subsume advisor reports.
+:mod:`repro.transform.apply`'s job.
 """
 
 from __future__ import annotations
@@ -17,6 +15,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.array_liveness import logical_size_pairs
+from repro.analysis.liveness import null_insertion_candidates
+from repro.analysis.usage import field_target_name
 from repro.core.patterns import LifetimePattern
 from repro.mjava import ast
 from repro.transform.patch import Patch, PlannedSkip
@@ -75,7 +75,7 @@ class PlanningContext:
         self.heap_cover: Set[str] = set()
 
 
-# -- shared frame/AST helpers (formerly Advisor private methods) ----------
+# -- shared frame/AST helpers -----------------------------------------------
 
 
 def parse_frame(label: str) -> Tuple[str, str, int]:
@@ -113,12 +113,9 @@ def ctor_assigned_field(
     for ctor in cls.ctors:
         for node in ctor.body.walk():
             if isinstance(node, ast.Assign) and node.pos.line == line:
-                if isinstance(node.target, ast.Name):
-                    return node.target.ident
-                if isinstance(node.target, ast.FieldAccess) and isinstance(
-                    node.target.target, ast.This
-                ):
-                    return node.target.name
+                name = field_target_name(node.target)
+                if name is not None:
+                    return name
     for field in cls.fields:
         if field.pos.line == line and field.init is not None:
             return field.name
@@ -151,8 +148,6 @@ def local_assigned_at(
 
 def insertion_lines(compiled, class_name: str, method_name: str, var: str) -> List[int]:
     """Liveness-safe lines after which ``var = null`` may go."""
-    from repro.transform.assign_null import null_insertion_candidates
-
     cls = compiled.classes.get(class_name)
     if cls is None or method_name not in cls.methods:
         return []
@@ -202,7 +197,6 @@ class DeadCodePlanner(Transformation):
                 kind="remove-dead-allocations",
                 params={
                     "main_class": pctx.main_class,
-                    "candidates": pctx.context.interproc.dead,
                     "sites": [g.key for g in top_sites],
                 },
                 span=span_of_frame(str(top_sites[0].key)),
@@ -311,7 +305,7 @@ class AssignNullPlanner(Transformation):
                     Patch(
                         strategy=self.name,
                         kind="clear-array-slot",
-                        params={"class_name": use_cls, "pairs": pairs},
+                        params={"class_name": use_cls},
                         span=diags[0].span,
                         site=group.key,
                         pattern=pattern,
@@ -363,7 +357,6 @@ class AssignNullPlanner(Transformation):
                     # Try the earliest liveness-safe lines in order; the
                     # applier keeps the first whose AST scope also allows it.
                     "lines": tuple(candidates[:5]),
-                    "validate": True,
                 },
                 span=span,
                 site=group.key,
@@ -449,6 +442,56 @@ def _side_effect_free_store(program_ast: ast.Program, class_name: str, line: int
     return False
 
 
+def _heap_field_null_patches(pctx: PlanningContext, rule_id: str, strategy: str, limit: int, rationale):
+    """``(diagnostic, patch)`` pairs: one ``assign-null-heap-field``
+    patch per DRAG007/DRAG008 finding whose ``insertion`` payload names
+    a field the holder's method may write and has not already nulled,
+    at most ``limit``. Every key seen is recorded in ``pctx.heap_done``
+    so no two findings (or strategies) plan the same cut."""
+    out = []
+    for diag in pctx.lint.by_rule(rule_id):
+        if len(out) >= limit:
+            break
+        ins = diag.extra.get("insertion") or {}
+        key = (
+            ins.get("class_name"),
+            ins.get("method_name"),
+            ins.get("var_name"),
+            ins.get("field_name"),
+        )
+        if None in key or key in pctx.heap_done or not ins.get("lines"):
+            continue
+        pctx.heap_done.add(key)
+        owner = ins.get("owner_class")
+        if (
+            owner is None
+            or not _field_accessible(pctx.program_ast, owner, key[3], key[0])
+            or _field_already_nulled(pctx.program_ast, *key)
+        ):
+            continue
+        cls_name, method_name, var, field = key
+        patch = Patch(
+            strategy=strategy,
+            kind="assign-null-heap-field",
+            params={
+                "class_name": cls_name,
+                "method_name": method_name,
+                "var_name": var,
+                "field_name": field,
+                "lines": tuple(ins["lines"]),
+            },
+            span=diag.span,
+            site=diag.span.label,
+            pattern=LifetimePattern.HIGH_VARIANCE,
+            drag=diag.drag or 0,
+            rationale=rationale(diag, ins),
+            diagnostics=_refs([diag]),
+            replacement=f"{var}.{field} = null;",
+        )
+        out.append((diag, patch))
+    return out
+
+
 class HeapAssignNullPlanner(Transformation):
     """§3.4 pattern 4 via heap liveness: null heap fields / container
     entries whose access paths the access-graph analysis proves dead.
@@ -474,57 +517,20 @@ class HeapAssignNullPlanner(Transformation):
         if heap is not None and heap.degraded:
             return []
         # -- DRAG007: var.field = null after the container's last use --
-        planned = 0
-        for diag in pctx.lint.by_rule("DRAG007"):
-            if planned >= self.MAX_FIELD_PATCHES:
-                break
-            ins = diag.extra.get("insertion") or {}
-            key = (
-                ins.get("class_name"),
-                ins.get("method_name"),
-                ins.get("var_name"),
-                ins.get("field_name"),
+        def rationale(diag, ins):
+            return (
+                f"heap liveness proves every access path through "
+                f"{ins['var_name']}.{ins['field_name']} dead after line "
+                f"{ins['lines'][0]} (last use "
+                f"{diag.extra.get('last_use', '<unknown>')}); "
+                "nulling the field releases what it pins (DRAG007)"
             )
-            if None in key or key in pctx.heap_done or not ins.get("lines"):
-                continue
-            owner = ins.get("owner_class")
-            if owner is None or not _field_accessible(
-                pctx.program_ast, owner, key[3], key[0]
-            ):
-                pctx.heap_done.add(key)
-                continue
-            if _field_already_nulled(pctx.program_ast, *key):
-                pctx.heap_done.add(key)
-                continue
-            pctx.heap_done.add(key)
+
+        for diag, patch in _heap_field_null_patches(
+            pctx, "DRAG007", self.name, self.MAX_FIELD_PATCHES, rationale
+        ):
             pctx.heap_cover.update(diag.extra.get("alt_labels", ()))
-            cls_name, method_name, var, field = key
-            entries.append(
-                Patch(
-                    strategy=self.name,
-                    kind="assign-null-heap-field",
-                    params={
-                        "class_name": cls_name,
-                        "method_name": method_name,
-                        "var_name": var,
-                        "field_name": field,
-                        "lines": tuple(ins.get("lines", ())),
-                    },
-                    span=diag.span,
-                    site=diag.span.label,
-                    pattern=LifetimePattern.HIGH_VARIANCE,
-                    drag=diag.drag or 0,
-                    rationale=(
-                        f"heap liveness proves every access path through "
-                        f"{var}.{field} dead after line {ins.get('lines', ['?'])[0]} "
-                        f"(last use {diag.extra.get('last_use', '<unknown>')}); "
-                        "nulling the field releases what it pins (DRAG007)"
-                    ),
-                    diagnostics=_refs([diag]),
-                    replacement=f"{var}.{field} = null;",
-                )
-            )
-            planned += 1
+            entries.append(patch)
         # -- DRAG006: rewrite dead heap stores to store null -----------
         stores: List[Tuple[str, int]] = []
         store_diags = []
@@ -599,7 +605,7 @@ class RetainerCutPlanner(Transformation):
 
     Not part of :func:`default_strategies` — the pipeline appends it
     only when snapshot capture is enabled (``snapshot=True``), keeping
-    the static-only plan byte-identical to the Advisor's.
+    the static-only plan unchanged.
     """
 
     name = "retainer-cut"
@@ -611,61 +617,24 @@ class RetainerCutPlanner(Transformation):
     def plan_program(self, pctx: PlanningContext) -> List[PlanEntry]:
         if pctx.lint is None:
             return []
-        entries: List[PlanEntry] = []
-        planned = 0
-        for diag in pctx.lint.by_rule("DRAG008"):
-            if planned >= self.MAX_CUT_PATCHES:
-                break
-            ins = diag.extra.get("insertion") or {}
-            key = (
-                ins.get("class_name"),
-                ins.get("method_name"),
-                ins.get("var_name"),
-                ins.get("field_name"),
-            )
-            if None in key or key in pctx.heap_done or not ins.get("lines"):
-                continue
-            owner = ins.get("owner_class")
-            if owner is None or not _field_accessible(
-                pctx.program_ast, owner, key[3], key[0]
-            ):
-                pctx.heap_done.add(key)
-                continue
-            if _field_already_nulled(pctx.program_ast, *key):
-                pctx.heap_done.add(key)
-                continue
-            pctx.heap_done.add(key)
-            cls_name, method_name, var, field = key
+
+        def rationale(diag, ins):
             retained = diag.extra.get("retained_bytes", 0)
             share = diag.extra.get("retained_share", 0.0)
-            entries.append(
-                Patch(
-                    strategy=self.name,
-                    kind="assign-null-heap-field",
-                    params={
-                        "class_name": cls_name,
-                        "method_name": method_name,
-                        "var_name": var,
-                        "field_name": field,
-                        "lines": tuple(ins.get("lines", ())),
-                    },
-                    span=diag.span,
-                    site=diag.span.label,
-                    pattern=LifetimePattern.HIGH_VARIANCE,
-                    drag=diag.drag or 0,
-                    rationale=(
-                        f"snapshot dominator tree: {owner}.{field} retains "
-                        f"{retained} bytes ({100.0 * share:.1f}% of the "
-                        f"reachable heap) past {var}'s last use; cutting the "
-                        "dominating reference releases the subtree (DRAG008, "
-                        "differentially verified)"
-                    ),
-                    diagnostics=_refs([diag]),
-                    replacement=f"{var}.{field} = null;",
-                )
+            return (
+                f"snapshot dominator tree: {ins['owner_class']}.{ins['field_name']} "
+                f"retains {retained} bytes ({100.0 * share:.1f}% of the "
+                f"reachable heap) past {ins['var_name']}'s last use; cutting "
+                "the dominating reference releases the subtree (DRAG008, "
+                "differentially verified)"
             )
-            planned += 1
-        return entries
+
+        return [
+            patch
+            for _diag, patch in _heap_field_null_patches(
+                pctx, "DRAG008", self.name, self.MAX_CUT_PATCHES, rationale
+            )
+        ]
 
 
 def _group_frames(group) -> Tuple[str, ...]:

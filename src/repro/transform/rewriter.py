@@ -7,7 +7,7 @@ side by side (exactly how the paper's tables are produced).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Union
 
 from repro.errors import TransformError
 from repro.mjava import ast
@@ -86,26 +86,6 @@ def _wrap_single(stmt: ast.Stmt, fn: StmtRewrite) -> ast.Stmt:
     if isinstance(result, list):
         return ast.Block(result, pos=stmt.pos)
     return result
-
-
-def rewrite_method_bodies(
-    program: ast.Program,
-    fn: StmtRewrite,
-    class_name: Optional[str] = None,
-    method_name: Optional[str] = None,
-) -> None:
-    """Rewrite statements across the program (or one class/method)."""
-    for cls in program.classes:
-        if class_name is not None and cls.name != class_name:
-            continue
-        for method in cls.methods:
-            if method_name is not None and method.name != method_name:
-                continue
-            if method.body is not None:
-                rewrite_block(method.body, fn)
-        if method_name is None or method_name == "<init>":
-            for ctor in cls.ctors:
-                rewrite_block(ctor.body, fn)
 
 
 ExprRewrite = Callable[[ast.Expr], ast.Expr]
@@ -194,12 +174,3 @@ def find_method(program: ast.Program, class_name: str, method_name: str) -> ast.
         if method.name == method_name:
             return method
     raise TransformError(f"no method {class_name}.{method_name}")
-
-
-def stmts_at_line(block: ast.Block, line: int) -> List[ast.Stmt]:
-    """All statements (at any nesting depth) starting at ``line``."""
-    out = []
-    for node in block.walk():
-        if isinstance(node, ast.Stmt) and not isinstance(node, ast.Block) and node.pos.line == line:
-            out.append(node)
-    return out

@@ -13,6 +13,7 @@ from repro.analysis.array_liveness import logical_size_pairs
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.indirect_usage import indirectly_unused_fields
 from repro.analysis.lazy_points import first_use_sites
+from repro.analysis.liveness import null_insertion_candidates
 from repro.analysis.purity import ctor_purity
 from repro.analysis.usage import field_usage
 from repro.benchmarks import get_benchmark
@@ -31,8 +32,6 @@ def compiled_of(name):
 
 def test_juru_liveness_licenses_buffer_nulling():
     """juru: assigning null / local variable / liveness."""
-    from repro.transform.assign_null import null_insertion_candidates
-
     program = compiled_of("juru")
     method = program.classes["Juru"].methods["indexDocument"]
     candidates = null_insertion_candidates(method, "buffer")
@@ -119,8 +118,6 @@ def test_euler_grid_rows_bounded_by_active_count():
 
 def test_analyzer_liveness_and_usage():
     """analyzer: assigning null / local variable + private static."""
-    from repro.transform.assign_null import null_insertion_candidates
-
     program = compiled_of("analyzer")
     main = program.classes["Analyzer"].methods["main"]
     # 'ir' is read at the println; afterwards it is dead

@@ -1,27 +1,33 @@
-"""The advisor and the linter share one analysis core.
+"""The unverified optimization pipeline and the linter share one
+analysis core.
 
-Pins the two contracts the lint refactor made:
+Pins the two contracts:
 
-* the AdvisorReport on db and euler is byte-identical to a golden
-  summary — consulting lint diagnostics changes no decision, and the
+* one unverified cycle's summary on db and euler is byte-identical to
+  a golden — consulting lint diagnostics changes no decision, and the
   heap-liveness planner's patches/coverage notes are pinned exactly;
-* everything the advisor acts on (dead-code removals, nulled locals,
+  the cycle's shared AnalysisContext compiles and builds the call
+  graph exactly once, appliers included;
+* everything the cycle acts on (dead-code removals, nulled locals,
   cleared arrays) appears among the lint findings — the static path is
-  a superset of the profile-driven one; and the advisor's shared
-  AnalysisContext compiles and builds the call graph exactly once.
+  a superset of the profile-driven one.
+
+The file and test names keep the ids they had when these goldens
+pinned the Advisor's report, which the cycle summary reproduces
+character for character.
 """
 
 import pytest
 
 from repro.benchmarks.registry import get_benchmark
 from repro.lint import lint_program
+from repro.lint.passes import AnalysisContext
 from repro.runtime.library import link
-from repro.transform.advisor import Advisor
-from repro.transform.dead_code import remove_dead_allocations
+from repro.transform import OptimizationPipeline, Patch, apply_patch
 
 # Golden summaries for the deterministic interpreter (same profiler,
 # same inputs). The heap-liveness planner cracks db's pattern-4 groups
-# that the pre-heap advisor could only skip: the former "no
+# that the pre-heap optimizer could only skip: the former "no
 # transformation for this pattern" rows now carry heap patches or
 # name the heap patch that covers them.
 GOLDEN = {
@@ -44,24 +50,24 @@ skipped  assign-null        ('Flux.<init>:21', 'Solver.step:61', 'Euler.main:74'
 }
 
 
-def run_advisor(name):
+def run_cycle(name):
     bench = get_benchmark(name)
     program = link(bench.original)
-    advisor = Advisor(
+    context = AnalysisContext(program, bench.main_class)
+    pipeline = OptimizationPipeline(
         program, bench.main_class, bench.primary_args,
-        interval_bytes=bench.interval_bytes,
+        interval_bytes=bench.interval_bytes, verify=False,
     )
-    revised, report = advisor.run()
-    return bench, program, advisor, report
+    return context, pipeline.run_cycle(program, context=context)
 
 
 @pytest.mark.parametrize("name", ["db", "euler"])
 def test_advisor_report_identical_to_golden(name):
-    _, _, advisor, report = run_advisor(name)
-    assert report.summary() == GOLDEN[name]
+    context, cycle = run_cycle(name)
+    assert cycle.summary() == GOLDEN[name]
     # the shared context built each expensive artifact exactly once
-    # across every site decision
-    counts = advisor.context.build_counts
+    # across every site decision and the first patch's application
+    counts = context.build_counts
     assert counts.get("compile") == 1
     assert counts.get("table") == 1
     assert counts.get("callgraph", 0) <= 1
@@ -73,33 +79,39 @@ def test_lint_findings_superset_of_advisor_actions(name):
     program = link(bench.original)
     lint = lint_program(program, bench.main_class)
 
-    # every dead-code removal subject has a DRAG001 finding
-    _, removals = remove_dead_allocations(program, bench.main_class)
-    assert removals
-    for removal in removals:
-        cls, _, member = removal.where.partition(".")
-        if removal.kind == "field-init":
-            assert lint.find("DRAG001", "field", cls, member), removal
-        elif removal.kind == "field-store":
-            assert lint.find("DRAG001", "field", cls), removal
-        elif removal.kind == "local":
-            assert lint.find("DRAG001", "local", cls, member), removal
-        elif removal.kind == "array-store":
-            assert lint.find("DRAG001", "array-store", cls), removal
+    # the dead-code applier removes something, and every never-used
+    # candidate it acts on has a DRAG001 finding
+    context = AnalysisContext(program, bench.main_class)
+    _, detail = apply_patch(
+        program,
+        Patch("dead-code-removal", "remove-dead-allocations",
+              {"main_class": bench.main_class}),
+        context,
+    )
+    assert int(detail.split()[0]) > 0, detail
+    dead = context.interproc.dead
+    for cls, field in dead.dead_fields | dead.dead_statics:
+        assert lint.find("DRAG001", "field", cls, field), (cls, field)
+    for qualified, names in dead.dead_locals.items():
+        cls, _, method = qualified.partition(".")
+        for var in names:
+            assert lint.find("DRAG001", "local", cls, method, var), (qualified, var)
+    for cls, (line, _col, _kind) in dead.array_store_sigs:
+        assert lint.find("DRAG001", "array-store", cls, line), (cls, line)
 
     # every applied assign-null has a DRAG002 finding
-    _, _, _, report = run_advisor(name)
-    for action in report.applied():
-        if action.transformation != "assign-null":
+    _, cycle = run_cycle(name)
+    for outcome in cycle.applied():
+        if outcome.patch.strategy != "assign-null":
             continue
-        if "array liveness" in action.detail:
+        if "array liveness" in outcome.detail:
             # "... cleared slots of [('data', 'count')] in Cls"
-            cls = action.detail.rsplit(" in ", 1)[1]
-            assert lint.find("DRAG002", "array", cls), action.detail
+            cls = outcome.detail.rsplit(" in ", 1)[1]
+            assert lint.find("DRAG002", "array", cls), outcome.detail
         else:
             # "var = null inserted after Cls.method:line"
-            var = action.detail.split(" = null", 1)[0]
-            frame = action.detail.rsplit(" after ", 1)[1]
+            var = outcome.detail.split(" = null", 1)[0]
+            frame = outcome.detail.rsplit(" after ", 1)[1]
             cls, _, rest = frame.partition(".")
             method = rest.rsplit(":", 1)[0]
-            assert lint.find("DRAG002", "local", cls, method, var), action.detail
+            assert lint.find("DRAG002", "local", cls, method, var), outcome.detail

@@ -58,8 +58,8 @@ def test_revised_source_contains_the_cut(strings_result):
 
 
 def test_retainer_cut_not_in_default_strategies():
-    """The static-only pipeline must stay byte-identical to the
-    Advisor: snapshot-driven planning is strictly opt-in."""
+    """Snapshot-driven planning is strictly opt-in: the static-only
+    pipeline's plan (pinned by the db/euler goldens) is unchanged."""
     assert not any(
         isinstance(s, RetainerCutPlanner) for s in default_strategies()
     )

@@ -295,22 +295,3 @@ def test_report_lenient_on_truncated_log(program_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", log, "--lenient"]) == 0
     assert "=== Drag report ===" in capsys.readouterr().out
-
-
-def test_chart_from_v2_log(program_file, tmp_path, capsys):
-    log = str(tmp_path / "run.dlog2")
-    main(["profile", program_file, "--main", "Main", "--interval", "4096",
-          "--sink", "stream", "--log", log])
-    capsys.readouterr()
-    assert main(["chart", log, "--width", "50", "--height", "10"]) == 0
-    assert "MB allocated" in capsys.readouterr().out
-
-
-def test_chart_from_log(program_file, tmp_path, capsys):
-    log = str(tmp_path / "run.draglog")
-    main(["profile", program_file, "--main", "Main", "--interval", "4096", "--log", log])
-    capsys.readouterr()
-    assert main(["chart", log, "--width", "50", "--height", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "MB allocated" in out
-    assert "legend: # reachable   . in-use" in out

@@ -1,9 +1,18 @@
-"""The profile-driven advisor: end-to-end automatic drag reduction."""
+"""The profile-driven optimizer, unverified: end-to-end automatic drag
+reduction from one profile→plan→apply cycle."""
 
 from repro.core import profile_program
 from repro.mjava.compiler import compile_program
 from repro.runtime.library import link
-from repro.transform.advisor import optimize
+from repro.transform import OptimizationPipeline
+
+
+def optimize(program, main_class, interval_bytes):
+    """One unverified cycle; returns (revised program, cycle report)."""
+    result = OptimizationPipeline(
+        program, main_class, interval_bytes=interval_bytes, verify=False
+    ).run()
+    return result.revised, result.cycles[0]
 
 
 def drags(program_ast, args=(), interval=4 * 1024):
@@ -49,7 +58,7 @@ class Main {
 def test_advisor_applies_transformations_and_saves_space():
     program = link(MIXED)
     revised, report = optimize(program, "Main", interval_bytes=4 * 1024)
-    applied = {a.transformation for a in report.applied()}
+    applied = {o.patch.strategy for o in report.applied()}
     assert "dead-code-removal" in applied or "lazy-allocation" in applied
 
     orig = drags(program)
@@ -63,9 +72,9 @@ def test_advisor_applies_transformations_and_saves_space():
 def test_advisor_lazy_allocates_ctor_collections():
     program = link(MIXED)
     revised, report = optimize(program, "Main", interval_bytes=4 * 1024)
-    lazy = [a for a in report.applied() if a.transformation == "lazy-allocation"]
+    lazy = [o for o in report.applied() if o.patch.strategy == "lazy-allocation"]
     if lazy:  # pattern thresholds may route Vector's array to lazy or dead-code
-        assert any("Report" in a.detail for a in lazy)
+        assert any("Report" in o.detail for o in lazy)
     summary = report.summary()
     assert "APPLIED" in summary
 
@@ -91,7 +100,7 @@ def test_advisor_nulls_dead_local_buffers():
     """
     program = link(source)
     revised, report = optimize(program, "Main", interval_bytes=4 * 1024)
-    nulls = [a for a in report.applied() if a.transformation == "assign-null"]
+    nulls = [o for o in report.applied() if o.patch.strategy == "assign-null"]
     assert nulls, report.summary()
     orig = drags(program)
     revd = drags(revised)

@@ -1,4 +1,4 @@
-"""Assign-null transformation: liveness-validated local nulling and the
+"""Assign-null appliers: liveness-validated local nulling and the
 logical-size array-slot clearing."""
 
 import pytest
@@ -10,7 +10,31 @@ from repro.mjava.parser import parse_program
 from repro.mjava.pretty import pretty_print
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.library import link
-from repro.transform.assign_null import assign_null_to_local, clear_array_slot_on_remove
+from repro.transform import Patch, apply_patch
+
+
+def assign_null_to_local(program, class_name, method_name, var_name, after_line):
+    revised, _ = apply_patch(
+        program,
+        Patch(
+            "assign-null",
+            "assign-null-local",
+            {
+                "class_name": class_name,
+                "method_name": method_name,
+                "var_name": var_name,
+                "lines": (after_line,),
+            },
+        ),
+    )
+    return revised
+
+
+def clear_array_slot_on_remove(program, class_name):
+    revised, _ = apply_patch(
+        program, Patch("assign-null", "clear-array-slot", {"class_name": class_name})
+    )
+    return revised
 
 JURU_STYLE = """
 class Main {

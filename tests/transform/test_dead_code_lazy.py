@@ -1,21 +1,63 @@
-"""Dead-code removal and lazy allocation transformations."""
+"""Dead-code removal and lazy allocation appliers."""
 
 import pytest
 
 from repro.errors import TransformError
 from repro.core import profile_program
+from repro.lint.passes import AnalysisContext
+from repro.mjava import ast
 from repro.mjava.compiler import compile_program
 from repro.mjava.pretty import pretty_print
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.library import link
-from repro.transform.dead_code import remove_dead_allocations
-from repro.transform.lazy_alloc import lazy_allocate_field
+from repro.transform import Patch, apply_patch
 
 
 def run_both(original_ast, revised_ast, args=()):
     orig = Interpreter(compile_program(original_ast, main_class="Main")).run(list(args))
     revd = Interpreter(compile_program(revised_ast, main_class="Main")).run(list(args))
     return orig, revd
+
+
+def remove_dead_allocations(program, main_class):
+    """Apply the program-wide dead-code patch; returns the revised
+    program and the never-used candidates it acted on."""
+    context = AnalysisContext(program, main_class)
+    revised, _ = apply_patch(
+        program,
+        Patch("dead-code-removal", "remove-dead-allocations", {"main_class": main_class}),
+        context,
+    )
+    return revised, context.interproc.dead
+
+
+def lazy_allocate_field(program, class_name, field_name, main_class):
+    revised, _ = apply_patch(
+        program,
+        Patch(
+            "lazy-allocation",
+            "lazy-alloc-field",
+            {"class_name": class_name, "field_name": field_name, "main_class": main_class},
+        ),
+    )
+    return revised
+
+
+def local_decls(program, class_name, name):
+    cls = program.find_class(class_name)
+    return [
+        node
+        for method in cls.methods
+        for node in method.body.walk()
+        if isinstance(node, ast.VarDecl) and node.name == name
+    ]
+
+
+def allocations_in(program, class_name):
+    return sum(
+        isinstance(node, (ast.New, ast.NewArray))
+        for node in program.find_class(class_name).walk()
+    )
 
 
 # -- dead-code removal ------------------------------------------------------------
@@ -31,8 +73,10 @@ def test_removes_never_used_local_allocation():
     }
     """
     program = link(source)
-    revised, removals = remove_dead_allocations(program, "Main")
-    assert any(r.kind == "local" for r in removals)
+    revised, dead = remove_dead_allocations(program, "Main")
+    assert "wasted" in dead.dead_locals["Main.main"]
+    assert local_decls(program, "Main", "wasted")
+    assert not local_decls(revised, "Main", "wasted")
     orig, revd = run_both(program, revised)
     assert orig.stdout == revd.stdout
     assert revd.heap_stats.bytes_allocated < orig.heap_stats.bytes_allocated
@@ -55,8 +99,10 @@ def test_removes_never_read_field_allocation():
     }
     """
     program = link(source)
-    revised, removals = remove_dead_allocations(program, "Main")
-    assert any("cache" in r.where or "Scene" in r.where for r in removals)
+    revised, dead = remove_dead_allocations(program, "Main")
+    assert ("Scene", "cache") in dead.dead_fields
+    assert "cache = new Object[200];" in pretty_print(program)
+    assert "cache = new Object[200];" not in pretty_print(revised)
     orig, revd = run_both(program, revised)
     assert orig.stdout == revd.stdout
     assert revd.heap_stats.bytes_allocated < orig.heap_stats.bytes_allocated
@@ -70,8 +116,9 @@ def test_removes_unread_locale_statics():
     }
     """
     program = link(source)
-    revised, removals = remove_dead_allocations(program, "Main")
-    assert any("Locale" in r.where for r in removals)
+    revised, dead = remove_dead_allocations(program, "Main")
+    assert any(cls == "Locale" for cls, _ in dead.dead_statics)
+    assert allocations_in(revised, "Locale") < allocations_in(program, "Locale")
     orig, revd = run_both(program, revised)
     assert orig.stdout == revd.stdout
     # all 12 Locale objects (and their display data) no longer allocated:
@@ -92,7 +139,7 @@ def test_keeps_allocation_with_impure_ctor():
     }
     """
     program = link(source)
-    revised, removals = remove_dead_allocations(program, "Main")
+    revised, _ = remove_dead_allocations(program, "Main")
     orig, revd = run_both(program, revised)
     assert orig.stdout == revd.stdout == ["side effect!", "done"]
 
@@ -113,8 +160,16 @@ def test_keeps_allocation_when_oom_is_handled():
     }
     """
     program = link(source)
-    revised, removals = remove_dead_allocations(program, "Main")
-    assert not any(r.kind == "local" and "char" in str(r.what) for r in removals)
+    context = AnalysisContext(program, "Main")
+    assert context.interproc.dead.oom_handled
+    # every allocation stays, so the applier has nothing to remove
+    with pytest.raises(TransformError, match="0 allocation"):
+        apply_patch(
+            program,
+            Patch("dead-code-removal", "remove-dead-allocations", {"main_class": "Main"}),
+            context,
+        )
+    assert local_decls(program, "Main", "wasted")
 
 
 def test_used_field_is_kept():
@@ -132,7 +187,7 @@ def test_used_field_is_kept():
     }
     """
     program = link(source)
-    revised, removals = remove_dead_allocations(program, "Main")
+    revised, _ = remove_dead_allocations(program, "Main")
     orig, revd = run_both(program, revised)
     assert orig.stdout == revd.stdout == ["ok"]
 
@@ -156,7 +211,7 @@ def test_indirectly_unused_chain_removed():
     }
     """
     program = link(source)
-    revised, removals = remove_dead_allocations(program, "Main")
+    revised, _ = remove_dead_allocations(program, "Main")
     orig, revd = run_both(program, revised)
     assert orig.stdout == revd.stdout
     assert revd.heap_stats.objects_allocated < orig.heap_stats.objects_allocated

@@ -1,8 +1,11 @@
 """The optimize gate (CI step): on db and euler the verified pipeline
-must (1) apply at least the transformation set the legacy advisor
-applies — byte-identical revised source, since every advisor patch
-passes differential verification — (2) verify every applied patch, and
-(3) strictly decrease total drag."""
+must (1) apply the same transformation set as the unverified pipeline —
+byte-identical revised source, since every planned patch passes
+differential verification — (2) verify every applied patch, and (3)
+strictly decrease total drag.
+
+The test names keep the ids they had when the unverified side was the
+Advisor, which the unverified pipeline replaces."""
 
 import pytest
 
@@ -10,37 +13,33 @@ from repro.benchmarks.registry import get_benchmark
 from repro.mjava.pretty import pretty_print
 from repro.runtime.library import link
 from repro.transform import OptimizationPipeline
-from repro.transform.advisor import Advisor
 
 
-def run_both(name):
-    bench = get_benchmark(name)
-    program = link(bench.original)
-    advisor = Advisor(
-        program, bench.main_class, bench.primary_args,
-        interval_bytes=bench.interval_bytes,
-    )
-    advisor_revised, advisor_report = advisor.run()
-    pipeline = OptimizationPipeline(
-        link(bench.original), bench.main_class, bench.primary_args,
-        interval_bytes=bench.interval_bytes, verify=True,
-    )
-    result = pipeline.run()
-    return advisor_revised, advisor_report, result
+@pytest.fixture(scope="module", params=["db", "euler"])
+def both(request):
+    """(unverified, verified) pipeline results for one benchmark."""
+    bench = get_benchmark(request.param)
+
+    def run(verify):
+        return OptimizationPipeline(
+            link(bench.original), bench.main_class, bench.primary_args,
+            interval_bytes=bench.interval_bytes, verify=verify,
+        ).run()
+
+    return run(False), run(True)
 
 
-@pytest.mark.parametrize("name", ["db", "euler"])
-def test_verified_pipeline_matches_advisor_and_decreases_drag(name):
-    advisor_revised, advisor_report, result = run_both(name)
+def test_verified_pipeline_matches_advisor_and_decreases_drag(both):
+    unverified, result = both
 
-    # (1) Same transformation set: every advisor patch survives
+    # (1) Same transformation set: every planned patch survives
     # verification, so the revised sources are byte-identical.
-    assert pretty_print(result.revised) == pretty_print(advisor_revised)
-    advisor_applied = sorted(a.transformation for a in advisor_report.applied())
+    assert pretty_print(result.revised) == pretty_print(unverified.revised)
+    unverified_applied = sorted(o.patch.strategy for o in unverified.applied())
     pipeline_applied = sorted(
         o.patch.strategy for o in result.applied()
     )
-    assert pipeline_applied == advisor_applied
+    assert pipeline_applied == unverified_applied
     assert not result.rolled_back()
 
     # (2) Every applied patch passed the differential check.
@@ -55,11 +54,8 @@ def test_verified_pipeline_matches_advisor_and_decreases_drag(name):
     assert result.drag_after < result.drag_before
 
 
-@pytest.mark.parametrize("name", ["db", "euler"])
-def test_pipeline_report_subsumes_advisor_report(name):
-    _, advisor_report, result = run_both(name)
-    # The cycle's advisor projection reports the same action set with
-    # the same details (order and text), minus the applied flag
-    # differences verification could introduce (none on these inputs).
-    projected = result.cycles[0].to_advisor_report()
-    assert projected.summary() == advisor_report.summary()
+def test_pipeline_report_subsumes_advisor_report(both):
+    unverified, result = both
+    # The verified cycle reports the same entries with the same details
+    # (order and text): verification changed no outcome on these inputs.
+    assert result.cycles[0].summary() == unverified.cycles[0].summary()

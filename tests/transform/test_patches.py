@@ -12,7 +12,7 @@ from repro.transform.patch import Patch, PatchOutcome, PlannedSkip, describe_pla
 INTERVAL = 4 * 1024
 
 # Mixed workload: a sometimes-used ctor collection plus never-used
-# buffers (same fixture the advisor integration tests use).
+# buffers (same fixture the pipeline tests use).
 MIXED = """
 class Report {
     Vector lines;
@@ -119,10 +119,11 @@ def test_dead_code_planner_emits_program_wide_patch():
     assert patch.priority == 0  # scheduled before every per-site patch
     assert patch.pattern is LifetimePattern.ALL_NEVER_USED
     assert patch.drag > 0
-    # Self-contained params: main class, the proven candidate set, and
-    # the never-used sites it expands to in advisor-style reports.
+    # Self-contained params: the main class (the applier proves the
+    # candidates on the AST it rewrites) and the never-used sites the
+    # summary expands it to.
+    assert set(patch.params) == {"main_class", "sites"}
     assert patch.params["main_class"] == "Main"
-    assert patch.params["candidates"] is not None
     assert any("Main." in str(site) for site in patch.params["sites"])
     # Span anchors the top never-used site.
     assert patch.span is not None and patch.span.line > 0
@@ -144,7 +145,6 @@ def test_assign_null_planner_targets_anchor_local():
     assert patch.params["class_name"] == "Main"
     assert patch.params["method_name"] == "cycle"
     assert patch.params["var_name"] == "buffer"
-    assert patch.params["validate"] is True
     assert patch.params["lines"], "planner must carry liveness-safe lines"
     assert patch.span is not None and patch.span.class_name == "Main"
     assert "liveness" in patch.rationale

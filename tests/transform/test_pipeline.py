@@ -4,7 +4,8 @@ detected, rolled back, and surfaced — not silently shipped)."""
 
 from repro.mjava.pretty import pretty_print
 from repro.runtime.library import link
-from repro.transform import OptimizationPipeline, run_reference
+from repro.transform import APPLIERS, OptimizationPipeline, run_reference
+from repro.transform import apply as apply_module
 from repro.transform.patch import Patch
 
 INTERVAL = 4 * 1024
@@ -70,6 +71,35 @@ def line_of(source, needle):
     raise AssertionError(f"{needle!r} not in fixture")
 
 
+def install_unchecked_assign_null(monkeypatch):
+    """Register a deliberately unsound applier: the real null insertion
+    with its §5.1 liveness proof switched off, leaving differential
+    verification as the only net."""
+    sound = APPLIERS["assign-null-local"]
+
+    def unchecked(program, patch, context):
+        with monkeypatch.context() as patched:
+            patched.setattr(apply_module, "null_insertion_blocker", lambda *args: None)
+            return sound(program, patch, context)
+
+    monkeypatch.setitem(APPLIERS, "unchecked-assign-null", unchecked)
+
+
+def unsound_patch():
+    return Patch(
+        strategy="assign-null",
+        kind="unchecked-assign-null",
+        params={
+            "class_name": "Main",
+            "method_name": "step",
+            "var_name": "data",
+            "lines": (line_of(LIVE, "warm();"),),
+        },
+        rationale="deliberately unsound: data is read after warm()",
+        replacement="data = null;",
+    )
+
+
 def test_verified_pipeline_applies_and_reduces_drag():
     program = link(MIXED)
     pipeline = OptimizationPipeline(
@@ -106,21 +136,10 @@ def test_dry_run_plans_without_applying():
     assert "1." in plan_text
 
 
-def test_unsound_patch_is_rolled_back():
+def test_unsound_patch_is_rolled_back(monkeypatch):
+    install_unchecked_assign_null(monkeypatch)
     program = link(LIVE)
-    unsound = Patch(
-        strategy="assign-null",
-        kind="assign-null-local",
-        params={
-            "class_name": "Main",
-            "method_name": "step",
-            "var_name": "data",
-            "lines": (line_of(LIVE, "warm();"),),
-            "validate": False,  # skip the §5.1 liveness proof on purpose
-        },
-        rationale="deliberately unsound: data is read after warm()",
-        replacement="data = null;",
-    )
+    unsound = unsound_patch()
     pipeline = OptimizationPipeline(
         program,
         "Main",
@@ -152,21 +171,12 @@ def test_unsound_patch_is_rolled_back():
         assert outcome.verification.ok
 
 
-def test_unverified_pipeline_would_ship_the_unsound_patch():
+def test_unverified_pipeline_would_ship_the_unsound_patch(monkeypatch):
     """Control for the rollback test: with verify=False the same patch
     lands in the revision — verification is what catches it."""
+    install_unchecked_assign_null(monkeypatch)
     program = link(LIVE)
-    unsound = Patch(
-        strategy="assign-null",
-        kind="assign-null-local",
-        params={
-            "class_name": "Main",
-            "method_name": "step",
-            "var_name": "data",
-            "lines": (line_of(LIVE, "warm();"),),
-            "validate": False,
-        },
-    )
+    unsound = unsound_patch()
     pipeline = OptimizationPipeline(
         program,
         "Main",
