@@ -1,18 +1,30 @@
 """Phase 1: the on-line heap profiler (the instrumented JVM of §2.1).
 
-The profiler hooks the interpreter/heap events:
+The profiler observes the interpreter/heap events:
 
 * ``on_alloc`` — stamps a trailer with creation time (the byte clock),
   object length, and the *nested allocation site* (the call chain
   leading to the allocation, to a configurable depth — §2.1.1: "The
   level of nesting can be set in order to tradeoff more accurate
-  information and speed").
-* ``on_use`` — stamps last-use time and nested last-use site.
+  information and speed"). The heap calls it on every registration.
+* ``on_use`` — stamps last-use time and nested last-use site on every
+  §2.1.1 object use. This method is the reference semantics: the
+  baseline interpreter and the natives (through ``heap.note_use``)
+  call it, and the compiled engine's use handlers make the same stamp
+  inline (see :mod:`repro.runtime.dispatch`).
 * ``take_sample`` — runs a *deep GC* every ``interval_bytes`` of
   allocation (default 100 KB) and records a heap sample.
 * ``on_free`` / ``on_program_end`` — writes the object's log record;
   at program end a final deep GC runs and survivors are logged with
   ``collection_time`` equal to the end time.
+
+Events observe the byte clock; they never advance it, so a profiled
+run executes exactly the instructions of a plain one.
+
+Byte-weighted sampling is decided inside ``on_alloc``: it either
+attaches a trailer (sampled, weight ``>= 1``) or attaches nothing, and
+use stamping and record logging skip trailer-less objects — so a freed
+object is logged iff its allocation was sampled, with the same weight.
 """
 
 from __future__ import annotations
@@ -36,6 +48,23 @@ class HeapSample:
 
     def __repr__(self) -> str:
         return f"<sample t={self.time} reachable={self.reachable_bytes}B>"
+
+
+class _FrameLabels(dict):
+    """``(method, pc)`` -> ``"Class.method:line"``, formatted on first
+    lookup; bounded by the program's distinct code positions."""
+
+    __slots__ = ()
+
+    def __missing__(self, frame_ref) -> str:
+        method, pc = frame_ref
+        code = method.code
+        if 0 <= pc < len(code):
+            line = code[pc].line
+        else:
+            line = method.line
+        label = self[frame_ref] = f"{method.qualified_name}:{line}"
+        return label
 
 
 class HeapProfiler:
@@ -83,17 +112,18 @@ class HeapProfiler:
         self._ended = False
         # Byte-weighted sampling (see repro.core.sampler): with
         # ``sample_bytes > 1`` the profiler binds the sampled on_alloc
-        # variant as an *instance* attribute, so ProfilerHooks and the
-        # heap pick it up with zero change — and the full-rate path
-        # keeps its original method, untouched.  ``sample_bytes <= 1``
-        # deliberately means "no sampler at all": --sample-bytes 1 runs
-        # the identical code path as an unsampled profile.
+        # variant as an *instance* attribute, so the heap picks it up
+        # with zero change — and the full-rate path keeps its original
+        # method, untouched.  ``sample_bytes <= 1`` deliberately means
+        # "no sampler at all": --sample-bytes 1 runs the identical code
+        # path as an unsampled profile.
         self.sample_bytes = sample_bytes
         self.seed = seed
         self.sampler: Optional[ByteSampler] = None
         if sample_bytes is not None and sample_bytes > 1:
             self.sampler = ByteSampler(sample_bytes, seed=seed)
             self.on_alloc = self._on_alloc_sampled
+        self._labels = _FrameLabels()
 
     # -- wiring ----------------------------------------------------------
 
@@ -105,8 +135,9 @@ class HeapProfiler:
     #
     # Hot path discipline: use events fire on every getfield; capturing
     # a frame is therefore a raw (method, pc) tuple, and the
-    # "Class.method:line" label is only formatted when the object's
-    # record is logged (reclamation or program end).
+    # "Class.method:line" label is only looked up when the object's
+    # record is logged (reclamation or program end) — formatted once
+    # per code position per run (see _FrameLabels).
 
     def _nested_frames(self, depth: int) -> Tuple:
         frames = self.interp.frames
@@ -119,16 +150,6 @@ class HeapProfiler:
             (frames[i].method, frames[i].pc - 1)
             for i in range(len(frames) - 1, start - 1, -1)
         )
-
-    @staticmethod
-    def _format_frame(frame_ref) -> str:
-        method, pc = frame_ref
-        code = method.code
-        if 0 <= pc < len(code):
-            line = code[pc].line
-        else:
-            line = method.line
-        return f"{method.qualified_name}:{line}"
 
     # -- event hooks ----------------------------------------------------------
 
@@ -160,6 +181,7 @@ class HeapProfiler:
         )
 
     def on_use(self, obj: HeapObject) -> None:
+        """Stamp a §2.1.1 use of ``obj`` at the current clock and frame."""
         trailer = obj.trailer
         if trailer is None:
             return
@@ -182,7 +204,11 @@ class HeapProfiler:
 
     def take_sample(self, interp) -> None:
         """Deep GC + sample. Called by the interpreter at the first
-        instruction boundary after each 100 KB (interval) of allocation."""
+        instruction boundary after each 100 KB (interval) of allocation.
+
+        Both engines inline the same boundary check: when not already
+        sampling and ``heap.clock >= next_sample_at``, set
+        ``interp._sampling``, call this, and clear the flag after."""
         heap = interp.heap
         while self.next_sample_at <= heap.clock:
             self.next_sample_at += self.interval_bytes
@@ -243,6 +269,9 @@ class HeapProfiler:
             label, kind, is_lib = info.label, info.kind, info.is_library
         else:
             label, kind, is_lib = "<unknown>", "new", True
+        labels = self._labels
+        use_frame = trailer.last_use_frame
+        use_chain = trailer.last_use_chain
         self._emit_record(
             ObjectRecord(
                 handle=obj.handle,
@@ -256,17 +285,13 @@ class HeapProfiler:
                 site_label=label,
                 site_kind=kind,
                 site_is_library=is_lib,
-                nested_alloc=tuple(
-                    self._format_frame(f) for f in trailer.nested_alloc
-                ),
+                nested_alloc=tuple([labels[f] for f in trailer.nested_alloc]),
                 last_use_frame=(
-                    self._format_frame(trailer.last_use_frame)
-                    if trailer.last_use_frame is not None
-                    else None
+                    labels[use_frame] if use_frame is not None else None
                 ),
                 last_use_chain=(
-                    tuple(self._format_frame(f) for f in trailer.last_use_chain)
-                    if trailer.last_use_chain is not None
+                    tuple([labels[f] for f in use_chain])
+                    if use_chain is not None
                     else None
                 ),
                 excluded=obj.excluded,

@@ -14,7 +14,7 @@ instrumented. It reproduces the properties drag measurement depends on:
 Execution is layered (see :mod:`repro.runtime.engine`): the
 ``baseline`` engine is the classic if/elif interpreter, the
 ``compiled`` engine pre-translates each method into handler closures
-with profiler hooks specialized in or out, and :class:`Engine` /
+with profiler use-stamping specialized in or out, and :class:`Engine` /
 :class:`VMConfig` are the facade every caller wires VMs through.
 """
 
@@ -28,7 +28,6 @@ from repro.runtime.engine import (
     create_vm,
     run_program,
 )
-from repro.runtime.hooks import NullHooks, ProfilerHooks, RuntimeHooks
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.library import LIBRARY_SOURCE, library_program, link
 
@@ -42,9 +41,6 @@ __all__ = [
     "run_program",
     "ENGINES",
     "DEFAULT_ENGINE",
-    "RuntimeHooks",
-    "NullHooks",
-    "ProfilerHooks",
     "LIBRARY_SOURCE",
     "library_program",
     "link",

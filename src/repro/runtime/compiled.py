@@ -9,15 +9,14 @@ if/elif chain, it executes the handler closures produced by
 method runs and cached for the life of the VM.
 
 The loop comes in two specializations, chosen once per ``_run_to``
-entry from the attached :class:`~repro.runtime.hooks.RuntimeHooks`
-configuration:
+entry from whether a profiler is attached:
 
 * **unprofiled** — no sampling poll at all; the handlers themselves
-  were compiled hook-free (zero profiler call sites);
+  were compiled without profiler code;
 * **profiled** — the baseline's exact instruction-boundary safepoint
   (sample when the byte clock crosses ``next_sample_at``, then service
-  any pending minor GC), with handlers that bind ``profiler.on_use``
-  directly.
+  any pending minor GC), with use handlers that stamp the object's
+  trailer inline, the same stamp ``HeapProfiler.on_use`` makes.
 
 Both specializations keep the baseline's per-instruction discipline —
 ``pc`` pre-incremented, safepoints at every boundary, MJThrow/OOM
@@ -33,7 +32,6 @@ from typing import Dict, List
 from repro.errors import OutOfMemory
 from repro.bytecode.program import CompiledMethod
 from repro.runtime.dispatch import DispatchContext, Handler, compile_method
-from repro.runtime.hooks import hooks_for, resolve_dispatch_stats, resolve_on_use
 from repro.runtime.interpreter import Interpreter, MJThrow
 
 
@@ -45,11 +43,11 @@ class CompiledInterpreter(Interpreter):
         # The frame-stack depth at which the innermost _run_to stops;
         # RET/RETV handlers read it to route return values.
         self._floor = 0
-        self.hooks = hooks_for(self.profiler)
+        telemetry = self.telemetry
         self._ctx = DispatchContext(
             self,
-            on_use=resolve_on_use(self.hooks),
-            stats=resolve_dispatch_stats(self.telemetry),
+            profiler=self.profiler,
+            stats=None if telemetry is None else telemetry.dispatch_stats,
         )
         self._code_cache: Dict[CompiledMethod, List[Handler]] = {}
 
@@ -107,9 +105,11 @@ class CompiledInterpreter(Interpreter):
             else:
                 take_sample = profiler.take_sample
                 while len(frames) > floor:
+                    # The clock test is false at almost every boundary,
+                    # so it goes first; both tests only read state.
                     if (
-                        not self._sampling
-                        and heap.clock >= profiler.next_sample_at
+                        heap.clock >= profiler.next_sample_at
+                        and not self._sampling
                     ):
                         self._sampling = True
                         try:

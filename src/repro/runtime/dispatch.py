@@ -7,7 +7,15 @@ frame stack, statics) bound as cell variables, so the dispatch loop in
 :mod:`repro.runtime.compiled` does no opcode comparison and no operand
 decoding — it indexes ``handlers[frame.pc]`` and calls.
 
-Two properties the rest of the system depends on:
+Both engines report the same runtime events to an attached
+:class:`~repro.core.profiler.HeapProfiler`: an allocation (the heap
+calls ``on_alloc``), a §2.1.1 *object use* (getfield, putfield,
+invoking a method on the object, monitor enter/exit, array element
+access/length, native handle dereference), and the instruction
+boundary where the dispatch loop may take a deep-GC sample. Events
+observe the byte clock; they never advance it.
+
+Three properties the rest of the system depends on:
 
 * **Bit-identical semantics.** Every handler replays the baseline
   interpreter's arm for its opcode exactly — same event order, same
@@ -16,15 +24,24 @@ Two properties the rest of the system depends on:
   and jump targets match the baseline). The differential suite in
   ``tests/runtime/test_engine_equivalence.py`` enforces this.
 * **Hook specialization.** Use-event opcodes come in two variants. When
-  no profiler is attached (``on_use is None``) the emitted closure
-  contains *no hook call site at all* — not a disabled one, none; when
-  a profiler is attached the closure binds its ``on_use`` bound method
-  directly. ``tests/runtime/test_dispatch.py`` asserts the unprofiled
-  closures are hook-free by inspecting their code objects.
+  no profiler is attached (``ctx.profiler is None``) the emitted
+  closure contains *no profiler code at all* — not a disabled hook,
+  none. ``tests/runtime/test_dispatch.py`` asserts this by inspecting
+  the handlers' code objects.
+* **Inline use stamping.** When a profiler is attached, the use-op
+  handlers stamp the object's trailer themselves instead of calling
+  :meth:`HeapProfiler.on_use`, which stays the reference semantics
+  (the baseline interpreter and natives call it). A handler only runs
+  while its frame is the top frame, one instruction past its own
+  index, so the last-use frame ``(method, index)`` that ``on_use``
+  would build from ``frames[-1]`` is a translation-time constant. The
+  last-use chain depth is one too: at ``last_use_depth > 1`` the
+  handler also captures the chain through the profiler's
+  ``_nested_frames``, exactly as ``on_use`` does.
 
 Compilation is per (method, VM) because closures bind VM-instance state
-(the heap, the frame list, a profiler's bound methods); the cache lives
-on the :class:`~repro.runtime.compiled.CompiledInterpreter`.
+(the heap, the frame list, the profiler); the cache lives on the
+:class:`~repro.runtime.compiled.CompiledInterpreter`.
 """
 
 from __future__ import annotations
@@ -44,21 +61,36 @@ Handler = Callable[[Frame], None]
 class DispatchContext:
     """Everything a handler may bind at translation time."""
 
-    __slots__ = ("vm", "heap", "frames", "program", "statics", "on_use", "stats")
+    __slots__ = (
+        "vm", "heap", "frames", "program", "statics", "profiler", "stats", "where",
+    )
 
-    def __init__(self, vm, on_use=None, stats=None) -> None:
+    def __init__(self, vm, profiler=None, stats=None) -> None:
         self.vm = vm
         self.heap = vm.heap
         self.frames = vm.frames
         self.program = vm.program
         self.statics = vm.statics
-        # None => emit no hook calls; else bound HeapProfiler.on_use.
-        self.on_use = on_use
+        # None => emit no profiler code; else the HeapProfiler whose
+        # trailers the use handlers stamp inline.
+        self.profiler = profiler
         # None => emit no telemetry call sites; else a
         # repro.obs.DispatchStats whose inline-cache counters the
         # INVOKEV handlers increment. Same specialization discipline as
-        # on_use: the disabled variant is absent, not gated.
+        # the profiler: the disabled variant is absent, not gated.
         self.stats = stats
+        # (method, index) of the instruction being translated: the
+        # last-use frame its handler stamps. Set by compile_method.
+        self.where = None
+
+
+def _use_stamp(ctx):
+    """What a profiled use handler binds to stamp a trailer inline:
+    its last-use frame, the last-use chain depth (0 when
+    ``last_use_depth <= 1``, i.e. no chain), and the chain capture."""
+    profiler = ctx.profiler
+    depth = profiler.last_use_depth
+    return ctx.where, (depth if depth > 1 else 0), profiler._nested_frames
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +136,7 @@ def _c_getfield(instr, ctx):
     field = instr.args[0]
     npe = f"getfield {field}"
     vm = ctx.vm
-    if ctx.on_use is None:
+    if ctx.profiler is None:
 
         def op_getfield(frame):
             stack = frame.stack
@@ -115,14 +147,23 @@ def _c_getfield(instr, ctx):
 
         return op_getfield
 
-    on_use = ctx.on_use
+    heap = ctx.heap
+    where, chain, nested_frames = _use_stamp(ctx)
 
     def op_getfield_profiled(frame):
         stack = frame.stack
         obj = stack.pop()
         if obj is None:
             vm.throw("NullPointerException", npe)
-        on_use(obj)
+        trailer = obj.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         stack.append(obj.fields[field])
 
     return op_getfield_profiled
@@ -133,7 +174,7 @@ def _c_putfield(instr, ctx):
     npe = f"putfield {field}"
     vm = ctx.vm
     heap = ctx.heap
-    if ctx.on_use is None:
+    if ctx.profiler is None:
 
         def op_putfield(frame):
             stack = frame.stack
@@ -147,7 +188,7 @@ def _c_putfield(instr, ctx):
 
         return op_putfield
 
-    on_use = ctx.on_use
+    where, chain, nested_frames = _use_stamp(ctx)
 
     def op_putfield_profiled(frame):
         stack = frame.stack
@@ -155,7 +196,15 @@ def _c_putfield(instr, ctx):
         obj = stack.pop()
         if obj is None:
             vm.throw("NullPointerException", npe)
-        on_use(obj)
+        trailer = obj.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         obj.fields[field] = value
         if heap.barrier is not None:
             heap.barrier(obj, value)
@@ -185,7 +234,7 @@ def _c_putstatic(instr, ctx):
 
 def _c_aload(instr, ctx):
     vm = ctx.vm
-    if ctx.on_use is None:
+    if ctx.profiler is None:
 
         def op_aload(frame):
             stack = frame.stack
@@ -200,7 +249,8 @@ def _c_aload(instr, ctx):
 
         return op_aload
 
-    on_use = ctx.on_use
+    heap = ctx.heap
+    where, chain, nested_frames = _use_stamp(ctx)
 
     def op_aload_profiled(frame):
         stack = frame.stack
@@ -208,7 +258,15 @@ def _c_aload(instr, ctx):
         arr = stack.pop()
         if arr is None:
             vm.throw("NullPointerException", "array load")
-        on_use(arr)
+        trailer = arr.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         data = arr.data
         if index < 0 or index >= len(data):
             vm.throw("IndexOutOfBoundsException", f"{index} of {len(data)}")
@@ -220,7 +278,7 @@ def _c_aload(instr, ctx):
 def _c_astore(instr, ctx):
     vm = ctx.vm
     heap = ctx.heap
-    if ctx.on_use is None:
+    if ctx.profiler is None:
 
         def op_astore(frame):
             stack = frame.stack
@@ -238,7 +296,7 @@ def _c_astore(instr, ctx):
 
         return op_astore
 
-    on_use = ctx.on_use
+    where, chain, nested_frames = _use_stamp(ctx)
 
     def op_astore_profiled(frame):
         stack = frame.stack
@@ -247,7 +305,15 @@ def _c_astore(instr, ctx):
         arr = stack.pop()
         if arr is None:
             vm.throw("NullPointerException", "array store")
-        on_use(arr)
+        trailer = arr.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         data = arr.data
         if index < 0 or index >= len(data):
             vm.throw("IndexOutOfBoundsException", f"{index} of {len(data)}")
@@ -260,7 +326,7 @@ def _c_astore(instr, ctx):
 
 def _c_arraylen(instr, ctx):
     vm = ctx.vm
-    if ctx.on_use is None:
+    if ctx.profiler is None:
 
         def op_arraylen(frame):
             stack = frame.stack
@@ -271,14 +337,23 @@ def _c_arraylen(instr, ctx):
 
         return op_arraylen
 
-    on_use = ctx.on_use
+    heap = ctx.heap
+    where, chain, nested_frames = _use_stamp(ctx)
 
     def op_arraylen_profiled(frame):
         stack = frame.stack
         arr = stack.pop()
         if arr is None:
             vm.throw("NullPointerException", "array length")
-        on_use(arr)
+        trailer = arr.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         stack.append(len(arr.data))
 
     return op_arraylen_profiled
@@ -294,9 +369,9 @@ def _c_invokev(instr, ctx):
     # method. lookup_method is deterministic over an immutable class
     # graph, so memoizing it cannot change behaviour.
     cache = {}
-    on_use = ctx.on_use
+    profiled = ctx.profiler is not None
     stats = ctx.stats
-    if on_use is None and stats is None:
+    if not profiled and stats is None:
 
         def op_invokev(frame):
             stack = frame.stack
@@ -321,7 +396,7 @@ def _c_invokev(instr, ctx):
 
         return op_invokev
 
-    if on_use is None:
+    if not profiled:
 
         def op_invokev_traced(frame):
             stack = frame.stack
@@ -349,6 +424,8 @@ def _c_invokev(instr, ctx):
 
         return op_invokev_traced
 
+    heap = ctx.heap
+    where, chain, nested_frames = _use_stamp(ctx)
     if stats is None:
 
         def op_invokev_profiled(frame):
@@ -358,7 +435,15 @@ def _c_invokev(instr, ctx):
             recv = stack.pop()
             if recv is None:
                 vm.throw("NullPointerException", npe)
-            on_use(recv)
+            trailer = recv.trailer
+            if trailer is not None:
+                clock = heap.clock
+                if trailer.first_use_time == 0:
+                    trailer.first_use_time = clock
+                trailer.last_use_time = clock
+                trailer.last_use_frame = where
+                if chain:
+                    trailer.last_use_chain = nested_frames(chain)
             cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
             method = cache.get(cls_name)
             if method is None:
@@ -382,7 +467,15 @@ def _c_invokev(instr, ctx):
         recv = stack.pop()
         if recv is None:
             vm.throw("NullPointerException", npe)
-        on_use(recv)
+        trailer = recv.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
         method = cache.get(cls_name)
         if method is None:
@@ -442,7 +535,10 @@ def _c_invokesuper(instr, ctx):
     start_cls, name, argc = instr.args
     vm = ctx.vm
     frames = ctx.frames
-    on_use = ctx.on_use
+    profiled = ctx.profiler is not None
+    if profiled:
+        heap = ctx.heap
+        where, chain, nested_frames = _use_stamp(ctx)
     method = ctx.program.lookup_method(start_cls, name)
     if method is None:
         message = f"no method {start_cls}.{name}"
@@ -453,7 +549,7 @@ def _c_invokesuper(instr, ctx):
         return op_invokesuper_unbound
     if method.is_native:
         push_result = method.return_descriptor != "void"
-        if on_use is None:
+        if not profiled:
 
             def op_invokesuper_native(frame):
                 stack = frame.stack
@@ -471,13 +567,21 @@ def _c_invokesuper(instr, ctx):
             args = stack[len(stack) - argc:]
             del stack[len(stack) - argc:]
             recv = stack.pop()
-            on_use(recv)
+            trailer = recv.trailer
+            if trailer is not None:
+                clock = heap.clock
+                if trailer.first_use_time == 0:
+                    trailer.first_use_time = clock
+                trailer.last_use_time = clock
+                trailer.last_use_frame = where
+                if chain:
+                    trailer.last_use_chain = nested_frames(chain)
             result = vm._call_native(method, recv, args)
             if push_result:
                 stack.append(result)
 
         return op_invokesuper_native_profiled
-    if on_use is None:
+    if not profiled:
 
         def op_invokesuper(frame):
             stack = frame.stack
@@ -493,7 +597,15 @@ def _c_invokesuper(instr, ctx):
         args = stack[len(stack) - argc:]
         del stack[len(stack) - argc:]
         recv = stack.pop()
-        on_use(recv)
+        trailer = recv.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         frames.append(Frame(method, make_locals(method, args, recv)))
 
     return op_invokesuper_profiled
@@ -876,7 +988,7 @@ def _c_instanceof(instr, ctx):
 
 def _c_monenter(instr, ctx):
     vm = ctx.vm
-    if ctx.on_use is None:
+    if ctx.profiler is None:
 
         def op_monenter(frame):
             obj = frame.stack.pop()
@@ -886,13 +998,22 @@ def _c_monenter(instr, ctx):
 
         return op_monenter
 
-    on_use = ctx.on_use
+    heap = ctx.heap
+    where, chain, nested_frames = _use_stamp(ctx)
 
     def op_monenter_profiled(frame):
         obj = frame.stack.pop()
         if obj is None:
             vm.throw("NullPointerException", "monitorenter")
-        on_use(obj)
+        trailer = obj.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         obj.monitor_depth += 1
 
     return op_monenter_profiled
@@ -900,7 +1021,7 @@ def _c_monenter(instr, ctx):
 
 def _c_monexit(instr, ctx):
     vm = ctx.vm
-    if ctx.on_use is None:
+    if ctx.profiler is None:
 
         def op_monexit(frame):
             obj = frame.stack.pop()
@@ -910,13 +1031,22 @@ def _c_monexit(instr, ctx):
 
         return op_monexit
 
-    on_use = ctx.on_use
+    heap = ctx.heap
+    where, chain, nested_frames = _use_stamp(ctx)
 
     def op_monexit_profiled(frame):
         obj = frame.stack.pop()
         if obj is None:
             vm.throw("NullPointerException", "monitorexit")
-        on_use(obj)
+        trailer = obj.trailer
+        if trailer is not None:
+            clock = heap.clock
+            if trailer.first_use_time == 0:
+                trailer.first_use_time = clock
+            trailer.last_use_time = clock
+            trailer.last_use_frame = where
+            if chain:
+                trailer.last_use_chain = nested_frames(chain)
         obj.monitor_depth -= 1
 
     return op_monexit_profiled
@@ -1002,8 +1132,9 @@ def compile_method(
 ) -> List[Handler]:
     """Translate one method's bytecode into handler closures."""
     handlers: List[Handler] = []
-    for instr in method.code:
+    for index, instr in enumerate(method.code):
         factory = OP_COMPILERS.get(instr.op, _c_unknown)
+        ctx.where = (method, index)
         handlers.append(factory(instr, ctx))
     stats = ctx.stats
     if stats is not None:

@@ -29,6 +29,14 @@ PROTOCOL_VERSION = 1
 #: Default TCP ingest port; the HTTP port defaults to this + 1.
 DEFAULT_PORT = 7091
 
+#: Largest HELLO/ACK/FIN JSON payload a reader accepts. A longer
+#: declared length is refused before any payload byte is read, so a
+#: bogus length prefix cannot make a reader buffer without limit.
+MAX_JSON_FRAME = 1 << 20
+
+# Bytes of a canonical uvarint holding any length up to MAX_JSON_FRAME.
+_LENGTH_PREFIX_BYTES = 3
+
 
 class ProtocolError(ProfileError):
     """A peer violated the serve handshake."""
@@ -50,10 +58,28 @@ def encode_hello(metadata: Optional[dict] = None) -> bytes:
     return HELLO_MAGIC + bytes([PROTOCOL_VERSION]) + encode_json_frame(hello)
 
 
+def _checked_length(length: int, source: str) -> int:
+    if length > MAX_JSON_FRAME:
+        raise ProtocolError(
+            f"{source}: JSON frame of {length} bytes exceeds the "
+            f"{MAX_JSON_FRAME}-byte limit"
+        )
+    return length
+
+
+def _prefix_too_long(source: str) -> ProtocolError:
+    return ProtocolError(
+        f"{source}: JSON frame length prefix runs past "
+        f"{_LENGTH_PREFIX_BYTES} bytes"
+    )
+
+
 def _decode_json(payload: bytes, source: str) -> dict:
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bad UTF-8 and over-long
+        # integer literals; RecursionError, pathologically deep nesting.
         raise ProtocolError(f"{source}: bad JSON frame: {exc}") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"{source}: JSON frame is not an object")
@@ -63,16 +89,16 @@ def _decode_json(payload: bytes, source: str) -> dict:
 def read_json_frame_sync(fp, source: str = "<peer>") -> dict:
     """Read one length-prefixed JSON frame from a blocking file-like."""
     length = 0
-    shift = 0
-    while True:
+    for shift in range(0, 7 * _LENGTH_PREFIX_BYTES, 7):
         byte = fp.read(1)
         if not byte:
             raise ProtocolError(f"{source}: connection closed mid-frame")
         length |= (byte[0] & 0x7F) << shift
         if not byte[0] & 0x80:
             break
-        shift += 7
-    payload = fp.read(length)
+    else:
+        raise _prefix_too_long(source)
+    payload = fp.read(_checked_length(length, source))
     if len(payload) != length:
         raise ProtocolError(f"{source}: connection closed mid-frame")
     return _decode_json(payload, source)
@@ -83,15 +109,15 @@ async def read_json_frame(reader, source: str = "<peer>") -> dict:
     import asyncio
 
     length = 0
-    shift = 0
     try:
-        while True:
+        for shift in range(0, 7 * _LENGTH_PREFIX_BYTES, 7):
             byte = await reader.readexactly(1)
             length |= (byte[0] & 0x7F) << shift
             if not byte[0] & 0x80:
                 break
-            shift += 7
-        payload = await reader.readexactly(length)
+        else:
+            raise _prefix_too_long(source)
+        payload = await reader.readexactly(_checked_length(length, source))
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError(f"{source}: connection closed mid-frame") from exc
     return _decode_json(payload, source)
@@ -99,7 +125,8 @@ async def read_json_frame(reader, source: str = "<peer>") -> dict:
 
 async def read_hello(reader, source: str = "<peer>") -> dict:
     """Server side: consume and validate the client HELLO; returns its
-    metadata dict (possibly empty)."""
+    metadata dict (empty when absent or null). Metadata that is not a
+    JSON object is a :class:`ProtocolError`."""
     import asyncio
 
     try:
@@ -112,14 +139,26 @@ async def read_hello(reader, source: str = "<peer>") -> dict:
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"{source}: unsupported protocol version {version}")
     hello = await read_json_frame(reader, source)
-    return hello.get("metadata") or {}
+    metadata = hello.get("metadata")
+    if metadata is None:
+        return {}
+    if not isinstance(metadata, dict):
+        raise ProtocolError(f"{source}: HELLO metadata is not a JSON object")
+    return metadata
 
 
 def decode_json_frame(data: bytes, pos: int = 0) -> Tuple[dict, int]:
     """Decode one JSON frame at ``pos`` in a buffer; returns
     (object, next_pos). For tests and offline tools."""
-    length, pos = _read_uvarint(data, pos)
-    return _decode_json(data[pos : pos + length], "<buffer>"), pos + length
+    source = "<buffer>"
+    try:
+        length, pos = _read_uvarint(data, pos)
+    except IndexError as exc:
+        raise ProtocolError(f"{source}: truncated JSON frame length") from exc
+    end = pos + _checked_length(length, source)
+    if end > len(data):
+        raise ProtocolError(f"{source}: JSON frame overruns the buffer")
+    return _decode_json(data[pos:end], source), end
 
 
 def parse_hostport(spec: str, default_port: int = DEFAULT_PORT) -> Tuple[str, int]:

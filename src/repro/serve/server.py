@@ -422,21 +422,23 @@ class DragServer:
             )
         self.streams[info.stream_id] = info
         self._m_streams.inc()
-        self._active += 1
-        self._m_active.set(self._active)
-        self._log(
-            f"stream {info.stream_id} connected from {peer} "
-            f"({metadata.get('program', '?')})"
-        )
-        writer.write(encode_json_frame({
-            "ok": True,
-            "stream_id": info.stream_id,
-            "shards": len(self.shards),
-        }))
         parser = FrameParser(source=f"stream-{info.stream_id}")
         corrupt = False
         sent_strings = 0
+        # Counted from here to the finally below, so no exit path can
+        # leave a departed client holding up the drain.
+        self._active += 1
+        self._m_active.set(self._active)
         try:
+            self._log(
+                f"stream {info.stream_id} connected from {peer} "
+                f"({metadata.get('program', '?')})"
+            )
+            writer.write(encode_json_frame({
+                "ok": True,
+                "stream_id": info.stream_id,
+                "shards": len(self.shards),
+            }))
             await writer.drain()
             while True:
                 chunk = await reader.read(1 << 16)

@@ -111,6 +111,10 @@ class V2FrameEncoder:
         self.weighted_bytes = 0
         self._weighted = False
         self._strings: Dict[str, int] = {}
+        # (type, site label, site kind, nested chain) -> the record's
+        # encoded string-id run; bounded like the string table, by the
+        # run's distinct allocation contexts.
+        self._id_runs: Dict[tuple, bytes] = {}
         self._out = out
         header = {"format": "repro-drag-log", "version": VERSION}
         if metadata:
@@ -147,49 +151,59 @@ class V2FrameEncoder:
             flags |= _F_EXCLUDED
         if record.survived_to_end:
             flags |= _F_SURVIVED
-        if record.alloc_site is not None:
+        alloc_site = record.alloc_site
+        if alloc_site is not None:
             flags |= _F_HAS_SITE
-        if record.last_use_frame is not None:
+        use_frame = record.last_use_frame
+        if use_frame is not None:
             flags |= _F_HAS_USE_FRAME
-        if record.last_use_chain is not None:
+        use_chain = record.last_use_chain
+        if use_chain is not None:
             flags |= _F_HAS_USE_CHAIN
         weight = record.weight
         if weight != 1.0:
             flags |= _F_HAS_WEIGHT
         # Interning may emit STRING frames; they must precede the record.
-        type_id = self._intern(record.type_name)
-        label_id = self._intern(record.site_label)
-        kind_id = self._intern(record.site_kind)
-        nested_ids = [self._intern(s) for s in record.nested_alloc]
-        frame_id = (
-            self._intern(record.last_use_frame)
-            if record.last_use_frame is not None
-            else None
-        )
+        # The ids of an allocation context never change once interned, so
+        # its encoded id run is built (and its strings interned, in field
+        # order) only the first time the context is seen.
+        key = (record.type_name, record.site_label, record.site_kind,
+               record.nested_alloc)
+        ids = self._id_runs.get(key)
+        if ids is None:
+            intern = self._intern
+            run = bytearray()
+            _write_uvarint(run, intern(record.type_name))
+            _write_uvarint(run, intern(record.site_label))
+            _write_uvarint(run, intern(record.site_kind))
+            _write_uvarint(run, len(record.nested_alloc))
+            for text in record.nested_alloc:
+                _write_uvarint(run, intern(text))
+            ids = self._id_runs[key] = bytes(run)
+        frame_id = self._intern(use_frame) if use_frame is not None else None
         chain_ids = (
-            [self._intern(s) for s in record.last_use_chain]
-            if record.last_use_chain is not None
-            else None
+            [self._intern(s) for s in use_chain] if use_chain is not None else None
         )
-        buf = bytearray()
-        buf.append(flags)
-        for value in (
+        buf = bytearray((flags,))
+        fields = (
             record.handle,
             record.size,
             record.creation_time,
             record.first_use_time,
             record.last_use_time,
             record.collection_time,
-        ):
-            _write_uvarint(buf, value)
-        if record.alloc_site is not None:
-            _write_uvarint(buf, record.alloc_site)
-        _write_uvarint(buf, type_id)
-        _write_uvarint(buf, label_id)
-        _write_uvarint(buf, kind_id)
-        _write_uvarint(buf, len(nested_ids))
-        for sid in nested_ids:
-            _write_uvarint(buf, sid)
+        )
+        if alloc_site is not None:
+            fields += (alloc_site,)
+        append = buf.append
+        for value in fields:  # _write_uvarint, inlined
+            if value < 0:
+                raise ValueError(f"uvarint cannot encode negative value {value}")
+            while value > 0x7F:
+                append((value & 0x7F) | 0x80)
+                value >>= 7
+            append(value)
+        buf += ids
         if frame_id is not None:
             _write_uvarint(buf, frame_id)
         if chain_ids is not None:

@@ -3,12 +3,15 @@
 The headline property: when no profiler is attached, the compiled
 handlers contain *zero* profiler call sites — not disabled hooks, none.
 That is verifiable by introspection: no handler closes over ``on_use``
-and none references profiler machinery by name.
+and none references profiler machinery by name. With a profiler
+attached, the use handlers still make no hook call: they stamp the
+trailer inline with a last-use frame bound at translation time.
 """
 
 import pytest
 
 from repro.errors import VMError
+from repro.bytecode.opcodes import Op
 from repro.core.profiler import HeapProfiler
 from repro.mjava.compiler import compile_program
 from repro.runtime.compiled import CompiledInterpreter
@@ -20,25 +23,28 @@ from repro.runtime.engine import (
     create_vm,
     run_program,
 )
-from repro.runtime.hooks import NullHooks, ProfilerHooks, hooks_for, resolve_on_use
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.library import link
 
 # Exercises every hooked use-op: getfield/putfield, array load/store,
-# arraylength, invokevirtual, monitorenter/exit — plus allocation,
-# branching, statics, exceptions, and string building.
+# arraylength, invokevirtual, invokesuper, monitorenter/exit — plus
+# allocation, branching, statics, exceptions, and string building.
 SOURCE = """
 class Box {
     int value;
     Box(int v) { value = v; }
     int get() { return value; }
 }
+class BigBox extends Box {
+    BigBox(int v) { super(v); }
+    int get() { return super.get(); }
+}
 class Main {
     static int total;
     public static void main(String[] args) {
         int[] nums = new int[4];
         for (int i = 0; i < nums.length; i = i + 1) { nums[i] = i * 3; }
-        Box box = new Box(nums[2]);
+        Box box = new BigBox(nums[2]);
         synchronized (box) { total = box.get(); }
         try { throw new RuntimeException("boom"); }
         catch (RuntimeException e) { total = total + 1; }
@@ -48,6 +54,12 @@ class Main {
 """
 
 HOOK_NAMES = {"profiler", "note_use", "on_alloc", "on_use"}
+
+# The §2.1.1 use events the compiled engine stamps inline.
+USE_OPS = {
+    Op.GETFIELD, Op.PUTFIELD, Op.ALOAD, Op.ASTORE, Op.ARRAYLEN,
+    Op.INVOKEV, Op.INVOKESUPER, Op.MONENTER, Op.MONEXIT,
+}
 
 # Telemetry machinery must likewise never leak into handlers compiled
 # with telemetry off: no DispatchStats cell, no counter attributes.
@@ -101,29 +113,27 @@ class TestHookSpecialization:
             idx = handler.__code__.co_freevars.index("stats")
             assert handler.__closure__[idx].cell_contents is telemetry.dispatch_stats
 
-    def test_profiled_use_handlers_bind_on_use(self):
-        vm, _ = _build(profiler=HeapProfiler(interval_bytes=1 << 20))
-        bound = [
-            h for h in _all_handlers(vm) if "on_use" in h.__code__.co_freevars
-        ]
-        assert bound, "no handler bound the on_use hook"
-        # The bound cell must be the profiler method itself, not a shim.
-        for handler in bound:
-            idx = handler.__code__.co_freevars.index("on_use")
-            cell = handler.__closure__[idx].cell_contents
-            assert cell == vm.profiler.on_use
-
-    def test_hooks_for(self):
-        null = hooks_for(None)
-        assert isinstance(null, NullHooks)
-        assert not null.active
-        assert resolve_on_use(null) is None
-
-        profiler = HeapProfiler(interval_bytes=1 << 20)
-        active = hooks_for(profiler)
-        assert isinstance(active, ProfilerHooks)
-        assert active.active
-        assert resolve_on_use(active) == profiler.on_use
+    def test_profiled_use_handlers_stamp_inline(self):
+        """Profiled use handlers call no hook: ``on_use`` is in neither
+        their names nor their cells. Each binds its own position,
+        ``where == (method, index)``, as the last-use frame it stamps."""
+        vm, result = _build(profiler=HeapProfiler(interval_bytes=1 << 20))
+        assert result.stdout == ["total=7"]
+        stamped = set()
+        for method, handlers in vm._code_cache.items():
+            for index, handler in enumerate(handlers):
+                code = handler.__code__
+                assert "on_use" not in code.co_names, handler
+                assert "on_use" not in code.co_freevars, handler
+                if method.code[index].op not in USE_OPS:
+                    continue
+                assert "where" in code.co_freevars, handler
+                cell = handler.__closure__[code.co_freevars.index("where")]
+                where = cell.cell_contents
+                assert where == (method, index), handler
+                assert where[0] is method
+                stamped.add(method.code[index].op)
+        assert stamped == USE_OPS, stamped
 
 
 class TestTranslation:

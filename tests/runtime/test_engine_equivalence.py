@@ -174,6 +174,34 @@ def test_log_bytes_identical(tmp_path, name, fmt, suffix):
     assert paths["baseline"].read_bytes() == paths["compiled"].read_bytes()
 
 
+@pytest.mark.parametrize("name", ["db", "euler"])
+def test_last_use_chain_log_bytes_identical(tmp_path, name):
+    """At ``last_use_depth > 1`` every use also captures the caller
+    chain; the compiled engine's inline stamp must capture exactly the
+    chain ``HeapProfiler.on_use`` does, byte for byte in the v2 log."""
+    from repro.stream.codec import read_v2_log
+
+    bench = all_benchmarks()[name]
+    args = bench.args_for("primary")
+    paths = {}
+    for engine in ("baseline", "compiled"):
+        path = tmp_path / f"{name}-{engine}.dlog2"
+        sink = LogWriterSink(open_log_writer(path, fmt="v2"))
+        profiler = HeapProfiler(interval_bytes=65536, last_use_depth=3, sink=sink)
+        vm = create_vm(
+            compile_benchmark(bench, revised=False),
+            engine=engine,
+            max_heap=bench.max_heap,
+            profiler=profiler,
+        )
+        vm.run(list(args))
+        sink.close()
+        paths[engine] = path
+    assert paths["baseline"].read_bytes() == paths["compiled"].read_bytes()
+    chains = [r.last_use_chain for r in read_v2_log(paths["compiled"]).records]
+    assert any(chain and len(chain) > 1 for chain in chains), "no chain captured"
+
+
 def test_engines_registry_covers_this_suite():
     """If a third engine is ever registered it must be added here."""
     assert set(ENGINES) == {"baseline", "compiled"}

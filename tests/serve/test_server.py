@@ -12,6 +12,7 @@ frame aggregated, poisoning nothing.
 import io
 import socket
 import threading
+import time
 
 import pytest
 
@@ -25,7 +26,13 @@ from repro.serve.client import (
     replay_log,
 )
 from repro.serve.merge import rankings_payload
-from repro.serve.protocol import encode_hello, read_json_frame_sync
+from repro.serve.protocol import (
+    HELLO_MAGIC,
+    PROTOCOL_VERSION,
+    encode_hello,
+    encode_json_frame,
+    read_json_frame_sync,
+)
 from repro.serve.server import ServeConfig, start_server_thread
 from repro.serve.shard import InlineShard, ProcessShard
 from repro.stream.codec import (
@@ -178,6 +185,28 @@ def test_mid_frame_disconnect_counts_truncated_and_poisons_nothing(tmp_path):
     flags = sorted(s["truncated"] for s in summary["streams"])
     assert flags == [False, True]
     handle.stop()
+
+
+def test_bad_hello_metadata_is_refused_and_leaks_no_client():
+    """A HELLO whose metadata is not a JSON object is refused: the
+    connection closes without an ACK, no stream is opened, the active
+    client gauge returns to 0, and stopping the daemon (what SIGTERM
+    does) does not wait out the drain timeout for a departed client."""
+    registry = MetricsRegistry()
+    handle = start(workers=1, inline=True, registry=registry, drain_timeout=10.0)
+    host, port = handle.ingest_addr
+    hello = HELLO_MAGIC + bytes([PROTOCOL_VERSION]) + encode_json_frame(
+        {"protocol": PROTOCOL_VERSION, "metadata": [1, 2]}
+    )
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(hello)
+        assert sock.recv(1) == b""  # closed, no ACK
+    text = fetch_metrics_text(handle.http_addr)
+    assert metric_value(text, "repro_serve_active_clients") == 0
+    assert metric_value(text, "repro_serve_streams_total") == 0
+    began = time.monotonic()
+    handle.stop()
+    assert time.monotonic() - began < 5.0
 
 
 def test_garbage_after_handshake_is_truncated_not_fatal():

@@ -79,6 +79,51 @@ def test_string_table_interns_repeated_labels(tmp_path):
     assert os.path.getsize(path) < os.path.getsize(v1_path) / 4
 
 
+def test_shared_allocation_context_reuses_ids_in_order(tmp_path):
+    """Records sharing (type, site label, site kind, nested chain) reuse
+    one encoded id run. A record with a new chain interns its strings
+    first — STRING frames before its RECORD — and a later sampled record
+    with an already-seen key adds no STRING frame and keeps its weight."""
+    from repro.stream.codec import FRAME_RECORD, FRAME_STRING, FrameParser
+
+    chain = ("A.m:1", "Main.main:3")
+    first = make_record(handle=1, size=24, last_use=50, site_label="A.m:1",
+                        nested=chain, use_frame="B.use:9")
+    other = make_record(handle=2, size=16, site_label="A.m:1",
+                        nested=("A.m:1", "Other.run:4"))
+    again = make_record(handle=3, size=40, last_use=70, site_label="A.m:1",
+                        nested=chain, use_frame="B.use:9").with_weight(8.0)
+    path = tmp_path / "ids.dlog2"
+    write_v2(path, [first, other, again], end_time=100)
+
+    parser = FrameParser()
+    frames = parser.feed_frames(path.read_bytes())
+    kinds = [
+        payload.decode() if ftype == FRAME_STRING else ftype
+        for ftype, payload in frames
+    ]
+    assert kinds[:-1] == [
+        "Object", "A.m:1", "new", "Main.main:3", "B.use:9", FRAME_RECORD,
+        "Other.run:4", FRAME_RECORD,
+        FRAME_RECORD,
+    ]
+    loaded = read_v2_log(path)
+    assert [r.weight for r in loaded.records] == [1.0, 1.0, 8.0]
+    assert [r.to_dict() for r in loaded.records] == [
+        r.to_dict() for r in (first, other, again)
+    ]
+
+
+def test_negative_record_field_is_rejected(tmp_path):
+    writer = V2LogWriter(tmp_path / "neg.dlog2")
+    writer.write_record(make_record(handle=1))
+    for record in (make_record(handle=2, created=-5),  # a seen context
+                   make_record(handle=3, size=-1, site_label="New.m:2")):
+        with pytest.raises(ValueError, match="negative"):
+            writer.write_record(record)
+    writer.close(end_time=1)
+
+
 def test_v1_v2_roundtrip_identical(tmp_path):
     """A log converted v1 -> v2 -> records matches the v1 records."""
     records = [
