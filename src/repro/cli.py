@@ -730,6 +730,17 @@ def cmd_disasm(args) -> int:
     return 0
 
 
+def byte_count(text: str) -> int:
+    """argparse type of a byte size (an interval or a bin width): a
+    positive integer, so a bad one exits 2 before any file is opened."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of bytes, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -755,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile", help="phase 1: run under the drag profiler")
     profile.add_argument("file")
     profile.add_argument("--main", required=True)
-    profile.add_argument("--interval", type=int, default=100 * 1024,
+    profile.add_argument("--interval", type=byte_count, default=100 * 1024,
                          help="deep-GC interval in bytes (default 100K, as the paper)")
     profile.add_argument("--nesting", type=int, default=4,
                          help="nested allocation-site depth")
@@ -793,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--html", metavar="FILE",
                          help="write the timeline as a self-contained HTML "
                          "dashboard (implies --timeline)")
-    profile.add_argument("--timeline-bin-bytes", type=int, default=None,
+    profile.add_argument("--timeline-bin-bytes", type=byte_count, default=None,
                          metavar="N",
                          help="timeline bin width on the byte-allocation "
                          "clock (default 64K)")
@@ -838,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize = sub.add_parser("optimize", help="profile-driven automatic rewriting")
     optimize.add_argument("file")
     optimize.add_argument("--main", required=True)
-    optimize.add_argument("--interval", type=int, default=100 * 1024)
+    optimize.add_argument("--interval", type=byte_count, default=100 * 1024)
     optimize.add_argument("-o", "--output", help="write revised source here")
     optimize.add_argument(
         "--verify",
@@ -962,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_capture.add_argument("--main", required=True)
     snap_capture.add_argument("--out", required=True, metavar="FILE",
                               help="snapshot file to write")
-    snap_capture.add_argument("--interval", type=int, default=100 * 1024,
+    snap_capture.add_argument("--interval", type=byte_count, default=100 * 1024,
                               help="deep-GC interval in bytes (default 100K)")
     snap_capture.add_argument("--engine", choices=["baseline", "compiled"],
                               default=None)
@@ -997,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--serve", metavar="HOST:HTTP_PORT",
                           help="fetch the live merged /timeline from a serve "
                           "daemon instead of reading a log")
-    timeline.add_argument("--bin-bytes", type=int, default=None, metavar="N",
+    timeline.add_argument("--bin-bytes", type=byte_count, default=None, metavar="N",
                           help="bin width on the byte-allocation clock "
                           "(default 64K; log mode only — the daemon binned "
                           "at ingest)")

@@ -2,18 +2,21 @@
 
 The profiler observes the interpreter/heap events:
 
-* ``on_alloc`` — stamps a trailer with creation time (the byte clock),
-  object length, and the *nested allocation site* (the call chain
-  leading to the allocation, to a configurable depth — §2.1.1: "The
-  level of nesting can be set in order to tradeoff more accurate
-  information and speed"). The heap calls it on every registration.
+* ``on_alloc`` — stamps a trailer with creation time (the byte clock)
+  and the object's allocation context: its site, its type and its
+  *nested allocation site* (the call chain leading to the allocation,
+  to a configurable depth — §2.1.1: "The level of nesting can be set
+  in order to tradeoff more accurate information and speed"). The heap
+  calls it on every registration. When the allocation moves the clock
+  past the next sample threshold, it raises the heap's safepoint flag.
 * ``on_use`` — stamps last-use time and nested last-use site on every
   §2.1.1 object use. This method is the reference semantics: the
   baseline interpreter and the natives (through ``heap.note_use``)
   call it, and the compiled engine's use handlers make the same stamp
   inline (see :mod:`repro.runtime.dispatch`).
 * ``take_sample`` — runs a *deep GC* every ``interval_bytes`` of
-  allocation (default 100 KB) and records a heap sample.
+  allocation (default 100 KB) and records a heap sample. The
+  interpreter's safepoint calls it (see ``Interpreter._safepoint``).
 * ``on_free`` / ``on_program_end`` — writes the object's log record;
   at program end a final deep GC runs and survivors are logged with
   ``collection_time`` equal to the end time.
@@ -29,10 +32,10 @@ object is logged iff its allocation was sampled, with the same weight.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.sampler import ByteSampler
-from repro.core.trailer import ObjectRecord, Trailer
+from repro.core.trailer import AllocContext, ObjectRecord, Trailer
 from repro.runtime.objects import HeapObject
 
 
@@ -109,43 +112,53 @@ class HeapProfiler:
         self.finalizer_errors = 0
         self.interp = None
         self.program = None
+        self.heap = None
+        self.frames = None
         self._ended = False
-        # Byte-weighted sampling (see repro.core.sampler): with
-        # ``sample_bytes > 1`` the profiler binds the sampled on_alloc
-        # variant as an *instance* attribute, so the heap picks it up
-        # with zero change — and the full-rate path keeps its original
-        # method, untouched.  ``sample_bytes <= 1`` deliberately means
-        # "no sampler at all": --sample-bytes 1 runs the identical code
-        # path as an unsampled profile.
+        # Byte-weighted sampling (see repro.core.sampler), decided in
+        # on_alloc. ``sample_bytes <= 1`` deliberately means "no sampler
+        # at all": --sample-bytes 1 runs the identical code path as an
+        # unsampled profile.
         self.sample_bytes = sample_bytes
         self.seed = seed
         self.sampler: Optional[ByteSampler] = None
         if sample_bytes is not None and sample_bytes > 1:
             self.sampler = ByteSampler(sample_bytes, seed=seed)
-            self.on_alloc = self._on_alloc_sampled
         self._labels = _FrameLabels()
+        # The allocation-context table: (site, type name, then method
+        # and pc of each frame of the nested allocation site, outermost
+        # first) -> its AllocContext. Bounded by the run's distinct
+        # allocation contexts.
+        self._contexts: Dict[tuple, AllocContext] = {}
+        self._alloc_chain = (
+            slice(-nesting_depth, None) if nesting_depth > 0 else slice(0, 0)
+        )
 
     # -- wiring ----------------------------------------------------------
 
     def attach(self, interp) -> None:
         self.interp = interp
         self.program = interp.program
+        self.heap = interp.heap
+        self.frames = interp.frames
 
     # -- call-chain capture ------------------------------------------------
     #
     # Hot path discipline: use events fire on every getfield; capturing
     # a frame is therefore a raw (method, pc) tuple, and the
     # "Class.method:line" label is only looked up when the object's
-    # record is logged (reclamation or program end) — formatted once
-    # per code position per run (see _FrameLabels).
+    # record is logged (reclamation or program end). Allocations look
+    # their raw chain up in the context table, so the labels of an
+    # allocation context are formatted once, when it is first seen.
+    # _FrameLabels is the one place a frame label is formatted.
 
     def _nested_frames(self, depth: int) -> Tuple:
-        frames = self.interp.frames
+        """The raw last-use chain: up to ``depth`` ``(method, pc)``
+        frames, innermost first, like the nested allocation site."""
+        frames = self.frames
         if not frames or depth <= 0:
             return ()
         start = max(0, len(frames) - depth)
-        # innermost frame first, matching "the call chain leading to
-        # the allocation" read bottom-up.
         return tuple(
             (frames[i].method, frames[i].pc - 1)
             for i in range(len(frames) - 1, start - 1, -1)
@@ -154,51 +167,88 @@ class HeapProfiler:
     # -- event hooks ----------------------------------------------------------
 
     def on_alloc(self, obj: HeapObject) -> None:
-        heap = self.interp.heap
-        obj.trailer = Trailer(
-            creation_time=heap.clock,
-            size=obj.size,
-            alloc_site=self.interp.alloc_site,
-            nested_alloc=self._nested_frames(self.nesting_depth),
-        )
+        """Raise the sample trigger if ``obj`` moved the clock to the
+        next threshold, then attach its trailer, with the allocation
+        context interned on first sight.
 
-    def _on_alloc_sampled(self, obj: HeapObject) -> None:
-        """Sampling variant of ``on_alloc`` (bound over the method when
-        ``sample_bytes > 1``).  A skipped allocation gets *no trailer*,
-        so every later ``on_use``/``on_free`` for it falls through the
-        existing ``trailer is None`` checks — that structural pairing is
-        the whole onAlloc/onFree matching guarantee."""
-        weight = self.sampler.sample(obj.size)
+        Under sampling, a skipped allocation gets *no trailer*, so every
+        later ``on_use``/``on_free`` for it falls through the existing
+        ``trailer is None`` checks — that structural pairing is the
+        whole onAlloc/onFree matching guarantee."""
+        heap = self.heap
+        clock = heap.clock
+        if clock >= self.next_sample_at:
+            heap.gc_pending = True
+        sampler = self.sampler
+        weight = 1.0 if sampler is None else sampler.sample(obj.size)
         if not weight:
             return
-        heap = self.interp.heap
-        obj.trailer = Trailer(
-            creation_time=heap.clock,
-            size=obj.size,
-            alloc_site=self.interp.alloc_site,
-            nested_alloc=self._nested_frames(self.nesting_depth),
-            weight=weight,
-        )
+        key = [self.interp.alloc_site, obj.type_name()]
+        for frame in self.frames[self._alloc_chain]:
+            key.append(frame.method)
+            key.append(frame.pc)
+        key = tuple(key)
+        context = self._contexts.get(key)
+        if context is None:
+            site = key[0]
+            if site is not None:
+                info = self.program.site(site)
+                label, kind, is_lib = info.label, info.kind, info.is_library
+            else:
+                label, kind, is_lib = "<unknown>", "new", True
+            labels = self._labels
+            # innermost frame first, matching "the call chain leading to
+            # the allocation" read bottom-up.
+            nested = tuple([
+                labels[key[i], key[i + 1] - 1] for i in range(len(key) - 2, 1, -2)
+            ])
+            context = self._contexts[key] = AllocContext(
+                site, key[1], label, kind, is_lib, nested
+            )
+        obj.trailer = Trailer(clock, context, weight)
 
     def on_use(self, obj: HeapObject) -> None:
         """Stamp a §2.1.1 use of ``obj`` at the current clock and frame."""
         trailer = obj.trailer
         if trailer is None:
             return
-        interp = self.interp
-        clock = interp.heap.clock
+        clock = self.heap.clock
         if trailer.first_use_time == 0:
             trailer.first_use_time = clock
         trailer.last_use_time = clock
-        frames = interp.frames
+        frames = self.frames
         if frames:
             frame = frames[-1]
             trailer.last_use_frame = (frame.method, frame.pc - 1)
             if self.last_use_depth > 1:
                 trailer.last_use_chain = self._nested_frames(self.last_use_depth)
 
-    def on_free(self, obj: HeapObject) -> None:
-        self._log(obj, collection_time=self.interp.heap.clock, survived=False)
+    def on_free(self, obj: HeapObject, survived: bool = False) -> None:
+        """Log ``obj``'s record, collected now: reclaimed by the GC, or
+        (``survived``) still in the heap at program end."""
+        if obj.excluded and not self.include_excluded:
+            return
+        trailer = obj.trailer
+        if trailer is None:
+            return
+        context = trailer.context
+        labels = self._labels
+        use_frame = trailer.last_use_frame
+        use_chain = trailer.last_use_chain
+        record = ObjectRecord(
+            obj.handle, context.type_name, obj.size,
+            trailer.creation_time, trailer.last_use_time, self.heap.clock,
+            context.site, context.label, context.kind, context.is_library,
+            context.nested,
+            None if use_frame is None else labels[use_frame],
+            None if use_chain is None else tuple([labels[f] for f in use_chain]),
+            obj.excluded, survived, trailer.first_use_time, trailer.weight,
+        )
+        self.record_count += 1
+        if self.buffered:
+            self.records.append(record)
+        if self.sink is not None:
+            self.sink.on_record(record)
 
     # -- sampling ---------------------------------------------------------------
 
@@ -206,9 +256,11 @@ class HeapProfiler:
         """Deep GC + sample. Called by the interpreter at the first
         instruction boundary after each 100 KB (interval) of allocation.
 
-        Both engines inline the same boundary check: when not already
-        sampling and ``heap.clock >= next_sample_at``, set
-        ``interp._sampling``, call this, and clear the flag after."""
+        ``on_alloc`` raises the heap's safepoint flag when the clock
+        reaches ``next_sample_at``; both engines then call
+        ``Interpreter._safepoint``, which calls this unless a sample is
+        already being taken, and raises the flag again afterwards if
+        finalizers moved the clock past the new threshold."""
         heap = interp.heap
         while self.next_sample_at <= heap.clock:
             self.next_sample_at += self.interval_bytes
@@ -235,20 +287,14 @@ class HeapProfiler:
         self._emit_sample(
             HeapSample(end_time, interp.heap.live_bytes, interp.heap.object_count())
         )
+        # Nothing allocates from here on, so the clock stays end_time.
         for obj in list(interp.heap.iter_objects()):
-            self._log(obj, collection_time=end_time, survived=True)
+            self.on_free(obj, survived=True)
         self.finalizer_errors = interp.finalizer_errors
         if self.sink is not None:
             self.sink.on_end(end_time, finalizer_errors=self.finalizer_errors)
 
-    # -- record emission ---------------------------------------------------------
-
-    def _emit_record(self, record: ObjectRecord) -> None:
-        self.record_count += 1
-        if self.buffered:
-            self.records.append(record)
-        if self.sink is not None:
-            self.sink.on_record(record)
+    # -- sample emission ---------------------------------------------------------
 
     def _emit_sample(self, sample: HeapSample) -> None:
         self.sample_count += 1
@@ -256,49 +302,6 @@ class HeapProfiler:
             self.samples.append(sample)
         if self.sink is not None:
             self.sink.on_sample(sample)
-
-    def _log(self, obj: HeapObject, collection_time: int, survived: bool) -> None:
-        if obj.excluded and not self.include_excluded:
-            return
-        trailer = obj.trailer
-        if trailer is None:
-            return
-        site = trailer.alloc_site
-        if site is not None:
-            info = self.program.site(site)
-            label, kind, is_lib = info.label, info.kind, info.is_library
-        else:
-            label, kind, is_lib = "<unknown>", "new", True
-        labels = self._labels
-        use_frame = trailer.last_use_frame
-        use_chain = trailer.last_use_chain
-        self._emit_record(
-            ObjectRecord(
-                handle=obj.handle,
-                type_name=obj.type_name(),
-                size=obj.size,
-                creation_time=trailer.creation_time,
-                first_use_time=trailer.first_use_time,
-                last_use_time=trailer.last_use_time,
-                collection_time=collection_time,
-                alloc_site=site,
-                site_label=label,
-                site_kind=kind,
-                site_is_library=is_lib,
-                nested_alloc=tuple([labels[f] for f in trailer.nested_alloc]),
-                last_use_frame=(
-                    labels[use_frame] if use_frame is not None else None
-                ),
-                last_use_chain=(
-                    tuple([labels[f] for f in use_chain])
-                    if use_chain is not None
-                    else None
-                ),
-                excluded=obj.excluded,
-                survived_to_end=survived,
-                weight=trailer.weight,
-            )
-        )
 
 
 class ProfileResult:
@@ -384,36 +387,15 @@ def profile_source(
     source: str,
     main_class: str,
     args: Optional[List[str]] = None,
-    interval_bytes: int = 100 * 1024,
-    nesting_depth: int = 4,
-    last_use_depth: int = 1,
     library_overrides=None,
-    sink=None,
-    buffered: Optional[bool] = None,
-    engine: Optional[str] = None,
-    telemetry=None,
-    sample_bytes: Optional[int] = None,
-    seed: int = 0,
-    snapshotter=None,
+    **options,
 ) -> ProfileResult:
-    """Convenience: link, compile, and profile mini-Java source."""
+    """Convenience: link, compile, and profile mini-Java source.
+    ``options`` are :func:`profile_program`'s keyword arguments."""
     from repro.mjava.compiler import compile_program
     from repro.runtime.library import link
 
     program = compile_program(
         link(source, library_overrides=library_overrides), main_class=main_class
     )
-    return profile_program(
-        program,
-        args,
-        interval_bytes=interval_bytes,
-        nesting_depth=nesting_depth,
-        last_use_depth=last_use_depth,
-        sink=sink,
-        buffered=buffered,
-        engine=engine,
-        telemetry=telemetry,
-        sample_bytes=sample_bytes,
-        seed=seed,
-        snapshotter=snapshotter,
-    )
+    return profile_program(program, args, **options)

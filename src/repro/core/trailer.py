@@ -12,31 +12,39 @@ means the object was never used (§3.4: "the last use time is zero").
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
+
+
+class AllocContext(NamedTuple):
+    """One allocation context: the site, the allocated type and the
+    nested allocation site, with every label a record of it carries.
+    The profiler interns one per distinct ``(site, type, call chain)``
+    of a run, so its labels are formatted once, not once per object."""
+
+    site: Optional[int]
+    type_name: str
+    label: str
+    kind: str
+    is_library: bool
+    nested: Tuple[str, ...]
 
 
 class Trailer:
-    """Per-object profiling metadata (never counted in object size)."""
+    """Per-object profiling metadata (never counted in object size).
+    The length is the object's ``size``; the sites are in its context."""
 
     __slots__ = (
         "creation_time",
         "first_use_time",
         "last_use_time",
-        "size",
-        "alloc_site",
-        "nested_alloc",
+        "context",
         "last_use_frame",
         "last_use_chain",
         "weight",
     )
 
     def __init__(
-        self,
-        creation_time: int,
-        size: int,
-        alloc_site: Optional[int],
-        nested_alloc: Tuple[str, ...],
-        weight: float = 1.0,
+        self, creation_time: int, context: AllocContext, weight: float = 1.0
     ) -> None:
         self.creation_time = creation_time
         # First-use time extends the paper's measurements to the full
@@ -44,9 +52,7 @@ class Trailer:
         # creation -> first use, void objects are never used at all.
         self.first_use_time = 0  # 0 == never used
         self.last_use_time = 0  # 0 == never used
-        self.size = size
-        self.alloc_site = alloc_site
-        self.nested_alloc = nested_alloc
+        self.context = context
         self.last_use_frame: Optional[str] = None
         self.last_use_chain: Optional[Tuple[str, ...]] = None
         # Statistical weight under byte sampling (1.0 == fully

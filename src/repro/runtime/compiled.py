@@ -8,20 +8,18 @@ if/elif chain, it executes the handler closures produced by
 :mod:`repro.runtime.dispatch`, translated lazily the first time each
 method runs and cached for the life of the VM.
 
-The loop comes in two specializations, chosen once per ``_run_to``
-entry from whether a profiler is attached:
+There is one loop, profiled or not. Its only per-boundary test is the
+heap's safepoint flag, which the baseline loop tests too: an allocation
+raises it when a minor collection or a deep-GC sample falls due, and
+the shared ``Interpreter._safepoint`` services it. What profiling
+changes is in the handlers: without a profiler they were compiled with
+no profiler code at all, and with one the use handlers stamp the
+object's trailer inline, the same stamp ``HeapProfiler.on_use`` makes.
 
-* **unprofiled** — no sampling poll at all; the handlers themselves
-  were compiled without profiler code;
-* **profiled** — the baseline's exact instruction-boundary safepoint
-  (sample when the byte clock crosses ``next_sample_at``, then service
-  any pending minor GC), with use handlers that stamp the object's
-  trailer inline, the same stamp ``HeapProfiler.on_use`` makes.
-
-Both specializations keep the baseline's per-instruction discipline —
-``pc`` pre-incremented, safepoints at every boundary, MJThrow/OOM
-unwound per instruction — which is what makes the two engines
-bit-identical (stdout, instruction counts, byte clock, profile logs);
+The loop keeps the baseline's per-instruction discipline — ``pc``
+pre-incremented, safepoints at every boundary, MJThrow/OOM unwound per
+instruction — which is what makes the two engines bit-identical
+(stdout, instruction counts, byte clock, profile logs);
 ``tests/runtime/test_engine_equivalence.py`` holds them to it.
 """
 
@@ -71,7 +69,6 @@ class CompiledInterpreter(Interpreter):
     def _run_to(self, floor: int) -> None:
         frames = self.frames
         heap = self.heap
-        profiler = self.profiler
         cache = self._code_cache
         prev_floor = self._floor
         self._floor = floor
@@ -79,64 +76,25 @@ class CompiledInterpreter(Interpreter):
         handlers = None
         count = 0
         try:
-            if profiler is None:
-                while len(frames) > floor:
-                    if heap.gc_pending:
-                        heap.gc_pending = False
-                        self.collector.collect(self.iter_roots())
-                    top = frames[-1]
-                    if top is not frame:
-                        frame = top
-                        handlers = cache.get(frame.method)
-                        if handlers is None:
-                            handlers = self.handlers_for(frame.method)
-                    handler = handlers[frame.pc]
-                    frame.pc += 1
-                    count += 1
-                    try:
-                        handler(frame)
-                    except MJThrow as signal:
-                        self._unwind(signal.obj, floor)
-                    except OutOfMemory:
-                        oom = self.make_throwable(
-                            "OutOfMemoryError", "heap exhausted"
-                        )
-                        self._unwind(oom, floor)
-            else:
-                take_sample = profiler.take_sample
-                while len(frames) > floor:
-                    # The clock test is false at almost every boundary,
-                    # so it goes first; both tests only read state.
-                    if (
-                        heap.clock >= profiler.next_sample_at
-                        and not self._sampling
-                    ):
-                        self._sampling = True
-                        try:
-                            take_sample(self)
-                        finally:
-                            self._sampling = False
-                    if heap.gc_pending:
-                        heap.gc_pending = False
-                        self.collector.collect(self.iter_roots())
-                    top = frames[-1]
-                    if top is not frame:
-                        frame = top
-                        handlers = cache.get(frame.method)
-                        if handlers is None:
-                            handlers = self.handlers_for(frame.method)
-                    handler = handlers[frame.pc]
-                    frame.pc += 1
-                    count += 1
-                    try:
-                        handler(frame)
-                    except MJThrow as signal:
-                        self._unwind(signal.obj, floor)
-                    except OutOfMemory:
-                        oom = self.make_throwable(
-                            "OutOfMemoryError", "heap exhausted"
-                        )
-                        self._unwind(oom, floor)
+            while len(frames) > floor:
+                if heap.gc_pending:
+                    self._safepoint()
+                top = frames[-1]
+                if top is not frame:
+                    frame = top
+                    handlers = cache.get(frame.method)
+                    if handlers is None:
+                        handlers = self.handlers_for(frame.method)
+                handler = handlers[frame.pc]
+                frame.pc += 1
+                count += 1
+                try:
+                    handler(frame)
+                except MJThrow as signal:
+                    self._unwind(signal.obj, floor)
+                except OutOfMemory:
+                    oom = self.make_throwable("OutOfMemoryError", "heap exhausted")
+                    self._unwind(oom, floor)
         finally:
             # The counter is kept in a local for speed and flushed on
             # every exit (including re-entrant calls unwinding through

@@ -10,7 +10,7 @@ the full deep-GC cycle (see ``Interpreter.deep_gc``).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable, List
+from typing import Dict, Iterable, List
 
 from repro.bytecode.program import CompiledProgram
 from repro.runtime.heap import Heap
@@ -25,28 +25,47 @@ class MarkSweepCollector:
         self.program = program
         # Objects discovered unreachable whose finalize() has not run yet.
         self.finalize_queue: List[Instance] = []
+        # Class name -> whether it has a (non-native) finalize(); the
+        # class table never changes during a run.
+        self._finalizable: Dict[str, bool] = {}
 
     def has_finalizer(self, obj: HeapObject) -> bool:
         if not isinstance(obj, Instance):
             return False
-        method = self.program.lookup_method(obj.class_name, "finalize")
-        return method is not None and not method.is_native
+        name = obj.class_name
+        known = self._finalizable.get(name)
+        if known is None:
+            method = self.program.lookup_method(name, "finalize")
+            known = self._finalizable[name] = (
+                method is not None and not method.is_native
+            )
+        return known
 
     def mark(self, roots: Iterable[HeapObject]) -> int:
-        """Mark all objects reachable from ``roots``; return mark count."""
+        """Mark all objects reachable from ``roots``; return mark count.
+        Walks fields and reference-array elements in place: no
+        ``iter_references`` generator per object."""
         stack: List[HeapObject] = []
         for obj in roots:
             if isinstance(obj, HeapObject) and not obj.marked:
                 obj.marked = True
                 stack.append(obj)
         marked = len(stack)
+        pop = stack.pop
+        push = stack.append
         while stack:
-            obj = stack.pop()
-            for ref in obj.iter_references():
-                if not ref.marked:
+            obj = pop()
+            if obj.__class__ is Instance:
+                refs = obj.fields.values()
+            elif obj.elem_desc == "ref":
+                refs = obj.data
+            else:
+                continue
+            for ref in refs:
+                if isinstance(ref, HeapObject) and not ref.marked:
                     ref.marked = True
                     marked += 1
-                    stack.append(ref)
+                    push(ref)
         return marked
 
     def collect(self, roots: Iterable[HeapObject], force_major: bool = False) -> int:

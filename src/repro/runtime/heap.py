@@ -4,7 +4,7 @@ The heap owns the *byte-allocation clock*: time, everywhere in this
 reproduction, is "bytes allocated since the beginning of program
 execution" (§2.1.1). Every allocation advances the clock by the object's
 size and notifies the attached profiler, which may request a deep GC at
-the next safe point (instruction boundary).
+the next safe point (instruction boundary) by raising ``gc_pending``.
 
 Python's own memory management is irrelevant here: reachability is
 defined purely by this heap's object graph and the interpreter's roots,
@@ -60,7 +60,7 @@ class Heap:
     """Handle-based object store with a byte clock.
 
     ``profiler`` (if set) receives ``on_alloc``/``on_free`` callbacks and
-    can request sampling via ``sample_pending``. ``max_bytes`` bounds the
+    can request sampling by raising ``gc_pending``. ``max_bytes`` bounds the
     live heap; exceeding it after a forced GC raises :class:`OutOfMemory`
     (which the interpreter turns into a mini-Java OutOfMemoryError).
     """
@@ -84,11 +84,14 @@ class Heap:
         self.gc_request: Optional[Callable[[], None]] = None
         # Generational-collector hooks: new-object notification, the
         # old-to-young write barrier, a poll asking whether a (minor)
-        # collection is due, and the resulting pending flag the
-        # interpreter services at the next instruction boundary.
+        # collection is due, and the resulting ``minor_due`` bit.
         self.on_new_object: Optional[Callable[[HeapObject], None]] = None
         self.barrier: Optional[Callable[[HeapObject, object], None]] = None
         self.gc_poll: Optional[Callable[[], bool]] = None
+        self.minor_due = False
+        # The safepoint flag both dispatch loops test at every boundary:
+        # raised when a minor collection or (by the profiler's on_alloc)
+        # a deep-GC sample may be due; Interpreter._safepoint serves it.
         self.gc_pending = False
 
     # -- allocation ----------------------------------------------------------
@@ -115,7 +118,7 @@ class Heap:
         if self.profiler is not None:
             self.profiler.on_alloc(obj)
         if self.gc_poll is not None and self.gc_poll():
-            self.gc_pending = True
+            self.minor_due = self.gc_pending = True
         return obj
 
     def new_instance(self, cls: CompiledClass) -> Instance:
@@ -140,7 +143,8 @@ class Heap:
     # -- use events ------------------------------------------------------------
 
     def note_use(self, obj: HeapObject) -> None:
-        """Record a use of ``obj`` at the current clock (profiler hook)."""
+        """Record a use of ``obj`` at the current clock (profiler hook).
+        An attached profiler's ``on_use`` is bound over this method."""
         if self.profiler is not None:
             self.profiler.on_use(obj)
 

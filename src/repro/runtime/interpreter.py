@@ -113,6 +113,7 @@ class Interpreter:
         if profiler is not None:
             profiler.attach(self)
             self.heap.profiler = profiler
+            self.heap.note_use = profiler.on_use
         # Agesen-style liveness-aided GC (§5.1): dead local reference
         # slots are excluded from the root set, so objects held only by
         # dead locals are collected without any source rewrite.
@@ -196,6 +197,35 @@ class Interpreter:
             ran += 1
             self.heap.stats.finalizers_run += 1
         return ran
+
+    def _safepoint(self) -> None:
+        """Service the heap's safepoint flag at an instruction boundary:
+        a due deep-GC sample first (unless one is being taken), then a
+        due minor collection. Both engines call this only when
+        ``heap.gc_pending`` is set."""
+        heap = self.heap
+        heap.gc_pending = False
+        profiler = self.profiler
+        if (
+            profiler is not None
+            and not self._sampling
+            and heap.clock >= profiler.next_sample_at
+        ):
+            self._sampling = True
+            # A minor collection due now is serviced at the first
+            # boundary inside the sample's finalizers, if any run.
+            heap.gc_pending = heap.minor_due
+            try:
+                profiler.take_sample(self)
+            finally:
+                self._sampling = False
+                # Finalizers may have moved the clock past the new
+                # threshold while no sample could be taken.
+                if heap.clock >= profiler.next_sample_at:
+                    heap.gc_pending = True
+        if heap.minor_due:
+            heap.minor_due = False
+            self.collector.collect(self.iter_roots())
 
     def deep_gc(self) -> None:
         """The paper's deep GC: GC, run all finalizers, GC (§2.1.1)."""
@@ -424,21 +454,9 @@ class Interpreter:
         frames = self.frames
         heap = self.heap
         program = self.program
-        profiler = self.profiler
         while len(frames) > floor:
-            if (
-                profiler is not None
-                and not self._sampling
-                and heap.clock >= profiler.next_sample_at
-            ):
-                self._sampling = True
-                try:
-                    profiler.take_sample(self)
-                finally:
-                    self._sampling = False
             if heap.gc_pending:
-                heap.gc_pending = False
-                self.collector.collect(self.iter_roots())
+                self._safepoint()
             frame = frames[-1]
             instr = frame.method.code[frame.pc]
             frame.pc += 1

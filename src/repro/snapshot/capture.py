@@ -69,18 +69,11 @@ def _iter_labeled_roots(interp) -> Iterator[Tuple[str, HeapObject]]:
 
 def capture_snapshot(interp, reason: str = "deep-gc") -> HeapSnapshot:
     """Walk the heap of ``interp`` into a :class:`HeapSnapshot`."""
-    program = interp.program
-    site_labels: Dict[int, str] = {}
-
     def site_of(obj: HeapObject) -> Optional[str]:
         trailer = obj.trailer
-        if trailer is None or trailer.alloc_site is None:
+        if trailer is None or trailer.context.site is None:
             return None
-        site = trailer.alloc_site
-        label = site_labels.get(site)
-        if label is None:
-            label = site_labels[site] = program.site(site).label
-        return label
+        return trailer.context.label
 
     snapshot = HeapSnapshot(interp.heap.clock, reason)
     root = SnapshotNode(ROOT_TYPE, None, 0, FLAG_SYNTHETIC)

@@ -111,9 +111,9 @@ class V2FrameEncoder:
         self.weighted_bytes = 0
         self._weighted = False
         self._strings: Dict[str, int] = {}
-        # (type, site label, site kind, nested chain) -> the record's
-        # encoded string-id run; bounded like the string table, by the
-        # run's distinct allocation contexts.
+        # (type, site label, site kind, nested chain, last-use frame) ->
+        # the record's encoded string-id run; bounded by the run's
+        # distinct allocation contexts times their last-use positions.
         self._id_runs: Dict[tuple, bytes] = {}
         self._out = out
         header = {"format": "repro-drag-log", "version": VERSION}
@@ -164,11 +164,12 @@ class V2FrameEncoder:
         if weight != 1.0:
             flags |= _F_HAS_WEIGHT
         # Interning may emit STRING frames; they must precede the record.
-        # The ids of an allocation context never change once interned, so
-        # its encoded id run is built (and its strings interned, in field
-        # order) only the first time the context is seen.
+        # String ids never change once interned, so the encoded run of
+        # the context's ids and the last-use frame's id is built (and
+        # its strings interned, in field order) only the first time the
+        # combination is seen.
         key = (record.type_name, record.site_label, record.site_kind,
-               record.nested_alloc)
+               record.nested_alloc, use_frame)
         ids = self._id_runs.get(key)
         if ids is None:
             intern = self._intern
@@ -179,22 +180,23 @@ class V2FrameEncoder:
             _write_uvarint(run, len(record.nested_alloc))
             for text in record.nested_alloc:
                 _write_uvarint(run, intern(text))
+            if use_frame is not None:
+                _write_uvarint(run, intern(use_frame))
             ids = self._id_runs[key] = bytes(run)
-        frame_id = self._intern(use_frame) if use_frame is not None else None
         chain_ids = (
             [self._intern(s) for s in use_chain] if use_chain is not None else None
         )
-        buf = bytearray((flags,))
-        fields = (
-            record.handle,
-            record.size,
-            record.creation_time,
-            record.first_use_time,
-            record.last_use_time,
-            record.collection_time,
-        )
-        if alloc_site is not None:
-            fields += (alloc_site,)
+        # The frame type, a one-byte length placeholder and the payload
+        # go into one buffer, written once (see the end).
+        buf = bytearray((FRAME_RECORD, 0, flags))
+        if alloc_site is None:
+            fields = (record.handle, record.size, record.creation_time,
+                      record.first_use_time, record.last_use_time,
+                      record.collection_time)
+        else:
+            fields = (record.handle, record.size, record.creation_time,
+                      record.first_use_time, record.last_use_time,
+                      record.collection_time, alloc_site)
         append = buf.append
         for value in fields:  # _write_uvarint, inlined
             if value < 0:
@@ -204,8 +206,6 @@ class V2FrameEncoder:
                 value >>= 7
             append(value)
         buf += ids
-        if frame_id is not None:
-            _write_uvarint(buf, frame_id)
         if chain_ids is not None:
             _write_uvarint(buf, len(chain_ids))
             for sid in chain_ids:
@@ -221,7 +221,14 @@ class V2FrameEncoder:
         else:
             self.weighted_count += 1
             self.weighted_bytes += record.size
-        self._frame(FRAME_RECORD, bytes(buf))
+        size = len(buf) - 2
+        if size < 0x80:
+            buf[1] = size
+        else:
+            length = bytearray()
+            _write_uvarint(length, size)
+            buf[1:2] = length
+        self._out.write(buf)
         self.count += 1
 
     def write_sample(self, sample) -> None:

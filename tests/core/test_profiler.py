@@ -256,3 +256,71 @@ def test_vm_thrown_exceptions_are_attributed_to_vm_site():
     npes = [r for r in result.records if r.type_name == "NullPointerException"]
     assert len(npes) == 1
     assert npes[0].site_label.startswith("<vm>")
+
+
+# -- the allocation-context table -------------------------------------------
+
+CONTEXTS = """
+class Box { int v; }
+class Main {
+    static Box make() { return new Box(); }
+    public static void main(String[] args) {
+        Box a = make();
+        Box b = make();
+        for (int i = 0; i < 3; i = i + 1) { Box c = make(); }
+        String s = "n=" + args.length;
+        System.println(s);
+    }
+}
+"""
+
+
+def _contexts_of(profiler, type_name):
+    return [c for c in profiler._contexts.values() if c.type_name == type_name]
+
+
+def test_one_site_allocating_two_types_gets_two_contexts():
+    """A string conversion allocates a char[] and then a String at the
+    same site: two contexts, each with its own type."""
+    result = profile_source(CONTEXTS, "Main")
+    profiler = result.profiler
+    by_site = {}
+    for context in profiler._contexts.values():
+        by_site.setdefault((context.site, context.nested), set()).add(
+            context.type_name
+        )
+    assert {"char[]", "String"} in by_site.values()
+    for record in result.records:
+        assert record.type_name in by_site[record.alloc_site, record.nested_alloc]
+
+
+def test_one_site_reached_through_two_chains_gets_two_contexts():
+    result = profile_source(CONTEXTS, "Main")
+    boxes = _contexts_of(result.profiler, "Box")
+    # make() is called from three places in main.
+    assert len(boxes) == 3
+    assert len({c.site for c in boxes}) == 1
+    assert len({c.nested for c in boxes}) == 3
+    assert all(c.nested[0] == boxes[0].nested[0] for c in boxes)
+    assert {r.nested_alloc for r in records_of_type(result, "Box")} == {
+        c.nested for c in boxes
+    }
+
+
+def test_context_table_holds_one_entry_per_distinct_key():
+    """One entry per distinct (site, type, raw call chain), counted
+    here independently through the profiler's chain capture."""
+    program = compile_app(CONTEXTS)
+    profiler = HeapProfiler(interval_bytes=512)
+    keys = set()
+    on_alloc = profiler.on_alloc
+
+    def counting_on_alloc(obj):
+        keys.add((profiler.interp.alloc_site, obj.type_name(),
+                  profiler._nested_frames(profiler.nesting_depth)))
+        on_alloc(obj)
+
+    profiler.on_alloc = counting_on_alloc
+    result = Interpreter(program, profiler=profiler).run([])
+    assert len(profiler._contexts) == len(keys)
+    assert len(keys) < result.heap_stats.objects_allocated

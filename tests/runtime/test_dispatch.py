@@ -136,6 +136,24 @@ class TestHookSpecialization:
         assert stamped == USE_OPS, stamped
 
 
+class TestDispatchLoop:
+    def test_compiled_run_to_has_one_loop_and_no_sample_poll(self):
+        """Profiled or not, the compiled engine runs one dispatch loop,
+        and its only per-boundary test is the heap's safepoint flag:
+        the sample threshold is the allocation's business."""
+        import ast
+        import inspect
+        import textwrap
+
+        run_to = CompiledInterpreter._run_to
+        tree = ast.parse(textwrap.dedent(inspect.getsource(run_to)))
+        loops = [n for n in ast.walk(tree) if isinstance(n, (ast.While, ast.For))]
+        assert len(loops) == 1
+        names = set(run_to.__code__.co_names)
+        assert "next_sample_at" not in names
+        assert "gc_pending" in names and "_safepoint" in names
+
+
 class TestTranslation:
     def test_translation_is_lazy_and_cached(self):
         program = compile_program(link(SOURCE), main_class="Main")

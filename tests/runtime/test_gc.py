@@ -246,3 +246,43 @@ def test_deep_gc_runs_counted():
     interp.deep_gc()
     interp.deep_gc()
     assert interp.heap.stats.deep_gc_runs == 2
+
+
+def test_finalizable_class_cache_matches_method_lookup():
+    """has_finalizer caches one answer per class name; it must be the
+    answer lookup_method gives, inherited finalize() included."""
+    source = """
+    class Base {
+        public void finalize() { System.println("base finalized"); }
+    }
+    class Derived extends Base { int extra; }
+    class Plain { int v; }
+    class Main {
+        static Object[] keep = new Object[3];
+        public static void main(String[] args) {
+            keep[0] = new Base();
+            keep[1] = new Derived();
+            keep[2] = new Plain();
+            Derived gone = new Derived();
+        }
+    }
+    """
+    from repro.runtime.objects import Instance
+
+    _, interp = run_source(source)
+    collector = interp.collector
+    seen = set()
+    for obj in list(interp.heap.iter_objects()):
+        want = False
+        if isinstance(obj, Instance):
+            seen.add(obj.class_name)
+            method = interp.program.lookup_method(obj.class_name, "finalize")
+            want = method is not None and not method.is_native
+        # The first answer fills the cache, the second reads it.
+        assert collector.has_finalizer(obj) == want, obj
+        assert collector.has_finalizer(obj) == want, obj
+    assert {"Base", "Derived", "Plain"} <= seen
+    assert collector._finalizable["Derived"] is True
+    assert collector._finalizable["Plain"] is False
+    interp.deep_gc()
+    assert interp.stdout.count("base finalized") == 1

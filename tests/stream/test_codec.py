@@ -55,6 +55,37 @@ def test_roundtrip_preserves_use_chain_and_samples(tmp_path):
     assert loaded.samples[0].object_count == 7
 
 
+def test_record_frame_of_128_bytes_or_more_round_trips(tmp_path):
+    """A RECORD payload below 0x80 bytes has a one-byte length; a longer
+    one takes the full uvarint length, and both decode the same way."""
+    import io
+
+    from repro.stream.codec import FRAME_RECORD, V2FrameEncoder
+
+    short = make_record(handle=1, last_use=5, use_frame="A.b:3")
+    long_ = make_record(handle=2, last_use=5, use_frame="A.b:3",
+                        nested=tuple(f"C{i}.m:{i}" for i in range(200)))
+    for record, length_bytes in ((short, 1), (long_, 2)):
+        out = io.BytesIO()
+        encoder = V2FrameEncoder(out)
+        encoder.write_record(record)
+        before = len(out.getvalue())
+        # Every string is interned now: the second write is one frame.
+        encoder.write_record(record)
+        frame = out.getvalue()[before:]
+        assert frame[0] == FRAME_RECORD
+        size = len(frame) - 1 - length_bytes
+        assert (size >= 0x80) == (length_bytes == 2)
+        length = 0
+        for shift, byte in enumerate(frame[1:1 + length_bytes]):
+            length |= (byte & 0x7F) << (7 * shift)
+        assert length == size
+        path = tmp_path / f"{record.handle}.dlog2"
+        path.write_bytes(out.getvalue())
+        loaded = read_v2_log(path, strict=False).records
+        assert [r.to_dict() for r in loaded] == [record.to_dict()] * 2
+
+
 def test_iter_v2_log_is_a_generator(tmp_path):
     records = [make_record(handle=i) for i in range(5)]
     path = tmp_path / "gen.dlog2"

@@ -295,3 +295,41 @@ def test_report_lenient_on_truncated_log(program_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", log, "--lenient"]) == 0
     assert "=== Drag report ===" in capsys.readouterr().out
+
+
+def _exit_code(argv):
+    """The exit status of ``main(argv)``, including argparse's exits."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize("interval", ["0", "-5"])
+def test_profile_rejects_non_positive_interval_before_opening_log(
+    program_file, tmp_path, capsys, interval
+):
+    log = tmp_path / "F"
+    argv = ["profile", program_file, "--main", "Main", "--sink", "stream",
+            "--log", str(log), "--interval", interval]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "repro profile: error: argument --interval: must be a positive "
+        f"number of bytes, got {interval}"
+    )
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "{prog}", "--main", "Main", "--interval", "0"],
+    ["snapshot", "capture", "{prog}", "--main", "Main", "--out", "{tmp}/out",
+     "--interval", "0"],
+    ["profile", "{prog}", "--main", "Main", "--timeline",
+     "--timeline-bin-bytes", "-4"],
+    ["timeline", "{tmp}/out", "--bin-bytes", "0"],
+])
+def test_byte_sizes_are_validated_at_parsing(program_file, tmp_path, capsys, argv):
+    argv = [a.format(prog=program_file, tmp=tmp_path) for a in argv]
+    assert _exit_code(argv) == 2
+    assert "must be a positive number of bytes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
