@@ -23,32 +23,29 @@ Quickstart::
     print(drag_report(analysis, top=10, program=result.program))
 """
 
-from repro.core import (
-    DragAnalysis,
-    HeapProfiler,
-    LifetimePattern,
-    ObjectRecord,
-    ProfileResult,
-    classify_group,
-    curve_from_records,
-    drag_report,
-    integral_mb2,
-    iter_log,
-    profile_program,
-    profile_source,
-    read_log,
-    savings,
-    write_log,
-)
-from repro.stream import StreamingDragAnalysis, watch_log
-from repro.mjava.compiler import compile_program
-from repro.mjava.parser import parse_program
-from repro.mjava.pretty import pretty_print
-from repro.runtime.compiled import CompiledInterpreter
-from repro.runtime.engine import Engine, VMConfig, create_vm, run_program
-from repro.runtime.interpreter import Interpreter
-from repro.runtime.library import link
-from repro.transform import OptimizationPipeline
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.analyzer": ("DragAnalysis",),
+    "repro.core.integrals": ("curve_from_records", "integral_mb2", "savings"),
+    "repro.core.logfile": ("iter_log", "read_log", "write_log"),
+    "repro.core.patterns": ("LifetimePattern", "classify_group"),
+    "repro.core.profiler": (
+        "HeapProfiler", "ProfileResult", "profile_program", "profile_source",
+    ),
+    "repro.core.report": ("drag_report",),
+    "repro.core.trailer": ("ObjectRecord",),
+    "repro.stream.aggregate": ("StreamingDragAnalysis",),
+    "repro.stream.watch": ("watch_log",),
+    "repro.mjava.compiler": ("compile_program",),
+    "repro.mjava.parser": ("parse_program",),
+    "repro.mjava.pretty": ("pretty_print",),
+    "repro.runtime.compiled": ("CompiledInterpreter",),
+    "repro.runtime.engine": ("Engine", "VMConfig", "create_vm", "run_program"),
+    "repro.runtime.interpreter": ("Interpreter",),
+    "repro.runtime.library": ("link",),
+    "repro.transform.pipeline": ("OptimizationPipeline",),
+})
 
 __version__ = "1.0.0"
 

@@ -18,17 +18,24 @@ plus the class-hierarchy and call-graph information the authors got
 from JAN (§3.2).
 """
 
-from repro.analysis.cfg import ControlFlowGraph, build_cfg
-from repro.analysis.dataflow import solve_backward, solve_forward
+from repro._lazy import lazy_exports
+
+# Eager: liveness() shares its name with its submodule, which would be
+# bound over a lazy export once loaded.
 from repro.analysis.liveness import LivenessResult, liveness
-from repro.analysis.usage import FieldUsage, field_usage
-from repro.analysis.callgraph import CallGraph, build_call_graph
-from repro.analysis.hierarchy import ClassHierarchy
-from repro.analysis.exceptions import ThrownExceptions
-from repro.analysis.purity import ctor_purity, PurityResult
-from repro.analysis.array_liveness import logical_size_pairs, removal_points
-from repro.analysis.indirect_usage import indirectly_unused_fields
-from repro.analysis.lazy_points import FirstUseSite, first_use_sites
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.cfg": ("ControlFlowGraph", "build_cfg"),
+    "repro.analysis.dataflow": ("solve_backward", "solve_forward"),
+    "repro.analysis.usage": ("FieldUsage", "field_usage"),
+    "repro.analysis.callgraph": ("CallGraph", "build_call_graph"),
+    "repro.analysis.hierarchy": ("ClassHierarchy",),
+    "repro.analysis.exceptions": ("ThrownExceptions",),
+    "repro.analysis.purity": ("ctor_purity", "PurityResult"),
+    "repro.analysis.array_liveness": ("logical_size_pairs", "removal_points"),
+    "repro.analysis.indirect_usage": ("indirectly_unused_fields",),
+    "repro.analysis.lazy_points": ("FirstUseSite", "first_use_sites"),
+})
 
 __all__ = [
     "ControlFlowGraph",

@@ -9,13 +9,16 @@ source (the paper's manual rewrites), input configurations, the Table-5
 rewriting summary, and the paper's published numbers for comparison.
 """
 
-from repro.benchmarks.registry import Benchmark, Rewriting, all_benchmarks, get_benchmark
-from repro.benchmarks.runner import (
-    BenchmarkRun,
-    run_pair,
-    run_runtime_pair,
-    figure2_series,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.benchmarks.registry": (
+        "Benchmark", "Rewriting", "all_benchmarks", "get_benchmark",
+    ),
+    "repro.benchmarks.runner": (
+        "BenchmarkRun", "run_pair", "run_runtime_pair", "figure2_series",
+    ),
+})
 
 __all__ = [
     "Benchmark",

@@ -6,16 +6,17 @@ monitor enter/exit, and array element access — the events §2.1.1 counts as
 *object uses* — plus ordinary arithmetic and control flow.
 """
 
-from repro.bytecode.instr import Instr
-from repro.bytecode.opcodes import Op
-from repro.bytecode.program import (
-    CompiledClass,
-    CompiledMethod,
-    CompiledProgram,
-    ExceptionEntry,
-    FieldLayout,
-)
-from repro.bytecode.disasm import disassemble_method, disassemble_program
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bytecode.instr": ("Instr",),
+    "repro.bytecode.opcodes": ("Op",),
+    "repro.bytecode.program": (
+        "CompiledClass", "CompiledMethod", "CompiledProgram", "ExceptionEntry",
+        "FieldLayout",
+    ),
+    "repro.bytecode.disasm": ("disassemble_method", "disassemble_program"),
+})
 
 __all__ = [
     "Instr",

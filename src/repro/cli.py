@@ -741,14 +741,7 @@ def byte_count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Drag-time heap profiler for mini-Java "
-        "(reproduction of 'Heap Profiling for Space-Efficient Java', PLDI 2001)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_run(sub) -> None:
     run = sub.add_parser("run", help="run a mini-Java program")
     run.add_argument("file")
     run.add_argument("--main", help="class containing static main "
@@ -761,8 +754,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--time", action="store_true",
                      help="print instructions, instr/sec, and final byte-clock")
     _add_obs_flags(run)
-    run.set_defaults(fn=cmd_run)
+    run.set_defaults(fn=cmd_run, parser=run)
 
+
+def _add_profile(sub) -> None:
     profile = sub.add_parser("profile", help="phase 1: run under the drag profiler")
     profile.add_argument("file")
     profile.add_argument("--main", required=True)
@@ -809,8 +804,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timeline bin width on the byte-allocation "
                          "clock (default 64K)")
     _add_obs_flags(profile)
-    profile.set_defaults(fn=cmd_profile)
+    profile.set_defaults(fn=cmd_profile, parser=profile)
 
+
+def _add_report(sub) -> None:
     report = sub.add_parser("report", help="phase 2: analyze an object log")
     report.add_argument("log", nargs="?",
                         help="an object log file (omit with --serve)")
@@ -824,8 +821,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exclude library (mini-JDK) allocation sites")
     report.add_argument("--lenient", action="store_true",
                         help="tolerate a truncated final record (crashed run)")
-    report.set_defaults(fn=cmd_report)
+    report.set_defaults(fn=cmd_report, parser=report)
 
+
+def _add_watch(sub) -> None:
     watch = sub.add_parser("watch", help="tail a growing log with live drag metrics")
     watch.add_argument("log", nargs="?",
                        help="a growing log file (omit with --follow)")
@@ -844,8 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="flush Prometheus text-format metrics here "
                        "on every refresh (same repro_live_* series as "
                        "the in-process MetricsSink)")
-    watch.set_defaults(fn=cmd_watch)
+    watch.set_defaults(fn=cmd_watch, parser=watch)
 
+
+def _add_optimize(sub) -> None:
     optimize = sub.add_parser("optimize", help="profile-driven automatic rewriting")
     optimize.add_argument("file")
     optimize.add_argument("--main", required=True)
@@ -880,8 +881,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sizes (DRAG008/RetainerCutPlanner; differentially verified)",
     )
     _add_obs_flags(optimize)
-    optimize.set_defaults(fn=cmd_optimize)
+    optimize.set_defaults(fn=cmd_optimize, parser=optimize)
 
+
+def _add_lint(sub) -> None:
     lint = sub.add_parser("lint", help="static drag analysis (no program run needed)")
     lint.add_argument("file")
     lint.add_argument("--main", help="class containing static main "
@@ -905,8 +908,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="show only the N highest-ranked findings "
                       "(applies to text, json, and sarif alike)")
     _add_obs_flags(lint)
-    lint.set_defaults(fn=cmd_lint)
+    lint.set_defaults(fn=cmd_lint, parser=lint)
 
+
+def _add_serve(sub) -> None:
     serve = sub.add_parser(
         "serve", help="run the sharded drag-aggregation daemon")
     serve.add_argument("--host", default="127.0.0.1")
@@ -940,8 +945,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="byte-clock bin width for the shard timelines "
                        "behind GET /timeline (default 64K; 0 disables)")
-    serve.set_defaults(fn=cmd_serve)
+    serve.set_defaults(fn=cmd_serve, parser=serve)
 
+
+def _add_replay(sub) -> None:
     replay = sub.add_parser(
         "replay", help="stream a recorded log to a serve daemon (load generator)")
     replay.add_argument("log", help="a v1 or v2 object log to replay")
@@ -962,8 +969,10 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=0,
                         help="sampling RNG seed; client i uses seed+i "
                         "(default 0; CI gates pin it)")
-    replay.set_defaults(fn=cmd_replay)
+    replay.set_defaults(fn=cmd_replay, parser=replay)
 
+
+def _add_snapshot(sub) -> None:
     snapshot = sub.add_parser(
         "snapshot", help="heap snapshots: capture, retained-size report, diff")
     snap_sub = snapshot.add_subparsers(dest="action", required=True)
@@ -978,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     snap_capture.add_argument("--engine", choices=["baseline", "compiled"],
                               default=None)
     _add_obs_flags(snap_capture)
-    snap_capture.set_defaults(fn=cmd_snapshot)
+    snap_capture.set_defaults(fn=cmd_snapshot, parser=snap_capture)
     snap_report = snap_sub.add_parser(
         "report", help="dominator-tree retained sizes and retainer chains")
     snap_report.add_argument("snapshot_file")
@@ -991,15 +1000,17 @@ def build_parser() -> argparse.ArgumentParser:
                              "annotated with the dragged sites they pin")
     snap_report.add_argument("--lenient", action="store_true",
                              help="tolerate a truncated snapshot file")
-    snap_report.set_defaults(fn=cmd_snapshot)
+    snap_report.set_defaults(fn=cmd_snapshot, parser=snap_report)
     snap_diff = snap_sub.add_parser(
         "diff", help="per-site retained deltas between two snapshot files")
     snap_diff.add_argument("snapshot_file")
     snap_diff.add_argument("other")
     snap_diff.add_argument("--top", type=int, default=10)
     snap_diff.add_argument("--lenient", action="store_true")
-    snap_diff.set_defaults(fn=cmd_snapshot)
+    snap_diff.set_defaults(fn=cmd_snapshot, parser=snap_diff)
 
+
+def _add_timeline(sub) -> None:
     timeline = sub.add_parser(
         "timeline",
         help="binned heap timeline: sparklines, JSON, HTML dashboard")
@@ -1027,31 +1038,76 @@ def build_parser() -> argparse.ArgumentParser:
                           "dominator-tree retained sizes")
     timeline.add_argument("--lenient", action="store_true",
                           help="tolerate a truncated log (crashed run)")
-    timeline.set_defaults(fn=cmd_timeline)
+    timeline.set_defaults(fn=cmd_timeline, parser=timeline)
 
+
+def _add_trace(sub) -> None:
     trace = sub.add_parser("trace", help="render a --trace file as a span tree")
     trace.add_argument("trace_file", help="a Chrome trace JSON file from --trace")
     trace.add_argument("--width", type=int, default=44,
                        help="label column width for the tree")
-    trace.set_defaults(fn=cmd_trace)
+    trace.set_defaults(fn=cmd_trace, parser=trace)
 
+
+def _add_disasm(sub) -> None:
     disasm = sub.add_parser("disasm", help="disassemble compiled bytecode")
     disasm.add_argument("file")
     disasm.add_argument("--class", dest="cls", help="restrict to one class")
-    disasm.set_defaults(fn=cmd_disasm)
+    disasm.set_defaults(fn=cmd_disasm, parser=disasm)
 
+
+# Every subcommand and the function that adds its parser, in the order
+# `repro --help` lists them. Each leaf parser names itself as the
+# `parser` default, so main() reports a stray option in its usage.
+COMMANDS = {
+    "run": _add_run,
+    "profile": _add_profile,
+    "report": _add_report,
+    "watch": _add_watch,
+    "optimize": _add_optimize,
+    "lint": _add_lint,
+    "serve": _add_serve,
+    "replay": _add_replay,
+    "snapshot": _add_snapshot,
+    "timeline": _add_timeline,
+    "trace": _add_trace,
+    "disasm": _add_disasm,
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser. With ``command`` it holds that subcommand's
+    parser only, which is all :func:`main` needs to run it."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Drag-time heap profiler for mini-Java "
+        "(reproduction of 'Heap Profiling for Space-Efficient Java', PLDI 2001)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    # Program arguments are whatever trails the recognized options, so
-    # "repro run prog.mj --main Main input1 input2" works naturally.
-    args, extra = parser.parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Everything after the first "--" is a program argument, even one
+    # that looks like an option: "repro run prog.mj -- -5".
+    program_args: List[str] = []
+    if "--" in argv:
+        split = argv.index("--")
+        argv, program_args = argv[:split], argv[split + 1:]
+    # Build the invoked command's parser only; --help, a missing command
+    # and an unknown one get them all.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    # Program arguments are also whatever trails the recognized options,
+    # so "repro run prog.mj --main Main input1 input2" works naturally.
+    args, extra = build_parser(command).parse_known_args(argv)
     bad = [a for a in extra if a.startswith("-")]
     if bad:
-        parser.error(f"unrecognized arguments: {' '.join(bad)}")
-    args.args = extra
+        args.parser.error(f"unrecognized arguments: {' '.join(bad)}")
+    args.args = extra + program_args
     try:
         return args.fn(args)
     except FileNotFoundError as exc:

@@ -12,14 +12,22 @@ a programmer (or the automatic optimizer in :mod:`repro.transform`)
 uses to find rewriting opportunities.
 """
 
-from repro.core.trailer import ObjectRecord, Trailer
-from repro.core.profiler import HeapProfiler, ProfileResult, profile_program, profile_source
-from repro.core.analyzer import DragAnalysis, Histogram, SiteGroup
-from repro.core.patterns import LifetimePattern, classify_group
-from repro.core.integrals import HeapCurve, curve_from_records, integral_mb2, savings
-from repro.core.anchor import anchor_site
-from repro.core.report import drag_report
-from repro.core.logfile import LogWriter, iter_log, read_log, write_log
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.trailer": ("ObjectRecord", "Trailer"),
+    "repro.core.profiler": (
+        "HeapProfiler", "ProfileResult", "profile_program", "profile_source",
+    ),
+    "repro.core.analyzer": ("DragAnalysis", "Histogram", "SiteGroup"),
+    "repro.core.patterns": ("LifetimePattern", "classify_group"),
+    "repro.core.integrals": (
+        "HeapCurve", "curve_from_records", "integral_mb2", "savings",
+    ),
+    "repro.core.anchor": ("anchor_site",),
+    "repro.core.report": ("drag_report",),
+    "repro.core.logfile": ("LogWriter", "iter_log", "read_log", "write_log"),
+})
 
 __all__ = [
     "ObjectRecord",

@@ -13,10 +13,12 @@ first) and return the first frame belonging to a non-library class.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.bytecode.program import CompiledProgram
 from repro.core.analyzer import SiteGroup
+
+if TYPE_CHECKING:
+    from repro.bytecode.program import CompiledProgram
 
 
 def _frame_class(label: str) -> str:

@@ -35,22 +35,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.sampler import ByteSampler
-from repro.core.trailer import AllocContext, ObjectRecord, Trailer
+from repro.core.trailer import AllocContext, HeapSample, ObjectRecord, Trailer
 from repro.runtime.objects import HeapObject
-
-
-class HeapSample:
-    """Heap state captured right after one deep GC."""
-
-    __slots__ = ("time", "reachable_bytes", "object_count")
-
-    def __init__(self, time: int, reachable_bytes: int, object_count: int) -> None:
-        self.time = time
-        self.reachable_bytes = reachable_bytes
-        self.object_count = object_count
-
-    def __repr__(self) -> str:
-        return f"<sample t={self.time} reachable={self.reachable_bytes}B>"
 
 
 class _FrameLabels(dict):

@@ -8,13 +8,15 @@ rewriting"), classifies each site's lifetime pattern, and names the
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.bytecode.program import CompiledProgram
 from repro.core.analyzer import DragAnalysis, SiteGroup
 from repro.core.anchor import anchor_site
 from repro.core.integrals import MB
 from repro.core.patterns import classify_group, suggest_transformation
+
+if TYPE_CHECKING:
+    from repro.bytecode.program import CompiledProgram
 
 
 def _mb2(bytes2: int) -> float:

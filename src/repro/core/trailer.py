@@ -62,6 +62,20 @@ class Trailer:
         self.weight = weight
 
 
+class HeapSample:
+    """Heap state captured right after one deep GC."""
+
+    __slots__ = ("time", "reachable_bytes", "object_count")
+
+    def __init__(self, time: int, reachable_bytes: int, object_count: int) -> None:
+        self.time = time
+        self.reachable_bytes = reachable_bytes
+        self.object_count = object_count
+
+    def __repr__(self) -> str:
+        return f"<sample t={self.time} reachable={self.reachable_bytes}B>"
+
+
 def space_time(record: "ObjectRecord") -> Tuple[int, int, int]:
     """``(drag_time, drag, in_use)`` of one record, from its raw fields.
 

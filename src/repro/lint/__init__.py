@@ -20,12 +20,20 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.errors import ReproError
-from repro.lint.diagnostics import Diagnostic, LintResult, SourceSpan
-from repro.lint.passes import AnalysisContext, LintError, Pass, PassManager, standard_pass_manager
-from repro.lint.render import FORMATS, render, to_json, to_sarif
-from repro.lint.rules import ALL_RULES, RULES_BY_ID, SEVERITIES, get_rule
+from repro._lazy import lazy_exports
+from repro.lint.diagnostics import LintResult
+from repro.lint.passes import AnalysisContext, LintError, standard_pass_manager
 from repro.mjava import ast
+
+# Eager: render() shares its name with its submodule, which would be
+# bound over a lazy export once loaded.
+from repro.lint.render import FORMATS, render, to_json, to_sarif
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lint.diagnostics": ("Diagnostic", "SourceSpan"),
+    "repro.lint.passes": ("Pass", "PassManager"),
+    "repro.lint.rules": ("ALL_RULES", "RULES_BY_ID", "SEVERITIES", "get_rule"),
+})
 
 __all__ = [
     "ALL_RULES",

@@ -8,8 +8,12 @@ benchmarks and to give the static analyses of Section 5 something real to
 analyze.
 """
 
-from repro.mjava.lexer import tokenize
-from repro.mjava.parser import parse_program
-from repro.mjava.pretty import pretty_print
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mjava.lexer": ("tokenize",),
+    "repro.mjava.parser": ("parse_program",),
+    "repro.mjava.pretty": ("pretty_print",),
+})
 
 __all__ = ["tokenize", "parse_program", "pretty_print"]

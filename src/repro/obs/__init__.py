@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -70,27 +71,16 @@ __all__ = [
     "write_html",
 ]
 
-# Timeline names resolve lazily (PEP 562): repro.obs.timeline imports the
-# stream package for the sink protocol, and loading that on every
-# `import repro.obs` would be both wasteful and a latent cycle hazard.
-_TIMELINE_EXPORTS = {
-    "DEFAULT_BIN_BYTES": "repro.obs.timeline",
-    "TimelineBuilder": "repro.obs.timeline",
-    "TimelineSink": "repro.obs.timeline",
-    "render_timeline_text": "repro.obs.timeline",
-    "sparkline": "repro.obs.timeline",
-    "render_html": "repro.obs.htmlreport",
-    "write_html": "repro.obs.htmlreport",
-}
-
-
-def __getattr__(name: str):
-    module_name = _TIMELINE_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+# Timeline names resolve lazily: repro.obs.timeline imports the stream
+# package for the sink protocol, which the tracer and the registry the
+# Telemetry class below is built on never need.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.timeline": (
+        "DEFAULT_BIN_BYTES", "TimelineBuilder", "TimelineSink",
+        "render_timeline_text", "sparkline",
+    ),
+    "repro.obs.htmlreport": ("render_html", "write_html"),
+})
 
 # Histogram buckets for GC pauses and lint passes: sub-millisecond to
 # tens of seconds, in seconds.

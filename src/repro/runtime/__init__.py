@@ -18,18 +18,18 @@ with profiler use-stamping specialized in or out, and :class:`Engine` /
 :class:`VMConfig` are the facade every caller wires VMs through.
 """
 
-from repro.runtime.heap import Heap
-from repro.runtime.compiled import CompiledInterpreter
-from repro.runtime.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    Engine,
-    VMConfig,
-    create_vm,
-    run_program,
-)
-from repro.runtime.interpreter import Interpreter
-from repro.runtime.library import LIBRARY_SOURCE, library_program, link
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.heap": ("Heap",),
+    "repro.runtime.compiled": ("CompiledInterpreter",),
+    "repro.runtime.engine": (
+        "DEFAULT_ENGINE", "ENGINES", "Engine", "VMConfig", "create_vm",
+        "run_program",
+    ),
+    "repro.runtime.interpreter": ("Interpreter",),
+    "repro.runtime.library": ("LIBRARY_SOURCE", "library_program", "link"),
+})
 
 __all__ = [
     "Heap",

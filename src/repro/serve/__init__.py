@@ -17,33 +17,26 @@ Prometheus metrics are one HTTP GET away. Layout:
   log replay, and HTTP fetch helpers.
 """
 
-from repro.serve.client import (
-    ServeSink,
-    fetch_json,
-    fetch_metrics_text,
-    fetch_rankings,
-    replay_log,
-)
-from repro.serve.merge import (
-    merge_snapshots,
-    prove_merge_equals_batch,
-    rankings_payload,
-    render_rankings_text,
-)
-from repro.serve.protocol import DEFAULT_PORT, parse_hostport
-from repro.serve.server import (
-    DragServer,
-    ServeConfig,
-    ServerHandle,
-    start_server_thread,
-)
-from repro.serve.shard import (
-    InlineShard,
-    ProcessShard,
-    make_shards,
-    partition_records,
-    site_shard,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.client": (
+        "ServeSink", "fetch_json", "fetch_metrics_text", "fetch_rankings",
+        "replay_log",
+    ),
+    "repro.serve.merge": (
+        "merge_snapshots", "prove_merge_equals_batch", "rankings_payload",
+        "render_rankings_text",
+    ),
+    "repro.serve.protocol": ("DEFAULT_PORT", "parse_hostport"),
+    "repro.serve.server": (
+        "DragServer", "ServeConfig", "ServerHandle", "start_server_thread",
+    ),
+    "repro.serve.shard": (
+        "InlineShard", "ProcessShard", "make_shards", "partition_records",
+        "site_shard",
+    ),
+})
 
 __all__ = [
     "ServeSink",

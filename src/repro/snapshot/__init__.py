@@ -1,29 +1,23 @@
 """Heap snapshots: capture at deep-GC safepoints, dominator-tree
 retained sizes, retainer chains, and drag correlation (DESIGN.md §15)."""
 
-from repro.snapshot.analyze import (
-    SnapshotAnalysis,
-    analyze_snapshot,
-    snapshot_diff_report,
-    snapshot_report,
-    snapshot_summary,
-)
-from repro.snapshot.capture import SnapshotRecorder, capture_snapshot
-from repro.snapshot.codec import (
-    HeapSnapshot,
-    SnapshotError,
-    SnapshotFile,
-    SnapshotNode,
-    SnapshotWriter,
-    read_snapshots,
-    write_snapshots,
-)
-from repro.snapshot.dominators import (
-    DominatorTree,
-    immediate_dominators,
-    retained_sizes,
-    reverse_postorder,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.snapshot.analyze": (
+        "SnapshotAnalysis", "analyze_snapshot", "snapshot_diff_report",
+        "snapshot_report", "snapshot_summary",
+    ),
+    "repro.snapshot.capture": ("SnapshotRecorder", "capture_snapshot"),
+    "repro.snapshot.codec": (
+        "HeapSnapshot", "SnapshotError", "SnapshotFile", "SnapshotNode",
+        "SnapshotWriter", "read_snapshots", "write_snapshots",
+    ),
+    "repro.snapshot.dominators": (
+        "DominatorTree", "immediate_dominators", "retained_sizes",
+        "reverse_postorder",
+    ),
+})
 
 __all__ = [
     "DominatorTree",

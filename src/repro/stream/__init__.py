@@ -2,7 +2,7 @@
 
 Turns phase 1 from batch-at-exit into a bounded-memory stream: the
 profiler emits :class:`~repro.core.trailer.ObjectRecord`s and
-:class:`~repro.core.profiler.HeapSample`s into a
+:class:`~repro.core.trailer.HeapSample`s into a
 :class:`~repro.stream.sinks.ProfileSink` as objects are reclaimed, and
 everything downstream — the compact v2 log codec, the incremental
 :class:`~repro.stream.aggregate.StreamingDragAnalysis`, the live
@@ -13,23 +13,20 @@ O(live objects) trailers plus O(sites) aggregate state, never the
 O(all objects ever allocated) record list of the buffered path.
 """
 
-from repro.stream.sinks import (
-    AggregatorSink,
-    BufferSink,
-    LogWriterSink,
-    ProfileSink,
-    TeeSink,
-    open_log_writer,
-)
-from repro.stream.codec import (
-    V2LogWriter,
-    V2TailReader,
-    iter_v2_log,
-    read_v2_log,
-)
-from repro.stream.aggregate import SiteStats, StreamingDragAnalysis
-from repro.stream.live import LiveMetrics, MetricsSink
-from repro.stream.watch import follow_server, watch_log
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stream.sinks": (
+        "AggregatorSink", "BufferSink", "LogWriterSink", "ProfileSink",
+        "TeeSink", "open_log_writer",
+    ),
+    "repro.stream.codec": (
+        "V2LogWriter", "V2TailReader", "iter_v2_log", "read_v2_log",
+    ),
+    "repro.stream.aggregate": ("SiteStats", "StreamingDragAnalysis"),
+    "repro.stream.live": ("LiveMetrics", "MetricsSink"),
+    "repro.stream.watch": ("follow_server", "watch_log"),
+})
 
 __all__ = [
     "ProfileSink",

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ProfileError
-from repro.core.trailer import ObjectRecord
+from repro.core.trailer import HeapSample, ObjectRecord
 
 MAGIC = b"RDL2"
 VERSION = 2
@@ -586,8 +586,6 @@ class FrameParser:
                         on_other(frame_type, payload)
                 elif frame_type == FRAME_SAMPLE:
                     if decode:
-                        from repro.core.profiler import HeapSample
-
                         on_other("sample", HeapSample(*decode_sample(buf, start, end)))
                     else:
                         on_other(frame_type, bytes(buf[start:end]))

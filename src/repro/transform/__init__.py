@@ -25,28 +25,23 @@ The analysis half of each transformation lives in
 :mod:`repro.analysis`, shared with the linter.
 """
 
-from repro.transform.rewriter import clone_program, clone_node
-from repro.transform.patch import Patch, PatchOutcome, PlannedSkip
-from repro.transform.apply import APPLIERS, apply_patch, apply_patches
-from repro.transform.planners import (
-    AssignNullPlanner,
-    DeadCodePlanner,
-    LazyAllocPlanner,
-    PlanningContext,
-    Transformation,
-    default_strategies,
-)
-from repro.transform.verify import (
-    ReferenceRun,
-    VerificationResult,
-    run_reference,
-    verify_revision,
-)
-from repro.transform.pipeline import (
-    CycleReport,
-    OptimizationPipeline,
-    PipelineResult,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.transform.rewriter": ("clone_program", "clone_node"),
+    "repro.transform.patch": ("Patch", "PatchOutcome", "PlannedSkip"),
+    "repro.transform.apply": ("APPLIERS", "apply_patch", "apply_patches"),
+    "repro.transform.planners": (
+        "AssignNullPlanner", "DeadCodePlanner", "LazyAllocPlanner",
+        "PlanningContext", "Transformation", "default_strategies",
+    ),
+    "repro.transform.verify": (
+        "ReferenceRun", "VerificationResult", "run_reference", "verify_revision",
+    ),
+    "repro.transform.pipeline": (
+        "CycleReport", "OptimizationPipeline", "PipelineResult",
+    ),
+})
 
 __all__ = [
     "clone_program",

@@ -30,6 +30,29 @@ def test_run_prints_program_output(program_file, capsys):
     assert "hello 2" in out
 
 
+def test_program_arguments_after_double_dash_may_look_like_options(tmp_path, capsys):
+    path = tmp_path / "echo.mj"
+    path.write_text(
+        "class Main { public static void main(String[] args) { "
+        "for (int i = 0; i < args.length; i = i + 1) { System.println(args[i]); } } }"
+    )
+    argv = ["run", str(path), "--main", "Main", "7", "--", "-5", "--stats", "--"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["7", "-5", "--stats", "--"]
+    assert "[stats]" not in captured.err
+
+
+def test_unrecognized_option_is_reported_by_the_subcommand(program_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", program_file, "--main", "Main", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro run ")
+    assert "repro run: error: unrecognized arguments: -5" in err
+    assert "disasm" not in err  # not the top-level usage listing every command
+
+
 def test_run_stats_on_stderr(program_file, capsys):
     assert main(["run", program_file, "--main", "Main", "--stats"]) == 0
     err = capsys.readouterr().err
