@@ -32,7 +32,7 @@ from repro.core.profiler import profile_program
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import ServeConfig, start_server_thread
 from repro.serve.client import fetch_json, replay_log
-from repro.stream import open_log_writer
+from repro.stream.codec import V2LogWriter
 from repro.stream.sinks import LogWriterSink
 
 CLIENT_COUNTS = (1, 4, 8)
@@ -94,7 +94,7 @@ def bench_serve_throughput(benchmark, emit, tmp_path_factory):
     bench = all_benchmarks()["db"]
     program = compile_benchmark(bench, revised=False)
     log_path = out_dir / "db.dlog2"
-    sink = LogWriterSink(open_log_writer(log_path))
+    sink = LogWriterSink(V2LogWriter(log_path))
     profile_program(
         program, bench.primary_args, interval_bytes=bench.interval_bytes, sink=sink
     )

@@ -38,7 +38,7 @@ def _best_run(name, with_snapshots):
     result = recorder = None
     for _ in range(ROUNDS):
         program = compile_benchmark(bench, revised=False)
-        rec = SnapshotRecorder(buffered=True) if with_snapshots else None
+        rec = SnapshotRecorder() if with_snapshots else None
         started = time.perf_counter()
         res = profile_program(
             program,

@@ -43,7 +43,6 @@ def _one_run(bench, args, with_timeline):
         list(args),
         interval_bytes=bench.interval_bytes,
         sink=sink,
-        buffered=True,
     )
     return result, time.perf_counter() - started
 
@@ -58,7 +57,7 @@ def _measure(name):
     assert timed.run_result.stdout == plain.run_result.stdout
     assert timed.run_result.instructions == plain.run_result.instructions
     assert timed.end_time == plain.end_time
-    assert len(timed.records) == len(plain.records)
+    assert timed.profiler.record_count == len(plain.records)
     for _ in range(ROUNDS - 1):
         _, elapsed = _one_run(bench, args, with_timeline=False)
         if elapsed < t_plain:

@@ -28,7 +28,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.analyzer": ("DragAnalysis",),
     "repro.core.integrals": ("curve_from_records", "integral_mb2", "savings"),
-    "repro.core.logfile": ("iter_log", "read_log", "write_log"),
+    "repro.core.logfile": ("iter_log", "read_log"),
     "repro.core.patterns": ("LifetimePattern", "classify_group"),
     "repro.core.profiler": (
         "HeapProfiler", "ProfileResult", "profile_program", "profile_source",
@@ -64,7 +64,6 @@ __all__ = [
     "read_log",
     "iter_log",
     "savings",
-    "write_log",
     "StreamingDragAnalysis",
     "watch_log",
     "compile_program",

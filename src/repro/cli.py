@@ -3,17 +3,18 @@
 Mirrors the paper's two-phase workflow::
 
     python -m repro run program.mj --main Main arg1 arg2
-    python -m repro profile program.mj --main Main --log run.draglog
-    python -m repro profile program.mj --main Main --sink stream --log run.dlog2
-    python -m repro report run.draglog --top 10
+    python -m repro profile program.mj --main Main --log run.dlog2
+    python -m repro report run.dlog2 --top 10
     python -m repro watch run.dlog2 --once
     python -m repro optimize program.mj --main Main -o revised.mj
     python -m repro disasm program.mj --class Main
 
 ``profile`` is phase 1 (the instrumented VM writing the object log);
-``report`` is phase 2 (the offline analyzer). ``--sink stream`` makes
-phase 1 stream records to disk with bounded memory, and ``watch``
-tails such a log — even mid-run — with live drag metrics. ``optimize``
+``report`` is phase 2 (the offline analyzer). ``--log`` streams each
+record to disk as its object is reclaimed, in the binary v2 format,
+with bounded memory; ``watch`` tails such a log — even mid-run — with
+live drag metrics. Logs in the older v1 JSONL format still load
+everywhere a log is read. ``optimize``
 runs the verified §3.2/§3.4 optimization pipeline and writes the
 rewritten source.
 
@@ -140,15 +141,10 @@ def cmd_run(args) -> int:
 
 def cmd_profile(args) -> int:
     from repro.core.analyzer import DragAnalysis
-    from repro.core.logfile import write_log
     from repro.core.profiler import profile_program
     from repro.core.report import drag_report
     from repro.mjava.compiler import compile_program
 
-    streaming = args.sink == "stream"
-    if streaming and not args.log and not args.serve:
-        print("error: --sink stream requires --log or --serve", file=sys.stderr)
-        return 2
     telemetry = _make_telemetry(args)
     program = compile_program(_load_program(args.file), main_class=args.main)
     metadata = {"main": args.main, "interval": args.interval}
@@ -157,12 +153,11 @@ def cmd_profile(args) -> int:
         metadata["seed"] = args.seed
 
     log_sink = None
-    if streaming and args.log:
-        from repro.stream import LogWriterSink, open_log_writer
+    if args.log:
+        from repro.stream.codec import V2LogWriter
+        from repro.stream.sinks import LogWriterSink
 
-        log_sink = LogWriterSink(
-            open_log_writer(args.log, fmt=args.format, metadata=metadata)
-        )
+        log_sink = LogWriterSink(V2LogWriter(args.log, metadata=metadata))
     serve_sink = None
     if args.serve:
         from repro.serve import ServeSink, parse_hostport
@@ -179,7 +174,14 @@ def cmd_profile(args) -> int:
         timeline_sink = TimelineSink(
             bin_bytes=args.timeline_bin_bytes or DEFAULT_BIN_BYTES
         )
-    sinks = [s for s in (log_sink, serve_sink, timeline_sink) if s is not None]
+    buffer = None
+    if timeline_sink is not None and not (args.log or args.serve):
+        from repro.stream import BufferSink
+
+        buffer = BufferSink()  # the drag report reads its records
+    sinks = [
+        s for s in (log_sink, serve_sink, timeline_sink, buffer) if s is not None
+    ]
     sink = None
     if len(sinks) == 1:
         sink = sinks[0]
@@ -195,12 +197,6 @@ def cmd_profile(args) -> int:
             out=args.snapshot, metadata=dict(metadata, program=args.file),
             telemetry=telemetry,
         )
-    # Records must stay buffered when a non-streaming --log or the
-    # final drag report will read them; a timeline sink alone is
-    # incremental and needs nothing retained.
-    needs_records = bool(
-        (args.log and not streaming) or (not args.log and serve_sink is None)
-    )
     result = profile_program(
         program,
         args.args,
@@ -208,7 +204,6 @@ def cmd_profile(args) -> int:
         nesting_depth=args.nesting,
         last_use_depth=args.last_use_depth,
         sink=sink,
-        buffered=True if (sink is not None and needs_records) else None,
         engine=args.engine,
         telemetry=telemetry,
         sample_bytes=args.sample_bytes,
@@ -260,24 +255,17 @@ def cmd_profile(args) -> int:
             + ")",
             file=sys.stderr,
         )
-    if streaming and args.log:
+    if log_sink is not None:
         log_sink.close()  # already closed at program end; idempotent
         print(
             f"[profile] streamed {log_sink.count} records to {args.log}",
             file=sys.stderr,
         )
-    elif args.log:
-        count = write_log(
-            args.log,
-            result.records,
-            end_time=result.end_time,
-            metadata=metadata,
-        )
-        print(f"[profile] wrote {count} records to {args.log}", file=sys.stderr)
     elif serve_sink is not None:
         pass  # the daemon owns the analysis; read it back via /rankings
     else:
-        analysis = DragAnalysis(result.records)
+        records = buffer.records if buffer is not None else result.records
+        analysis = DragAnalysis(records)
         print(
             drag_report(
                 analysis,
@@ -767,13 +755,11 @@ def _add_profile(sub) -> None:
                          help="nested allocation-site depth")
     profile.add_argument("--last-use-depth", type=int, default=1,
                          help="nested last-use-site depth")
-    profile.add_argument("--log", help="write the object log here instead of reporting")
-    profile.add_argument("--sink", choices=["buffer", "stream"], default="buffer",
-                         help="'stream' writes records to --log as objects are "
-                         "reclaimed (bounded memory) instead of buffering them")
-    profile.add_argument("--format", choices=["auto", "v1", "v2"], default="auto",
-                         help="log format for --sink stream: v1 JSONL or compact "
-                         "v2 binary (auto: v2 for .dlog2 files)")
+    profile.add_argument("--log",
+                         help="stream the object log (binary v2) here as objects "
+                         "are reclaimed, instead of reporting")
+    # Accepted for old scripts and ignored: --log always streams.
+    profile.add_argument("--sink", choices=["stream"], help=argparse.SUPPRESS)
     profile.add_argument("--serve", metavar="HOST:PORT",
                          help="stream the profile to a running 'repro serve' "
                          "daemon (combines with --log to also keep a local copy)")

@@ -26,7 +26,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "repro.core.anchor": ("anchor_site",),
     "repro.core.report": ("drag_report",),
-    "repro.core.logfile": ("LogWriter", "iter_log", "read_log", "write_log"),
+    "repro.core.logfile": ("iter_log", "read_log"),
 })
 
 __all__ = [
@@ -49,6 +49,4 @@ __all__ = [
     "drag_report",
     "read_log",
     "iter_log",
-    "write_log",
-    "LogWriter",
 ]

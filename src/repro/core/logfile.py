@@ -1,13 +1,14 @@
-"""Reading and writing phase-1 log files.
+"""Reading phase-1 log files.
 
 The instrumented VM writes one record per reclaimed object; the
 off-line analyzer reads them back. Two formats exist:
 
-* **v1** — JSONL: a JSON header line carrying the format version and
-  run metadata, then one JSON object per record. Human-greppable.
 * **v2** — the compact binary format of :mod:`repro.stream.codec`
-  (length-prefixed frames with a string table), written by the
-  streaming pipeline. Several times smaller and readable incrementally.
+  (length-prefixed frames with a string table). ``repro profile
+  --log`` writes it, streaming each record as its object is reclaimed.
+* **v1** — JSONL: a JSON header line carrying the format version and
+  run metadata, then one JSON object per record. Nothing writes it any
+  more; it is read so that logs from older versions still load.
 
 :func:`read_log` and :func:`iter_log` sniff the first bytes and
 dispatch, so callers never care which format a file is in.
@@ -21,103 +22,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterator, List, Optional, Union
 
 from repro.errors import ProfileError
 from repro.core.trailer import ObjectRecord
 
 FORMAT_NAME = "repro-drag-log"
 FORMAT_VERSION = 1
-
-# The v1 header line is padded to this width so a streaming writer can
-# seek back and fill in ``end_time`` at close without shifting the
-# record lines that follow it.
-_HEADER_PAD = 192
-
-
-def _header_dict(
-    end_time: Optional[int],
-    metadata: Optional[dict],
-    finalizer_errors: Optional[int] = None,
-) -> dict:
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "end_time": end_time,
-    }
-    if finalizer_errors is not None:
-        header["finalizer_errors"] = finalizer_errors
-    if metadata:
-        header["metadata"] = metadata
-    return header
-
-
-class LogWriter:
-    """Streaming v1 writer: records go to disk as they are emitted.
-
-    The header is written immediately (padded), so a reader — or
-    ``repro watch`` — can consume the file while the run is still in
-    flight; :meth:`close` seeks back and patches ``end_time`` in.
-    """
-
-    def __init__(self, path: Union[str, Path], metadata: Optional[dict] = None) -> None:
-        self.path = Path(path)
-        self.metadata = metadata
-        self.count = 0
-        self._file: Optional[IO[str]] = open(self.path, "w", encoding="utf-8")
-        self._write_header(None)
-
-    def _write_header(
-        self,
-        end_time: Optional[int],
-        finalizer_errors: Optional[int] = None,
-    ) -> None:
-        text = json.dumps(
-            _header_dict(end_time, self.metadata, finalizer_errors)
-        )
-        if len(text) < _HEADER_PAD:
-            text = text.ljust(_HEADER_PAD)
-        self._file.write(text + "\n")
-
-    def write_record(self, record: ObjectRecord) -> None:
-        self._file.write(json.dumps(record.to_dict()) + "\n")
-        self.count += 1
-
-    def write_sample(self, sample) -> None:
-        """v1 has no sample frames; accepted for sink compatibility."""
-
-    def close(
-        self,
-        end_time: Optional[int] = None,
-        finalizer_errors: Optional[int] = None,
-    ) -> None:
-        if self._file is None:
-            return
-        if end_time is not None:
-            self._file.seek(0)
-            self._write_header(end_time, finalizer_errors)
-        self._file.close()
-        self._file = None
-
-    def __enter__(self) -> "LogWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def write_log(
-    path: Union[str, Path],
-    records: Iterable[ObjectRecord],
-    end_time: Optional[int] = None,
-    metadata: Optional[dict] = None,
-) -> int:
-    """Write records as JSONL with a header; returns the record count."""
-    writer = LogWriter(path, metadata=metadata)
-    for record in records:
-        writer.write_record(record)
-    writer.close(end_time=end_time)
-    return writer.count
 
 
 class LoadedLog:
@@ -219,8 +130,7 @@ def iter_log(
 
 
 def read_log(path: Union[str, Path], strict: bool = True) -> LoadedLog:
-    """Read a log file written by :func:`write_log` (v1) or the v2
-    streaming writer — the format is auto-detected."""
+    """Read a v2 or v1 log file — the format is auto-detected."""
     if _is_v2(path):
         from repro.stream.codec import read_v2_log
 

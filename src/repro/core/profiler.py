@@ -67,7 +67,6 @@ class HeapProfiler:
         last_use_depth: int = 1,
         include_excluded: bool = False,
         sink=None,
-        buffered: Optional[bool] = None,
         sample_bytes: Optional[int] = None,
         seed: int = 0,
         snapshotter=None,
@@ -80,12 +79,11 @@ class HeapProfiler:
         self.include_excluded = include_excluded
         self.next_sample_at = interval_bytes
         # ``sink`` receives each record/sample the moment it is emitted
-        # (see repro.stream.sinks). With a sink attached the profiler
-        # defaults to *not* buffering, keeping memory at O(live objects
-        # + sites) instead of O(all objects ever allocated); pass
-        # ``buffered=True`` to get both behaviours at once.
+        # (see repro.stream.sinks), keeping memory at O(live objects +
+        # sites) instead of O(all objects ever allocated). Without one
+        # the profiler buffers them in ``records``/``samples``; a caller
+        # that wants both tees in a BufferSink.
         self.sink = sink
-        self.buffered = buffered if buffered is not None else (sink is None)
         # Optional repro.snapshot.SnapshotRecorder: captures a heap
         # snapshot right after each deep GC (the only moments the heap
         # is exactly its reachable set). Capture only reads the heap —
@@ -93,6 +91,12 @@ class HeapProfiler:
         self.snapshotter = snapshotter
         self.records: List[ObjectRecord] = []
         self.samples: List[HeapSample] = []
+        if sink is None:
+            self._on_record = self.records.append
+            self._on_sample = self.samples.append
+        else:
+            self._on_record = sink.on_record
+            self._on_sample = sink.on_sample
         self.record_count = 0
         self.sample_count = 0
         self.finalizer_errors = 0
@@ -231,10 +235,7 @@ class HeapProfiler:
             obj.excluded, survived, trailer.first_use_time, trailer.weight,
         )
         self.record_count += 1
-        if self.buffered:
-            self.records.append(record)
-        if self.sink is not None:
-            self.sink.on_record(record)
+        self._on_record(record)
 
     # -- sampling ---------------------------------------------------------------
 
@@ -284,10 +285,7 @@ class HeapProfiler:
 
     def _emit_sample(self, sample: HeapSample) -> None:
         self.sample_count += 1
-        if self.buffered:
-            self.samples.append(sample)
-        if self.sink is not None:
-            self.sink.on_sample(sample)
+        self._on_sample(sample)
 
 
 class ProfileResult:
@@ -323,7 +321,6 @@ def profile_program(
     last_use_depth: int = 1,
     max_heap: Optional[int] = None,
     sink=None,
-    buffered: Optional[bool] = None,
     engine: Optional[str] = None,
     telemetry=None,
     sample_bytes: Optional[int] = None,
@@ -333,8 +330,9 @@ def profile_program(
     """Run a compiled program under the profiler (phase 1).
 
     With ``sink`` set, records and samples stream into it as they are
-    emitted (see :mod:`repro.stream`) and are not buffered unless
-    ``buffered=True`` is also passed. ``engine`` picks the dispatch
+    emitted (see :mod:`repro.stream`) instead of being buffered on the
+    result; tee in a :class:`~repro.stream.sinks.BufferSink` to keep
+    them as well. ``engine`` picks the dispatch
     strategy (see :mod:`repro.runtime.engine`); both engines produce
     bit-identical profiles. ``telemetry`` (a :class:`repro.obs.Telemetry`)
     wraps the run in a span and flushes profiler counters; profiles are
@@ -349,7 +347,6 @@ def profile_program(
         nesting_depth=nesting_depth,
         last_use_depth=last_use_depth,
         sink=sink,
-        buffered=buffered,
         sample_bytes=sample_bytes,
         seed=seed,
         snapshotter=snapshotter,

@@ -121,7 +121,8 @@ def capture_snapshot(interp, reason: str = "deep-gc") -> HeapSnapshot:
 
 class SnapshotRecorder:
     """The profiler's snapshot hook: captures at each deep-GC safepoint
-    and buffers in memory and/or streams to a :class:`SnapshotWriter`.
+    and streams to a :class:`SnapshotWriter` or, without one, buffers in
+    memory.
 
     Pass one as ``snapshotter=`` to :class:`~repro.core.profiler
     .HeapProfiler` (or through ``profile_program``): ``capture`` fires
@@ -135,7 +136,6 @@ class SnapshotRecorder:
         self,
         out: Union[str, "SnapshotWriter", None] = None,
         metadata: Optional[dict] = None,
-        buffered: Optional[bool] = None,
         telemetry=None,
     ) -> None:
         if out is None or isinstance(out, SnapshotWriter):
@@ -144,10 +144,8 @@ class SnapshotRecorder:
         else:
             self.writer = SnapshotWriter(out, metadata=metadata)
             self._owns_writer = True
-        # Mirror the profiler's sink/buffer convention: with a writer
-        # attached, snapshots stream out and are not kept in memory
-        # unless buffered=True is passed explicitly.
-        self.buffered = buffered if buffered is not None else (self.writer is None)
+        # The profiler's sink/buffer convention: with a writer attached,
+        # snapshots stream out; without one they are kept in memory.
         self.telemetry = telemetry
         self.snapshots: List[HeapSnapshot] = []
         self.capture_count = 0
@@ -168,9 +166,9 @@ class SnapshotRecorder:
         self.capture_count += 1
         self.node_count += snapshot.node_count
         self.edge_count += snapshot.edge_count
-        if self.buffered:
+        if self.writer is None:
             self.snapshots.append(snapshot)
-        if self.writer is not None:
+        else:
             self.writer.write(snapshot)
         return snapshot
 

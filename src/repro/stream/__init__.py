@@ -8,9 +8,9 @@ everything downstream — the compact v2 log codec, the incremental
 :class:`~repro.stream.aggregate.StreamingDragAnalysis`, the live
 metrics of ``repro watch`` — consumes that stream record-by-record.
 
-Memory discipline: with a streaming sink attached the profiler holds
-O(live objects) trailers plus O(sites) aggregate state, never the
-O(all objects ever allocated) record list of the buffered path.
+Memory discipline: with a sink attached the profiler holds O(live
+objects) trailers plus O(sites) aggregate state, never the O(all
+objects ever allocated) record list it buffers when it has no sink.
 """
 
 from repro._lazy import lazy_exports
@@ -18,7 +18,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.stream.sinks": (
         "AggregatorSink", "BufferSink", "LogWriterSink", "ProfileSink",
-        "TeeSink", "open_log_writer",
+        "TeeSink",
     ),
     "repro.stream.codec": (
         "V2LogWriter", "V2TailReader", "iter_v2_log", "read_v2_log",
@@ -34,7 +34,6 @@ __all__ = [
     "LogWriterSink",
     "AggregatorSink",
     "TeeSink",
-    "open_log_writer",
     "V2LogWriter",
     "V2TailReader",
     "iter_v2_log",

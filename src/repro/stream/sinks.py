@@ -10,8 +10,7 @@ memory instead of buffering the full object log.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional
 
 
 class ProfileSink:
@@ -56,12 +55,10 @@ class BufferSink(ProfileSink):
 
 
 class LogWriterSink(ProfileSink):
-    """Stream records straight to a log writer (v1 JSONL or v2 binary).
-
-    The writer must expose ``write_record``, ``write_sample`` and
-    ``close(end_time=...)`` — both :class:`repro.core.logfile.LogWriter`
-    and :class:`repro.stream.codec.V2LogWriter` do.
-    """
+    """Stream records straight to a log writer — a
+    :class:`repro.stream.codec.V2LogWriter` (``write_record``,
+    ``write_sample``, ``close(end_time=...)``) or anything shaped like
+    one."""
 
     def __init__(self, writer) -> None:
         self.writer = writer
@@ -134,27 +131,3 @@ class TeeSink(ProfileSink):
         for sink in self.sinks:
             sink.close()
 
-
-def open_log_writer(
-    path: Union[str, Path],
-    fmt: str = "auto",
-    metadata: Optional[dict] = None,
-):
-    """Create a streaming log writer for ``path``.
-
-    ``fmt`` is ``"v1"``, ``"v2"``, or ``"auto"`` — auto picks v2 for
-    ``.dlog2``/``.v2`` extensions and v1 otherwise, so
-    ``repro profile --sink stream --log run.dlog2`` just works.
-    """
-    path = Path(path)
-    if fmt == "auto":
-        fmt = "v2" if path.suffix in (".dlog2", ".v2") else "v1"
-    if fmt == "v2":
-        from repro.stream.codec import V2LogWriter
-
-        return V2LogWriter(path, metadata=metadata)
-    if fmt == "v1":
-        from repro.core.logfile import LogWriter
-
-        return LogWriter(path, metadata=metadata)
-    raise ValueError(f"unknown log format {fmt!r} (use 'v1', 'v2', or 'auto')")

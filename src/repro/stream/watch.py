@@ -1,9 +1,9 @@
 """``repro watch``: tail a growing profile log and summarize it live.
 
-Works on both formats: v2 logs are tailed frame-by-frame with
-:class:`~repro.stream.codec.V2TailReader`; v1 JSONL logs are tailed
-line-by-line (a partial final line stays pending until the writer
-finishes it). Each poll folds the new records into a
+v2 logs are tailed frame-by-frame with
+:class:`~repro.stream.codec.V2TailReader`. A v1 JSONL log, which only
+older versions wrote, is finished and is read once. Each poll folds
+the new records into a
 :class:`~repro.stream.aggregate.StreamingDragAnalysis` — memory stays
 O(sites) no matter how large the log grows — and refreshes a top-K
 drag summary, optionally flushing a machine-readable JSON snapshot.
@@ -17,94 +17,46 @@ care whether they scrape a file tail or the service.
 
 from __future__ import annotations
 
-import json
 import sys
 import time as _time
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import ProfileError
-from repro.core.trailer import ObjectRecord
+from repro.core.logfile import read_log
 from repro.core.integrals import MB
 from repro.stream.aggregate import StreamingDragAnalysis
 from repro.stream.codec import MAGIC, V2TailReader
 from repro.stream.live import snapshot, update_registry, write_metrics_json
 
 
-class _V1Tail:
-    """Incremental reader for a (possibly still growing) v1 JSONL log."""
+class _V1Log:
+    """A v1 log. Nothing writes v1 any more, so the file is finished:
+    the first poll reads it whole, up to any cut-off final record."""
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self.metadata: dict = {}
-        self.end_time: Optional[int] = None
+    def __init__(self, path: Path) -> None:
+        self.path = path
         self.finalizer_errors: Optional[int] = None
-        self.ended = False
-        self._offset = 0
-        self._pending = b""
-        self._header_done = False
-
-    def _take_line(self) -> Optional[str]:
-        newline = self._pending.find(b"\n")
-        if newline < 0:
-            return None
-        line = self._pending[:newline].decode("utf-8")
-        self._pending = self._pending[newline + 1 :]
-        return line
 
     def poll(self) -> List[Tuple[str, object]]:
-        with open(self.path, "rb") as f:
-            if self._header_done and not self.ended:
-                # The streaming writer patches end_time into the padded
-                # header at close; re-read line 1 to notice the finish.
-                first = f.readline()
-                try:
-                    header = json.loads(first)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    header = {}
-                if header.get("end_time") is not None:
-                    self.end_time = header["end_time"]
-                    self.finalizer_errors = header.get("finalizer_errors")
-            f.seek(self._offset)
-            chunk = f.read()
-        self._offset += len(chunk)
-        self._pending += chunk
-        events: List[Tuple[str, object]] = []
-        while True:
-            line = self._take_line()
-            if line is None:
-                break
-            if not self._header_done:
-                try:
-                    header = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ProfileError(f"{self.path}: bad log header: {exc}") from exc
-                if header.get("format") != "repro-drag-log":
-                    raise ProfileError(f"{self.path}: not a repro-drag-log file")
-                self.metadata = header.get("metadata") or {}
-                self.end_time = header.get("end_time")
-                self.finalizer_errors = header.get("finalizer_errors")
-                self._header_done = True
-                continue
-            if not line.strip():
-                continue
-            try:
-                record = ObjectRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ProfileError(f"{self.path}: bad record: {exc}") from exc
-            events.append(("record", record))
-        if self.end_time is not None and not self.ended:
-            self.ended = True
-            events.append(("end", self.end_time))
+        loaded = read_log(self.path, strict=False)
+        self.finalizer_errors = loaded.finalizer_errors
+        events: List[Tuple[str, object]] = [("record", r) for r in loaded.records]
+        events.append(("end", loaded.end_time))
         return events
 
 
 def _open_tail(path: Path):
+    """The reader for ``path``, or None while the file is still too
+    short to tell its format: a v2 writer buffers even its magic, so
+    the log of an in-flight run can be empty."""
     with open(path, "rb") as f:
         head = f.read(len(MAGIC))
+    if len(head) < len(MAGIC):
+        return None
     if head == MAGIC:
         return V2TailReader(path)
-    return _V1Tail(path)
+    return _V1Log(path)
 
 
 def _mb2(bytes2: int) -> float:
@@ -190,7 +142,7 @@ def watch_log(
         waited += poll_interval
         if max_polls is not None and waited / poll_interval >= max_polls:
             raise ProfileError(f"{path}: log never appeared")
-    tail = _open_tail(path)
+    tail = None
     analysis = StreamingDragAnalysis()
     last_sample = None
     sample_count = 0
@@ -198,7 +150,9 @@ def watch_log(
     polls = 0
     while True:
         polls += 1
-        events = tail.poll()
+        if tail is None:
+            tail = _open_tail(path)
+        events = tail.poll() if tail is not None else []
         for kind, value in events:
             if kind == "record":
                 analysis.add(value)

@@ -109,11 +109,13 @@ def test_profiler_records_first_use():
 
 
 def test_first_use_roundtrips_through_log(tmp_path):
-    from repro.core.logfile import read_log, write_log
+    from repro.core.logfile import read_log
+    from repro.stream.codec import V2LogWriter
 
     record = make_full_record(created=5, first=9, last=20, collected=44)
     path = tmp_path / "lag.log"
-    write_log(path, [record])
+    with V2LogWriter(path) as writer:
+        writer.write_record(record)
     loaded = read_log(path).records[0]
     assert loaded.first_use_time == 9
     assert loaded.lag_time == 4

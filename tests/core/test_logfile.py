@@ -1,45 +1,44 @@
-"""Log file round trip and error handling."""
+"""Reading v1 logs: the committed fixtures under ``tests/fixtures/logs``
+were written by the last version that still wrote v1, profiling
+``examples/programs/wordcount.mj --main WordCount 1``."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ProfileError
-from repro.core.logfile import LogWriter, iter_log, read_log, write_log
+from repro.core.logfile import iter_log, read_log
 from repro.core import profile_source
 from tests.core.test_analyzer import make_record
 
+LOGS = Path(__file__).resolve().parents[1] / "fixtures" / "logs"
+FULL = LOGS / "wordcount.draglog"
+CUT = LOGS / "wordcount.truncated.draglog"
+WORDCOUNT = Path(__file__).resolve().parents[2] / "examples" / "programs" / "wordcount.mj"
 
-def test_roundtrip_preserves_records(tmp_path):
-    records = [
-        make_record(handle=1, last_use=0),
-        make_record(handle=2, last_use=555, use_frame="A.b:3", nested=("A.b:3", "A.a:1")),
+
+def _lines(path):
+    return path.read_text().splitlines()
+
+
+def test_roundtrip_preserves_records():
+    header, *lines = _lines(FULL)
+    loaded = read_log(FULL)
+    assert loaded.end_time == json.loads(header)["end_time"] == 35016
+    assert loaded.metadata == {"main": "WordCount", "interval": 102400}
+    assert loaded.samples == []  # v1 had no sample frames
+    assert [r.to_dict() for r in loaded.records] == [json.loads(l) for l in lines]
+
+
+def test_roundtrip_of_real_profile():
+    """Profiling the fixture's run again yields the fixture's records."""
+    result = profile_source(WORDCOUNT.read_text(), "WordCount", ["1"])
+    loaded = read_log(FULL)
+    assert loaded.end_time == result.end_time
+    assert [r.to_dict() for r in loaded.records] == [
+        r.to_dict() for r in result.records
     ]
-    path = tmp_path / "run.log"
-    count = write_log(path, records, end_time=12345, metadata={"bench": "test"})
-    assert count == 2
-    loaded = read_log(path)
-    assert loaded.end_time == 12345
-    assert loaded.metadata == {"bench": "test"}
-    assert len(loaded.records) == 2
-    for original, parsed in zip(records, loaded.records):
-        assert parsed.to_dict() == original.to_dict()
-
-
-def test_roundtrip_of_real_profile(tmp_path):
-    source = """
-    class Main {
-        public static void main(String[] args) {
-            for (int i = 0; i < 20; i = i + 1) { char[] junk = new char[500]; }
-        }
-    }
-    """
-    result = profile_source(source, "Main", interval_bytes=4096)
-    path = tmp_path / "real.log"
-    write_log(path, result.records, end_time=result.end_time)
-    loaded = read_log(path)
-    assert len(loaded.records) == len(result.records)
-    assert sum(r.drag for r in loaded.records) == sum(r.drag for r in result.records)
 
 
 def test_empty_file_rejected(tmp_path):
@@ -74,109 +73,60 @@ def test_corrupt_record_reports_line(tmp_path):
 
 
 def test_blank_lines_tolerated(tmp_path):
-    records = [make_record(handle=1)]
     path = tmp_path / "gaps.log"
-    write_log(path, records)
-    with open(path, "a") as f:
-        f.write("\n\n")
-    assert len(read_log(path).records) == 1
+    path.write_text(FULL.read_text() + "\n\n")
+    assert len(read_log(path).records) == len(read_log(FULL).records) == 166
 
 
-def test_iter_log_yields_records_lazily(tmp_path):
-    records = [make_record(handle=i) for i in range(5)]
-    path = tmp_path / "lazy.log"
-    write_log(path, records, end_time=99)
-    iterator = iter_log(path)
-    assert next(iterator).handle == 0  # nothing materialized up front
-    assert [r.handle for r in iterator] == [1, 2, 3, 4]
+def test_iter_log_yields_records_lazily():
+    handles = [r.handle for r in read_log(FULL).records]
+    iterator = iter_log(FULL)
+    assert next(iterator).handle == handles[0]  # nothing materialized up front
+    assert [r.handle for r in iterator] == handles[1:]
 
 
-def test_iter_log_matches_read_log(tmp_path):
-    records = [
-        make_record(handle=1, last_use=0),
-        make_record(handle=2, last_use=400, use_frame="A.b:3"),
-    ]
-    path = tmp_path / "same.log"
-    write_log(path, records)
-    assert [r.to_dict() for r in iter_log(path)] == [
-        r.to_dict() for r in read_log(path).records
+def test_iter_log_matches_read_log():
+    assert [r.to_dict() for r in iter_log(FULL)] == [
+        r.to_dict() for r in read_log(FULL).records
     ]
 
 
-def _truncated_log(tmp_path):
-    """A log whose final line was cut mid-record (crashed run)."""
-    path = tmp_path / "crashed.log"
-    write_log(path, [make_record(handle=i) for i in range(3)], end_time=500)
-    text = path.read_text()
-    path.write_text(text[: len(text) - 25])  # chop inside the last record
-    return path
-
-
-def test_truncated_final_line_strict_raises(tmp_path):
-    path = _truncated_log(tmp_path)
+def test_truncated_final_line_strict_raises():
     with pytest.raises(ProfileError):
-        read_log(path)
+        read_log(CUT)
     with pytest.raises(ProfileError):
-        list(iter_log(path))
+        list(iter_log(CUT))
 
 
-def test_truncated_final_line_lenient_keeps_good_records(tmp_path):
-    path = _truncated_log(tmp_path)
-    loaded = read_log(path, strict=False)
-    assert [r.handle for r in loaded.records] == [0, 1]
-    assert [r.handle for r in iter_log(path, strict=False)] == [0, 1]
+def test_truncated_final_line_lenient_keeps_good_records():
+    """The cut copy ends mid-way through the full log's last record."""
+    full = [r.to_dict() for r in read_log(FULL).records]
+    loaded = read_log(CUT, strict=False)
+    assert [r.to_dict() for r in loaded.records] == full[:-1]
+    assert [r.to_dict() for r in iter_log(CUT, strict=False)] == full[:-1]
 
 
 def test_corrupt_interior_record_raises_even_lenient(tmp_path):
     """Lenient mode only forgives a truncated *final* line — damage in
     the middle of a log is still an error."""
+    header, first, *_ = _lines(FULL)
     path = tmp_path / "interior.log"
-    write_log(path, [make_record(handle=1)])
-    with open(path, "a") as f:
-        f.write("{garbage}\n")
-        f.write(json.dumps(make_record(handle=2).to_dict()) + "\n")
+    path.write_text(f"{header}\n{first}\n{{garbage}}\n{first}\n")
     with pytest.raises(ProfileError):
         read_log(path, strict=False)
 
 
-def test_streaming_log_writer_patches_end_time(tmp_path):
-    path = tmp_path / "streamed.log"
-    writer = LogWriter(path, metadata={"main": "Main"})
-    writer.write_record(make_record(handle=7))
-    writer.close(end_time=4242)
-    loaded = read_log(path)
-    assert loaded.end_time == 4242
-    assert loaded.metadata == {"main": "Main"}
-    assert [r.handle for r in loaded.records] == [7]
-
-
-def test_streaming_log_writer_readable_before_close(tmp_path):
-    """An in-flight v1 log is already a valid (end_time-less) log."""
-    path = tmp_path / "inflight.log"
-    writer = LogWriter(path)
-    writer.write_record(make_record(handle=1))
-    writer._file.flush()
-    loaded = read_log(path)
-    assert loaded.end_time is None
-    assert len(loaded.records) == 1
-    writer.close(end_time=10)
-
-
 def test_v1_header_carries_finalizer_errors(tmp_path):
-    from repro.core.logfile import LogWriter, read_log
-
     path = tmp_path / "fe.draglog"
-    writer = LogWriter(path)
-    writer.close(end_time=700, finalizer_errors=3)
+    header = {"format": "repro-drag-log", "version": 1, "end_time": 700,
+              "finalizer_errors": 3}
+    path.write_text(json.dumps(header) + "\n"
+                    + json.dumps(make_record(handle=1).to_dict()) + "\n")
     loaded = read_log(path)
     assert loaded.end_time == 700
     assert loaded.finalizer_errors == 3
+    assert [r.handle for r in loaded.records] == [1]
 
 
-def test_v1_header_without_finalizer_errors_reads_none(tmp_path):
-    from repro.core.logfile import LogWriter, read_log
-
-    path = tmp_path / "nofe.draglog"
-    writer = LogWriter(path)
-    writer.close(end_time=700)
-    assert read_log(path).finalizer_errors is None
+def test_v1_header_without_finalizer_errors_reads_none():
+    assert read_log(FULL).finalizer_errors is None

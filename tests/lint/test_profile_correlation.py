@@ -4,7 +4,8 @@ actually measured, agreeing with DragAnalysis site totals."""
 import pytest
 
 from repro.core.analyzer import DragAnalysis
-from repro.core.logfile import read_log, write_log
+from repro.core.logfile import read_log
+from repro.stream.codec import V2LogWriter
 from repro.core.profiler import profile_program
 from repro.lint import lint_program
 from repro.mjava.compiler import compile_program
@@ -84,8 +85,11 @@ def test_correlation_ranks_findings_like_drag_analysis(profiled):
 
 def test_correlation_through_a_written_log_roundtrip(profiled, tmp_path):
     program_ast, profile = profiled
-    path = tmp_path / "run.draglog"
-    write_log(path, profile.records, end_time=profile.end_time)
+    path = tmp_path / "run.dlog2"
+    writer = V2LogWriter(path)
+    for record in profile.records:
+        writer.write_record(record)
+    writer.close(end_time=profile.end_time)
     loaded = read_log(path)
     analysis = DragAnalysis(loaded.records)
     direct = DragAnalysis(profile.records)

@@ -2,8 +2,8 @@
 
 Each benchmark is profiled ONCE per session with a
 :class:`~repro.obs.timeline.TimelineSink` teed into a streaming v2 log
-writer — the exact ``repro profile --timeline --log x.dlog2 --sink
-stream`` wiring.  Tests then get three views of the same run: the
+writer — the exact ``repro profile --timeline --log x.dlog2`` wiring —
+and a buffer.  Tests then get three views of the same run: the
 buffered records, the on-disk log, and the incrementally-built
 timeline, which is what the streaming-equals-post-hoc claims compare.
 """
@@ -20,7 +20,8 @@ TIMELINE_BENCHES = ("db", "euler")
 @pytest.fixture(scope="session")
 def timeline_profiles(tmp_path_factory):
     from repro.obs.timeline import TimelineSink
-    from repro.stream import LogWriterSink, TeeSink, open_log_writer
+    from repro.stream import BufferSink, LogWriterSink, TeeSink
+    from repro.stream.codec import V2LogWriter
 
     root = tmp_path_factory.mktemp("timeline-logs")
     out = {}
@@ -29,13 +30,13 @@ def timeline_profiles(tmp_path_factory):
         program = compile_benchmark(bench, revised=False)
         path = root / f"{name}.dlog2"
         live = TimelineSink()
-        sink = TeeSink(LogWriterSink(open_log_writer(path)), live)
-        result = profile_program(
+        buffer = BufferSink()
+        sink = TeeSink(LogWriterSink(V2LogWriter(path)), live, buffer)
+        profile_program(
             program,
             bench.args_for("primary"),
             interval_bytes=bench.interval_bytes,
             sink=sink,
-            buffered=True,
         )
-        out[name] = (result, path, live.builder)
+        out[name] = (buffer, path, live.builder)
     return out

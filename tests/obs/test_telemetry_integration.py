@@ -1,6 +1,7 @@
 """Telemetry end-to-end: instruments fire, and — the load-bearing
 invariant — telemetry observes without perturbing: stdout, instruction
-counts, the byte clock, and the v1/v2 profile log bytes are identical
+counts, the byte clock, the v2 profile log bytes and the v1 record
+lines are identical
 with telemetry on or off, on both engines."""
 
 import os
@@ -14,7 +15,9 @@ from repro.mjava.compiler import compile_program
 from repro.obs import Telemetry
 from repro.runtime.engine import ENGINES, create_vm
 from repro.runtime.library import link
-from repro.stream.sinks import LogWriterSink, open_log_writer
+from repro.stream.codec import V2LogWriter
+from repro.stream.sinks import LogWriterSink
+from tests.runtime.test_engine_equivalence import log_sink
 
 SOURCE = """
 class Node { Node next; int payload; }
@@ -132,7 +135,7 @@ class TestTelemetryIsInvisible:
         paths = {}
         for label, telemetry in (("off", None), ("on", Telemetry())):
             path = tmp_path / f"{name}-{label}{suffix}"
-            sink = LogWriterSink(open_log_writer(path, fmt=fmt))
+            sink = log_sink(path, fmt)
             profiler = HeapProfiler(interval_bytes=65536, sink=sink)
             vm = create_vm(
                 compile_benchmark(bench, revised=False),
@@ -201,7 +204,7 @@ class TestLiveRegistry:
         log = tmp_path / "run.dlog2"
         registry = MetricsRegistry()
         live = MetricsSink(registry=registry)
-        writer = LogWriterSink(open_log_writer(log, fmt="v2"))
+        writer = LogWriterSink(V2LogWriter(log))
         profile_program(_program(), interval_bytes=2048, sink=TeeSink(writer, live))
         writer.close()
 

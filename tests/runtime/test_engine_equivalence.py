@@ -1,13 +1,14 @@
 """Differential harness: the compiled engine must be bit-identical to
 the baseline interpreter — stdout, instruction counts, byte clock, heap
-statistics, and (profiled) the full record/sample streams and the v1/v2
-log bytes — on every registered benchmark and example program.
+statistics, and (profiled) the full record/sample streams, the v2 log
+bytes and the v1 record lines — on every registered benchmark and example program.
 
 This suite is the gate for the layered execution engine: any dispatch
 optimization that shifts a safepoint, reorders a use event, or changes
 an exception message fails here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from repro.runtime.compiled import CompiledInterpreter
 from repro.runtime.engine import ENGINES, create_vm
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.library import link
-from repro.stream.sinks import LogWriterSink, open_log_writer
+from repro.stream.codec import V2LogWriter
+from repro.stream.sinks import BufferSink, LogWriterSink
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples" / "programs"
 
@@ -152,6 +154,25 @@ def test_all_example_programs_are_covered():
 # ---------------------------------------------------------------------------
 
 
+class _V1Lines(BufferSink):
+    """Writes, at close, the JSON record lines a v1 log holds. Nothing
+    writes v1 logs any more; their record form stays under the proof."""
+
+    def __init__(self, path: Path) -> None:
+        super().__init__()
+        self.path = path
+
+    def close(self) -> None:
+        self.path.write_text(
+            "".join(json.dumps(r.to_dict()) + "\n" for r in self.records)
+        )
+
+
+def log_sink(path: Path, fmt: str):
+    """A sink writing ``path`` as a v2 log, or for ``"v1"`` as v1 lines."""
+    return _V1Lines(path) if fmt == "v1" else LogWriterSink(V2LogWriter(path))
+
+
 @pytest.mark.parametrize("name", ["db", "euler"])
 @pytest.mark.parametrize("fmt,suffix", [("v1", ".draglog"), ("v2", ".dlog2")])
 def test_log_bytes_identical(tmp_path, name, fmt, suffix):
@@ -160,7 +181,7 @@ def test_log_bytes_identical(tmp_path, name, fmt, suffix):
     paths = {}
     for engine in ("baseline", "compiled"):
         path = tmp_path / f"{name}-{engine}{suffix}"
-        sink = LogWriterSink(open_log_writer(path, fmt=fmt))
+        sink = log_sink(path, fmt)
         profiler = HeapProfiler(interval_bytes=65536, sink=sink)
         vm = create_vm(
             compile_benchmark(bench, revised=False),
@@ -186,7 +207,7 @@ def test_last_use_chain_log_bytes_identical(tmp_path, name):
     paths = {}
     for engine in ("baseline", "compiled"):
         path = tmp_path / f"{name}-{engine}.dlog2"
-        sink = LogWriterSink(open_log_writer(path, fmt="v2"))
+        sink = LogWriterSink(V2LogWriter(path))
         profiler = HeapProfiler(interval_bytes=65536, last_use_depth=3, sink=sink)
         vm = create_vm(
             compile_benchmark(bench, revised=False),

@@ -31,7 +31,8 @@ from repro.mjava.compiler import compile_program
 from repro.runtime.engine import create_vm
 from repro.runtime.generational import GenerationalCollector
 from repro.runtime.library import link
-from repro.stream.sinks import LogWriterSink, open_log_writer
+from repro.stream.codec import V2LogWriter
+from repro.stream.sinks import LogWriterSink
 
 ENGINES = ("baseline", "compiled")
 SAMPLED = ["--sample-bytes", "4096", "--seed", "0"]
@@ -111,7 +112,7 @@ def _fixture_vm(path, engine, collector_factory=None, **kwargs):
     program = compile_program(
         link(FIXTURE.read_text(encoding="utf-8")), main_class="Main"
     )
-    sink = LogWriterSink(open_log_writer(path, fmt="v2"))
+    sink = LogWriterSink(V2LogWriter(path))
     profiler = HeapProfiler(interval_bytes=2048, sink=sink, **kwargs)
     vm = create_vm(program, engine=engine, profiler=profiler,
                    collector_factory=collector_factory)

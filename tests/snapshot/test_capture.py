@@ -16,10 +16,10 @@ from repro.snapshot import (
 )
 
 
-def _profile_with_snapshots(name, out=None):
+def _profile_with_snapshots(name):
     bench = get_benchmark(name)
     program = compile_benchmark(bench, revised=False)
-    recorder = SnapshotRecorder(out=out, buffered=True)
+    recorder = SnapshotRecorder()  # no writer: snapshots stay in memory
     profile = profile_program(
         program,
         bench.primary_args,

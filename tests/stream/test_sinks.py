@@ -2,13 +2,8 @@
 
 from repro.core import profile_source
 from repro.core.logfile import read_log
-from repro.stream import (
-    AggregatorSink,
-    BufferSink,
-    LogWriterSink,
-    TeeSink,
-    open_log_writer,
-)
+from repro.stream import AggregatorSink, BufferSink, LogWriterSink, TeeSink
+from repro.stream.codec import V2LogWriter
 
 SOURCE = """
 class Main {
@@ -21,10 +16,8 @@ class Main {
 """
 
 
-def profile_with(sink=None, buffered=None):
-    return profile_source(
-        SOURCE, "Main", interval_bytes=4096, sink=sink, buffered=buffered
-    )
+def profile_with(sink=None):
+    return profile_source(SOURCE, "Main", interval_bytes=4096, sink=sink)
 
 
 def test_buffer_sink_matches_legacy_buffering():
@@ -43,16 +36,10 @@ def test_buffer_sink_matches_legacy_buffering():
     assert streamed.profiler.record_count == len(sink.records)
 
 
-def test_buffered_true_keeps_both_paths():
-    sink = BufferSink()
-    result = profile_with(sink=sink, buffered=True)
-    assert len(result.records) == len(sink.records) > 0
-
-
 def test_log_writer_sink_streams_identical_log(tmp_path):
     """A streamed v2 log holds exactly the records a buffered run logs."""
     path = tmp_path / "run.dlog2"
-    sink = LogWriterSink(open_log_writer(path, metadata={"main": "Main"}))
+    sink = LogWriterSink(V2LogWriter(path, metadata={"main": "Main"}))
     streamed = profile_with(sink=sink)
     buffered = profile_with()
     loaded = read_log(path)
@@ -62,16 +49,6 @@ def test_log_writer_sink_streams_identical_log(tmp_path):
         r.to_dict() for r in buffered.records
     ]
     assert len(loaded.samples) == len(buffered.samples)
-
-
-def test_log_writer_sink_v1(tmp_path):
-    path = tmp_path / "run.draglog"
-    sink = LogWriterSink(open_log_writer(path))  # auto -> v1 for .draglog
-    profile_with(sink=sink)
-    buffered = profile_with()
-    loaded = read_log(path)
-    assert loaded.end_time == buffered.end_time
-    assert len(loaded.records) == len(buffered.records)
 
 
 def test_aggregator_sink_builds_analysis_online():
@@ -89,19 +66,10 @@ def test_aggregator_sink_builds_analysis_online():
 def test_tee_sink_fans_out(tmp_path):
     buffer = BufferSink()
     agg = AggregatorSink()
-    writer = LogWriterSink(open_log_writer(tmp_path / "tee.dlog2"))
+    writer = LogWriterSink(V2LogWriter(tmp_path / "tee.dlog2"))
     profile_with(sink=TeeSink(buffer, agg, writer))
     assert len(buffer.records) > 0
     assert agg.analysis.object_count == len(
         [r for r in buffer.records if not r.excluded]
     )
     assert len(read_log(tmp_path / "tee.dlog2").records) == len(buffer.records)
-
-
-def test_open_log_writer_explicit_formats(tmp_path):
-    from repro.core.logfile import LogWriter
-    from repro.stream.codec import V2LogWriter
-
-    assert isinstance(open_log_writer(tmp_path / "a.log", fmt="v1"), LogWriter)
-    assert isinstance(open_log_writer(tmp_path / "b.log", fmt="v2"), V2LogWriter)
-    assert isinstance(open_log_writer(tmp_path / "c.dlog2"), V2LogWriter)

@@ -1,14 +1,14 @@
-"""Live metrics and the watch loop (tailing v1 and v2 logs)."""
+"""Live metrics and the watch loop (tailing v2 logs, reading v1 logs)."""
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ProfileError
 from repro.core import profile_source
-from repro.core.logfile import write_log
-from repro.stream import LogWriterSink, MetricsSink, open_log_writer, watch_log
+from repro.stream import BufferSink, LogWriterSink, MetricsSink, TeeSink, watch_log
 from repro.stream.codec import V2LogWriter
 from repro.core.profiler import HeapSample
 from tests.core.test_analyzer import make_record
@@ -38,9 +38,8 @@ def make_v2_log(path, n=12, end_time=5000, samples=True):
 def test_metrics_sink_snapshots_every_sample(tmp_path):
     json_path = str(tmp_path / "metrics.json")
     sink = MetricsSink(top_k=3, json_path=json_path, keep_history=True)
-    result = profile_source(
-        SOURCE, "Main", interval_bytes=4096, sink=sink, buffered=True
-    )
+    result = BufferSink()
+    profile_source(SOURCE, "Main", interval_bytes=4096, sink=TeeSink(sink, result))
     assert sink.latest is not None and sink.latest.finished
     assert sink.latest.records_seen == len(
         [r for r in result.records if not r.excluded]
@@ -78,12 +77,47 @@ def test_watch_once_on_v2_log(tmp_path):
     assert analysis.end_time == 5000
 
 
-def test_watch_once_on_v1_log(tmp_path):
-    path = tmp_path / "run.draglog"
-    write_log(path, [make_record(handle=i) for i in range(4)], end_time=900)
+LOGS = Path(__file__).resolve().parents[1] / "fixtures" / "logs"
+
+
+def test_watch_once_on_v1_log():
     out = io.StringIO()
-    analysis = watch_log(path, once=True, out=out)
-    assert analysis.object_count == 4
+    analysis = watch_log(LOGS / "wordcount.draglog", once=True, out=out)
+    assert analysis.object_count == 166
+    assert analysis.end_time == 35016
+    assert "(finished)" in out.getvalue()
+
+
+def test_watch_once_on_a_cut_v1_log_stops_at_the_cut():
+    out = io.StringIO()
+    analysis = watch_log(LOGS / "wordcount.truncated.draglog", once=True, out=out)
+    assert analysis.object_count == 165
+    assert "(finished)" in out.getvalue()
+
+
+def test_watch_waits_for_an_empty_v2_log_to_get_its_magic(tmp_path, monkeypatch):
+    """A v2 writer buffers even its magic, so a small run's log exists
+    with 0 bytes until the run ends. watch must keep polling rather than
+    take the empty file for a v1 log."""
+    full = tmp_path / "full.dlog2"
+    result = profile_source(SOURCE, "Main", interval_bytes=4096,
+                            sink=LogWriterSink(V2LogWriter(full)))
+    race = tmp_path / "race.dlog2"
+    race.write_bytes(b"")
+    sleeps = []
+
+    def fake_sleep(_):  # the writer's first flush lands on the second sleep
+        sleeps.append(_)
+        if len(sleeps) == 2:
+            race.write_bytes(full.read_bytes())
+
+    import repro.stream.watch as watch_mod
+
+    monkeypatch.setattr(watch_mod._time, "sleep", fake_sleep)
+    out = io.StringIO()
+    analysis = watch_log(race, poll_interval=0.1, out=out, max_polls=20)
+    assert analysis.object_count == result.profiler.record_count
+    assert analysis.end_time == result.end_time
     assert "(finished)" in out.getvalue()
 
 
@@ -130,9 +164,9 @@ def test_watch_follows_a_growing_log(tmp_path, monkeypatch):
 
 
 def test_watch_end_to_end_with_streamed_profile(tmp_path):
-    """profile --sink stream then watch: the full pipeline."""
+    """profile --log then watch: the full pipeline."""
     path = tmp_path / "run.dlog2"
-    sink = LogWriterSink(open_log_writer(path, metadata={"main": "Main"}))
+    sink = LogWriterSink(V2LogWriter(path, metadata={"main": "Main"}))
     result = profile_source(SOURCE, "Main", interval_bytes=4096, sink=sink)
     out = io.StringIO()
     analysis = watch_log(path, once=True, out=out)

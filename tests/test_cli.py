@@ -97,10 +97,9 @@ def test_profile_then_report_roundtrip(program_file, tmp_path, capsys):
         ["profile", program_file, "--main", "Main", "--interval", "4096", "--log", log]
     ) == 0
     capsys.readouterr()
-    # the log is a JSONL file with a header
-    with open(log) as f:
-        header = json.loads(f.readline())
-    assert header["format"] == "repro-drag-log"
+    # --log writes the binary v2 format whatever the file's extension
+    with open(log, "rb") as f:
+        assert f.read(4) == b"RDL2"
     assert main(["report", log, "--top", "5"]) == 0
     out = capsys.readouterr().out
     assert "=== Drag report ===" in out
@@ -230,8 +229,9 @@ def test_module_entry_point():
 
 
 def test_profile_stream_sink_to_v2_then_report_and_watch(program_file, tmp_path, capsys):
-    """The acceptance pipeline: profile --sink stream --log run.dlog2,
-    then report and watch --once on the same file."""
+    """profile --log run.dlog2, then report and watch --once on the same
+    file. ``--sink stream`` is hidden and ignored, but old scripts that
+    pass it still run."""
     log = str(tmp_path / "run.dlog2")
     assert main(
         ["profile", program_file, "--main", "Main", "--interval", "4096",
@@ -248,41 +248,35 @@ def test_profile_stream_sink_to_v2_then_report_and_watch(program_file, tmp_path,
     assert "repro watch" in out and "(finished)" in out
 
 
-def test_profile_stream_sink_v1_format(program_file, tmp_path, capsys):
-    log = str(tmp_path / "run.draglog")
-    assert main(
-        ["profile", program_file, "--main", "Main", "--interval", "4096",
-         "--sink", "stream", "--log", log]
-    ) == 0
-    capsys.readouterr()
-    with open(log) as f:
-        header = json.loads(f.readline())
-    assert header["format"] == "repro-drag-log" and header["version"] == 1
-    assert main(["report", log]) == 0
-
-
-def test_profile_stream_requires_log(program_file, capsys):
-    assert main(
-        ["profile", program_file, "--main", "Main", "--sink", "stream"]
-    ) == 2
-    assert "requires --log" in capsys.readouterr().err
-
-
-def test_stream_and_buffer_logs_agree(program_file, tmp_path, capsys):
-    """Same program, same interval: the streamed log holds exactly the
-    records the buffered writer produces."""
+def test_stream_and_buffer_logs_agree(tmp_path, capsys):
+    """On db and euler, the records ``profile --log`` streams to its v2
+    file are exactly the records a sink-less profile buffers."""
+    from repro.benchmarks import get_benchmark
     from repro.core.logfile import read_log
+    from repro.core.profiler import profile_source
 
-    buffered = str(tmp_path / "buffered.draglog")
-    streamed = str(tmp_path / "streamed.dlog2")
-    main(["profile", program_file, "--main", "Main", "--interval", "4096",
-          "--log", buffered])
-    main(["profile", program_file, "--main", "Main", "--interval", "4096",
-          "--sink", "stream", "--log", streamed])
-    capsys.readouterr()
-    a, b = read_log(buffered), read_log(streamed)
-    assert a.end_time == b.end_time
-    assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+    for name in ("db", "euler"):
+        bench = get_benchmark(name)
+        program = tmp_path / f"{name}.mj"
+        program.write_text(bench.original)
+        log = str(tmp_path / f"{name}.draglog")
+        assert main(["profile", str(program), "--main", bench.main_class,
+                     "--interval", str(bench.interval_bytes), "--log", log,
+                     *bench.primary_args]) == 0
+        capsys.readouterr()
+        buffered = profile_source(
+            bench.original, bench.main_class, bench.primary_args,
+            interval_bytes=bench.interval_bytes,
+        )
+        streamed = read_log(log)
+        assert streamed.end_time == buffered.end_time
+        assert [r.to_dict() for r in streamed.records] == [
+            r.to_dict() for r in buffered.records
+        ]
+        assert [(s.time, s.reachable_bytes, s.object_count)
+                for s in streamed.samples] == [
+            (s.time, s.reachable_bytes, s.object_count) for s in buffered.samples
+        ]
 
 
 def test_watch_metrics_json(program_file, tmp_path, capsys):
@@ -310,10 +304,10 @@ def test_report_lenient_on_truncated_log(program_file, tmp_path, capsys):
     main(["profile", program_file, "--main", "Main", "--interval", "4096",
           "--log", log])
     capsys.readouterr()
-    with open(log) as f:
-        text = f.read()
-    with open(log, "w") as f:
-        f.write(text[: len(text) - 20])  # crash mid-record
+    with open(log, "rb") as f:
+        data = f.read()
+    with open(log, "wb") as f:
+        f.write(data[: len(data) - 20])  # crash mid-record
     assert main(["report", log]) == 2  # strict by default
     capsys.readouterr()
     assert main(["report", log, "--lenient"]) == 0

@@ -97,3 +97,16 @@ def test_no_export_is_hidden_by_a_submodule(name):
         importlib.import_module(f"{name}.{info.name}")
     modules = [e for e in package.__all__ if isinstance(getattr(package, e), ModuleType)]
     assert not modules, modules
+
+
+@pytest.mark.parametrize("name, removed", [
+    ("repro", ("write_log",)),
+    ("repro.core", ("write_log", "LogWriter")),
+    ("repro.stream", ("open_log_writer",)),
+])
+def test_the_v1_log_writers_are_not_exported(name, removed):
+    """``profile --log`` writes v2 only; v1 logs are read, never written."""
+    package = importlib.import_module(name)
+    assert not set(removed) & set(package.__all__)
+    for export in removed:
+        assert not hasattr(package, export)
