@@ -1,8 +1,9 @@
 """Microbenchmark: the streaming timeline must ride along for ~free.
 
-``profile --timeline`` attaches a :class:`TimelineSink` to the profiled
-run: one O(1) ``TimelineBuilder.add`` per reclaimed object, on top of
-the trailer bookkeeping the profiler already does.  This bench enforces
+A :class:`TimelineSink` attached to a profiled run (library API; the
+CLI renders timelines from the log with ``repro timeline``) costs one
+O(1) ``TimelineBuilder.add`` per reclaimed object, on top of the
+trailer bookkeeping the profiler already does.  This bench enforces
 the budget — instr/sec with the sink attached must stay within 5% of a
 plain profiled run on db and euler — and re-asserts that the timeline
 changes nothing observable: stdout, instruction counts, byte clocks,

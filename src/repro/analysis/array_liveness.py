@@ -28,14 +28,6 @@ from repro.mjava import ast
 from repro.mjava.sema import ClassInfo, ClassTable
 
 
-def _names_in(expr: ast.Expr) -> List[str]:
-    out = []
-    for node in expr.walk():
-        if isinstance(node, ast.Name):
-            out.append(node.ident)
-    return out
-
-
 class _ReadScanner:
     """Collects reads ``data[e]`` of one array field in one method body,
     along with whether each is bounded by the size field."""

@@ -132,9 +132,6 @@ class CallGraph:
                 out.append(method)
         return out
 
-    def callees_of(self, class_name: str, method_name: str) -> Set[MethodKey]:
-        return self.edges.get((class_name, method_name), set())
-
     def callers_of(self, class_name: str, method_name: str) -> Set[MethodKey]:
         target = (class_name, method_name)
         return {src for src, dsts in self.edges.items() if target in dsts}

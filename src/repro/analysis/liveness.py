@@ -58,12 +58,6 @@ class LivenessResult:
     def is_ref_slot(self, slot: int) -> bool:
         return self.method.slot_types[slot] == "ref"
 
-    def slot_named(self, name: str) -> Optional[int]:
-        try:
-            return self.method.slot_names.index(name)
-        except ValueError:
-            return None
-
 
 def _gen_kill_factory(method: CompiledMethod, cfg: ControlFlowGraph):
     def gen_kill(pc: int) -> Tuple[FrozenSet[int], FrozenSet[int]]:

@@ -36,12 +36,6 @@ class PurityResult:
         self.reasons = reasons
 
     @property
-    def removal_safe(self) -> bool:
-        """Safe to delete a ``new C(...)`` whose result is never used
-        (modulo the program-wide exception-handler check)."""
-        return self.pure
-
-    @property
     def lazy_safe(self) -> bool:
         """Safe to postpone a ``new C(...)`` to first use: pure and
         independent of mutable program state."""

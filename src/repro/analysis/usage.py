@@ -91,9 +91,6 @@ class FieldUsage:
         scope = self._scope_classes(declaring, getattr(mods, "visibility", "package"))
         return any(m.class_name in scope for m in self.instance_reads.get(field, []))
 
-    def is_static_field_read(self, declaring: str, field: str) -> bool:
-        return bool(self.static_reads.get((declaring, field)))
-
     def written_never_read_statics(self) -> List[FieldKey]:
         """Static fields assigned (e.g. in <clinit>) but never read —
         the Locale pattern; their initializing assignments are dead."""

@@ -6,6 +6,7 @@ Mirrors the paper's two-phase workflow::
     python -m repro profile program.mj --main Main --log run.dlog2
     python -m repro report run.dlog2 --top 10
     python -m repro watch run.dlog2 --once
+    python -m repro timeline run.dlog2 --html run.html
     python -m repro optimize program.mj --main Main -o revised.mj
     python -m repro disasm program.mj --class Main
 
@@ -14,9 +15,11 @@ Mirrors the paper's two-phase workflow::
 record to disk as its object is reclaimed, in the binary v2 format,
 with bounded memory; ``watch`` tails such a log — even mid-run — with
 live drag metrics. Logs in the older v1 JSONL format still load
-everywhere a log is read. ``optimize``
-runs the verified §3.2/§3.4 optimization pipeline and writes the
-rewritten source.
+everywhere a log is read. Each job has one command: ``timeline``
+renders a log's heap timeline (text, JSON, HTML), and ``profile
+--snapshot FILE`` captures the heap snapshots that ``snapshot
+report``/``snapshot diff`` read. ``optimize`` runs the verified
+§3.2/§3.4 optimization pipeline and writes the rewritten source.
 
 The service mode (see :mod:`repro.serve`)::
 
@@ -167,28 +170,12 @@ def cmd_profile(args) -> int:
             host, port,
             metadata=dict(metadata, program=args.file),
         )
-    timeline_sink = None
-    if args.timeline or args.html:
-        from repro.obs.timeline import DEFAULT_BIN_BYTES, TimelineSink
-
-        timeline_sink = TimelineSink(
-            bin_bytes=args.timeline_bin_bytes or DEFAULT_BIN_BYTES
-        )
-    buffer = None
-    if timeline_sink is not None and not (args.log or args.serve):
-        from repro.stream import BufferSink
-
-        buffer = BufferSink()  # the drag report reads its records
-    sinks = [
-        s for s in (log_sink, serve_sink, timeline_sink, buffer) if s is not None
-    ]
-    sink = None
-    if len(sinks) == 1:
-        sink = sinks[0]
-    elif sinks:
+    if log_sink is not None and serve_sink is not None:
         from repro.stream import TeeSink
 
-        sink = TeeSink(*sinks)
+        sink = TeeSink(log_sink, serve_sink)
+    else:
+        sink = log_sink or serve_sink
     snapshotter = None
     if args.snapshot:
         from repro.snapshot import SnapshotRecorder
@@ -264,34 +251,14 @@ def cmd_profile(args) -> int:
     elif serve_sink is not None:
         pass  # the daemon owns the analysis; read it back via /rankings
     else:
-        records = buffer.records if buffer is not None else result.records
-        analysis = DragAnalysis(records)
         print(
             drag_report(
-                analysis,
+                DragAnalysis(result.records),
                 top=args.top,
                 interval_bytes=args.interval,
                 program=result.program,
             )
         )
-    if timeline_sink is not None:
-        from repro.obs.timeline import render_timeline_text
-
-        payload = timeline_sink.builder.payload(top=args.top)
-        print(render_timeline_text(payload))
-        if args.html:
-            from repro.obs.htmlreport import write_html
-
-            markers = _snapshot_markers(args.snapshot) if args.snapshot else None
-            write_html(
-                args.html, payload,
-                title=f"repro heap timeline: {args.file}",
-                snapshots=markers,
-            )
-            print(
-                f"[timeline] wrote HTML dashboard to {args.html}",
-                file=sys.stderr,
-            )
     _flush_telemetry(args, telemetry)
     return 0
 
@@ -372,8 +339,6 @@ def cmd_serve(args) -> int:
         inline=args.inline,
         top_k=args.top,
         drain_timeout=args.drain_timeout,
-        sample_bytes=args.sample_bytes,
-        seed=args.seed,
         snapshot_file=args.snapshot_file,
         timeline_bin_bytes=args.timeline_bin_bytes,
     )
@@ -543,40 +508,7 @@ def _load_drag_analysis(path: str):
 
 
 def cmd_snapshot(args) -> int:
-    from repro.snapshot import (
-        SnapshotRecorder,
-        read_snapshots,
-        snapshot_diff_report,
-        snapshot_report,
-    )
-
-    if args.action == "capture":
-        from repro.core.profiler import profile_program
-        from repro.mjava.compiler import compile_program
-
-        telemetry = _make_telemetry(args)
-        program = compile_program(_load_program(args.file), main_class=args.main)
-        recorder = SnapshotRecorder(
-            out=args.out,
-            metadata={"main": args.main, "interval": args.interval,
-                      "program": args.file},
-            telemetry=telemetry,
-        )
-        result = profile_program(
-            program, args.args, interval_bytes=args.interval,
-            engine=args.engine, telemetry=telemetry, snapshotter=recorder,
-        )
-        recorder.close()
-        for line in result.run_result.stdout:
-            print(line)
-        print(
-            f"[snapshot] wrote {recorder.capture_count} snapshot(s) "
-            f"({recorder.node_count} nodes, {recorder.edge_count} edges) "
-            f"to {args.out}",
-            file=sys.stderr,
-        )
-        _flush_telemetry(args, telemetry)
-        return 0
+    from repro.snapshot import read_snapshots, snapshot_diff_report, snapshot_report
 
     if args.action == "report":
         loaded = read_snapshots(args.snapshot_file, strict=not args.lenient)
@@ -719,13 +651,23 @@ def cmd_disasm(args) -> int:
 
 
 def byte_count(text: str) -> int:
-    """argparse type of a byte size (an interval or a bin width): a
-    positive integer, so a bad one exits 2 before any file is opened."""
+    """argparse type of a byte size (an interval, a bin width or a
+    sampling period): a positive integer, so a bad one exits 2 before
+    any file is opened."""
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(
             f"must be a positive number of bytes, got {value}"
         )
+    return value
+
+
+def top_count(text: str) -> int:
+    """argparse type of a ``--top`` limit: a non-negative integer, since
+    a negative one would slice away the lowest-ranked entry."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
 
 
@@ -738,7 +680,7 @@ def _add_run(sub) -> None:
     run.add_argument("--stats", action="store_true", help="print VM counters")
     run.add_argument("--engine", choices=["baseline", "compiled"], default=None,
                      help="dispatch engine: classic if/elif interpreter or "
-                     "precompiled closures (default: REPRO_ENGINE or baseline)")
+                     "precompiled closures (default: baseline)")
     run.add_argument("--time", action="store_true",
                      help="print instructions, instr/sec, and final byte-clock")
     _add_obs_flags(run)
@@ -763,8 +705,8 @@ def _add_profile(sub) -> None:
     profile.add_argument("--serve", metavar="HOST:PORT",
                          help="stream the profile to a running 'repro serve' "
                          "daemon (combines with --log to also keep a local copy)")
-    profile.add_argument("--top", type=int, default=10)
-    profile.add_argument("--sample-bytes", type=int, default=None, metavar="N",
+    profile.add_argument("--top", type=top_count, default=10)
+    profile.add_argument("--sample-bytes", type=byte_count, default=None, metavar="N",
                          help="byte-weighted sampling: trailer roughly one "
                          "allocation per N allocated bytes and weight-correct "
                          "all drag estimates (1 = profile everything, "
@@ -779,16 +721,6 @@ def _add_profile(sub) -> None:
                          help="also capture a heap snapshot at every deep-GC "
                          "safepoint into this file (analyze with "
                          "'repro snapshot report')")
-    profile.add_argument("--timeline", action="store_true",
-                         help="maintain a streaming heap timeline during the "
-                         "run and print it (sparklines) after the report")
-    profile.add_argument("--html", metavar="FILE",
-                         help="write the timeline as a self-contained HTML "
-                         "dashboard (implies --timeline)")
-    profile.add_argument("--timeline-bin-bytes", type=byte_count, default=None,
-                         metavar="N",
-                         help="timeline bin width on the byte-allocation "
-                         "clock (default 64K)")
     _add_obs_flags(profile)
     profile.set_defaults(fn=cmd_profile, parser=profile)
 
@@ -800,7 +732,7 @@ def _add_report(sub) -> None:
     report.add_argument("--serve", metavar="HOST:HTTP_PORT",
                         help="read live merged rankings from a serve daemon's "
                         "HTTP port instead of a log file")
-    report.add_argument("--top", type=int, default=10)
+    report.add_argument("--top", type=top_count, default=10)
     report.add_argument("--nested", action="store_true",
                         help="group by nested allocation site (call chain)")
     report.add_argument("--app-only", action="store_true",
@@ -821,7 +753,7 @@ def _add_watch(sub) -> None:
                        help="print one summary of the log as it is now and exit")
     watch.add_argument("--poll", type=float, default=1.0,
                        help="seconds between polls (default 1)")
-    watch.add_argument("--top", type=int, default=10)
+    watch.add_argument("--top", type=top_count, default=10)
     watch.add_argument("--metrics-json",
                        help="flush a machine-readable metrics snapshot here "
                        "on every refresh")
@@ -890,7 +822,7 @@ def _add_lint(sub) -> None:
                       help="a heap snapshot file (from profile --snapshot); "
                       "enables DRAG008 high-retained-container findings from "
                       "dominator-tree retained sizes")
-    lint.add_argument("--top", type=int, default=None,
+    lint.add_argument("--top", type=top_count, default=None,
                       help="show only the N highest-ranked findings "
                       "(applies to text, json, and sarif alike)")
     _add_obs_flags(lint)
@@ -912,17 +844,11 @@ def _add_serve(sub) -> None:
     serve.add_argument("--inline", action="store_true",
                        help="run shards in-process instead of worker processes "
                        "(debugging, low-traffic)")
-    serve.add_argument("--top", type=int, default=10,
+    serve.add_argument("--top", type=top_count, default=10,
                        help="default top-K for /rankings")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        help="seconds to wait for in-flight streams on "
                        "SIGTERM/SIGINT")
-    serve.add_argument("--sample-bytes", type=int, default=None, metavar="N",
-                       help="server-side byte resampling: keep roughly one "
-                       "record per N allocated bytes per stream, reweighting "
-                       "survivors so aggregates stay unbiased")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="base RNG seed for per-stream samplers (default 0)")
     serve.add_argument("--snapshot-file", metavar="FILE",
                        help="a heap snapshot file (from profile --snapshot); "
                        "GET /snapshot serves its retained-size summary, "
@@ -948,7 +874,7 @@ def _add_replay(sub) -> None:
     replay.add_argument("--rate", type=float, default=None,
                         help="per-client records/sec pacing (records mode; "
                         "default: full speed)")
-    replay.add_argument("--sample-bytes", type=int, default=None, metavar="N",
+    replay.add_argument("--sample-bytes", type=byte_count, default=None, metavar="N",
                         help="client-side byte resampling before sending "
                         "(records mode): survivors carry composed weights so "
                         "the daemon's estimates still cover the full log")
@@ -960,24 +886,12 @@ def _add_replay(sub) -> None:
 
 def _add_snapshot(sub) -> None:
     snapshot = sub.add_parser(
-        "snapshot", help="heap snapshots: capture, retained-size report, diff")
+        "snapshot", help="heap snapshots: retained-size report, diff")
     snap_sub = snapshot.add_subparsers(dest="action", required=True)
-    snap_capture = snap_sub.add_parser(
-        "capture", help="run a program, capturing a snapshot at every deep GC")
-    snap_capture.add_argument("file")
-    snap_capture.add_argument("--main", required=True)
-    snap_capture.add_argument("--out", required=True, metavar="FILE",
-                              help="snapshot file to write")
-    snap_capture.add_argument("--interval", type=byte_count, default=100 * 1024,
-                              help="deep-GC interval in bytes (default 100K)")
-    snap_capture.add_argument("--engine", choices=["baseline", "compiled"],
-                              default=None)
-    _add_obs_flags(snap_capture)
-    snap_capture.set_defaults(fn=cmd_snapshot, parser=snap_capture)
     snap_report = snap_sub.add_parser(
         "report", help="dominator-tree retained sizes and retainer chains")
     snap_report.add_argument("snapshot_file")
-    snap_report.add_argument("--top", type=int, default=10)
+    snap_report.add_argument("--top", type=top_count, default=10)
     snap_report.add_argument("--which", type=int, default=None,
                              help="snapshot index within the file (default: "
                              "the one with the most reachable bytes)")
@@ -991,7 +905,7 @@ def _add_snapshot(sub) -> None:
         "diff", help="per-site retained deltas between two snapshot files")
     snap_diff.add_argument("snapshot_file")
     snap_diff.add_argument("other")
-    snap_diff.add_argument("--top", type=int, default=10)
+    snap_diff.add_argument("--top", type=top_count, default=10)
     snap_diff.add_argument("--lenient", action="store_true")
     snap_diff.set_defaults(fn=cmd_snapshot, parser=snap_diff)
 
@@ -1009,7 +923,7 @@ def _add_timeline(sub) -> None:
                           help="bin width on the byte-allocation clock "
                           "(default 64K; log mode only — the daemon binned "
                           "at ingest)")
-    timeline.add_argument("--top", type=int, default=5,
+    timeline.add_argument("--top", type=top_count, default=5,
                           help="per-site drag strips to show (0 = all)")
     timeline.add_argument("--width", type=int, default=60,
                           help="sparkline width in columns")

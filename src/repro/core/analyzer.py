@@ -44,22 +44,16 @@ class SiteStats:
         self.never_used_count = 0
         self.never_used_drag = 0
         self.type_names: List[str] = []  # insertion-ordered, deduplicated
-        # Weight-corrected (Horvitz-Thompson) estimates of count, bytes,
-        # drag, in-use and never-used drag, as WeightedTotals — whose
-        # float part is exact and order-independent, so batch, streaming
-        # and sharded-merge analyses agree bit for bit on sampled data.
+        # Weight-corrected (Horvitz-Thompson) estimates of count, bytes
+        # and drag, as WeightedTotals — whose float part is exact and
+        # order-independent, so batch, streaming and sharded-merge
+        # analyses agree bit for bit on sampled data.
         # None until the first weighted record: until then the observed
         # ints above *are* the estimates, and stay ints.
         self._est: Optional[List[WeightedTotal]] = None
 
     def _observed(self):
-        return (
-            self.count,
-            self.total_bytes,
-            self.total_drag,
-            self.total_in_use,
-            self.never_used_drag,
-        )
+        return (self.count, self.total_bytes, self.total_drag)
 
     def add(self, record: ObjectRecord) -> None:
         _, drag, in_use = space_time(record)
@@ -74,20 +68,13 @@ class SiteStats:
         if weight != 1.0:
             if est is None:
                 est = self._est = seeded_totals(self._observed())
-            weighted_drag = weight * drag
             est[0].add(weight)
             est[1].add(weight * size)
-            est[2].add(weighted_drag)
-            est[3].add(weight * in_use)
-            if never_used:
-                est[4].add(weighted_drag)
+            est[2].add(weight * drag)
         elif est is not None:
             est[0].ints += 1
             est[1].ints += size
             est[2].ints += drag
-            est[3].ints += in_use
-            if never_used:
-                est[4].ints += drag
         self.count += 1
         self.total_bytes += size
         self.total_drag += drag
@@ -114,14 +101,6 @@ class SiteStats:
     def est_drag(self):
         """Estimated total drag (bytes²) this group stands for."""
         return self.total_drag if self._est is None else self._est[2].value
-
-    @property
-    def est_in_use(self):
-        return self.total_in_use if self._est is None else self._est[3].value
-
-    @property
-    def est_never_used_drag(self):
-        return self.never_used_drag if self._est is None else self._est[4].value
 
     @property
     def never_used_fraction(self) -> float:
@@ -392,77 +371,3 @@ class DragAnalysis(DragAggregate):
         fold = self._fold
         for record in all_records:
             fold(record)
-
-
-class DragDelta:
-    """The difference between two drag analyses (original vs revised) —
-    the quantity every row of the paper's Table 5 reports, and the
-    pipeline's verification criterion ("total drag must not increase")."""
-
-    __slots__ = ("before", "after")
-
-    def __init__(self, before: "DragAnalysis", after: "DragAnalysis") -> None:
-        self.before = before
-        self.after = after
-
-    @property
-    def total_before(self) -> int:
-        """Estimated total drag of the original run (the exact observed
-        int when the profile was full-rate)."""
-        return self.before.est_total_drag
-
-    @property
-    def total_after(self) -> int:
-        return self.after.est_total_drag
-
-    @property
-    def delta(self) -> int:
-        """after − before; negative is a drag reduction."""
-        return self.total_after - self.total_before
-
-    @property
-    def pct(self) -> float:
-        """Delta as a percentage of the original total (0.0 when the
-        original had no drag)."""
-        if self.total_before == 0:
-            return 0.0
-        return 100.0 * self.delta / self.total_before
-
-    @property
-    def non_increasing(self) -> bool:
-        return self.total_after <= self.total_before
-
-    @property
-    def decreased(self) -> bool:
-        return self.total_after < self.total_before
-
-    def per_site(self, limit: Optional[int] = None):
-        """(site label, drag before, drag after) rows for every site in
-        either run, largest absolute change first."""
-        labels = set(self.before.by_site) | set(self.after.by_site)
-        rows = []
-        for label in labels:
-            b = self.before.by_site.get(label)
-            a = self.after.by_site.get(label)
-            rows.append((label, b.est_drag if b else 0, a.est_drag if a else 0))
-        rows.sort(key=lambda row: (-abs(row[2] - row[1]), row[0]))
-        return rows[:limit] if limit else rows
-
-    def summary(self) -> str:
-        return (
-            f"total drag {self.total_before} -> {self.total_after} "
-            f"({self.pct:+.1f}%)"
-        )
-
-    def __repr__(self) -> str:
-        return f"<drag-delta {self.summary()}>"
-
-
-def drag_delta(before, after) -> DragDelta:
-    """Build a :class:`DragDelta` from two runs. Each argument may be a
-    :class:`DragAnalysis` or an iterable of :class:`ObjectRecord`."""
-
-    def as_analysis(x):
-        return x if isinstance(x, DragAnalysis) else DragAnalysis(x)
-
-    return DragDelta(as_analysis(before), as_analysis(after))

@@ -149,16 +149,6 @@ class SavingsRow:
             100.0 * reduction / original_reachable if original_reachable > 0 else 0.0
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "reduced_reachable_mb2": self.reduced_reachable,
-            "reduced_in_use_mb2": self.reduced_in_use,
-            "original_reachable_mb2": self.original_reachable,
-            "original_in_use_mb2": self.original_in_use,
-            "drag_saving_pct": self.drag_saving_pct,
-            "space_saving_pct": self.space_saving_pct,
-        }
-
 
 def savings(
     original_records: Iterable[ObjectRecord],

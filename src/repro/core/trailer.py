@@ -231,15 +231,9 @@ class ObjectRecord:
         """Estimated drag space-time product this record stands for."""
         return self.drag if self.weight == 1.0 else self.weight * self.drag
 
-    @property
-    def weighted_in_use(self) -> float:
-        """Estimated in-use space-time product this record stands for."""
-        in_use = self.size * self.in_use_time
-        return in_use if self.weight == 1.0 else self.weight * in_use
-
     def with_weight(self, weight: float) -> "ObjectRecord":
         """Copy of this record carrying ``weight`` (used by replay-time
-        and serve-time resampling, which compose multiplicatively)."""
+        resampling, where weights compose multiplicatively)."""
         return ObjectRecord(
             handle=self.handle,
             type_name=self.type_name,

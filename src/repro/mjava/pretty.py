@@ -9,7 +9,7 @@ simple and keeps the round trip exact.
 from __future__ import annotations
 
 import difflib
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.mjava import ast
 
@@ -124,15 +124,9 @@ class _Printer:
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.depth = 0
-        # Origin tracking for SourceMap: the original-source line of the
-        # construct each printed line came from. Structural lines
-        # (braces, blanks) inherit the nearest preceding construct.
-        self.origins: List[Optional[int]] = []
-        self._current: Optional[int] = None
 
     def emit(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
-        self.origins.append(self._current)
 
     def print_program(self, program: ast.Program) -> str:
         for cls in program.classes:
@@ -141,18 +135,15 @@ class _Printer:
         return "\n".join(self.lines).rstrip() + "\n"
 
     def print_class(self, cls: ast.ClassDecl) -> None:
-        self._current = cls.pos.line
         header = f"class {cls.name}"
         if cls.superclass:
             header += f" extends {cls.superclass}"
         self.emit(header + " {")
         self.depth += 1
         for field in cls.fields:
-            self._current = field.pos.line
             init = f" = {format_expr(field.init)}" if field.init is not None else ""
             self.emit(f"{self._mods(field.mods)}{format_type(field.type)} {field.name}{init};")
         for ctor in cls.ctors:
-            self._current = ctor.pos.line
             params = ", ".join(f"{format_type(p.type)} {p.name}" for p in ctor.params)
             self.emit(f"{self._mods(ctor.mods)}{ctor.name}({params}) {{")
             self.depth += 1
@@ -161,7 +152,6 @@ class _Printer:
             self.depth -= 1
             self.emit("}")
         for method in cls.methods:
-            self._current = method.pos.line
             params = ", ".join(f"{format_type(p.type)} {p.name}" for p in method.params)
             sig = (
                 f"{self._mods(method.mods)}{format_type(method.return_type)} "
@@ -193,7 +183,6 @@ class _Printer:
         return " ".join(parts) + (" " if parts else "")
 
     def print_stmt(self, stmt: ast.Stmt) -> None:
-        self._current = stmt.pos.line
         if isinstance(stmt, ast.Block):
             self.emit("{")
             self.depth += 1
@@ -273,44 +262,6 @@ class _Printer:
 def pretty_print(program: ast.Program) -> str:
     """Render a program AST back to parseable mini-Java source."""
     return _Printer().print_program(program)
-
-
-class SourceMap:
-    """Printed line → original source line, from the positions the AST
-    still carries. Patch appliers preserve node positions (clones keep
-    ``pos``; inserted statements borrow their neighbor's), so a span in
-    a pipeline report can be located in both the original file and the
-    pretty-printed revision."""
-
-    __slots__ = ("_origins",)
-
-    def __init__(self, origins: List[Optional[int]]) -> None:
-        self._origins = origins
-
-    def original_line(self, printed_line: int) -> Optional[int]:
-        """Original line for 1-based ``printed_line`` (None for
-        structural lines before any construct, or out of range)."""
-        if 1 <= printed_line <= len(self._origins):
-            return self._origins[printed_line - 1]
-        return None
-
-    def printed_lines(self, original_line: int) -> List[int]:
-        """All 1-based printed lines that came from ``original_line``."""
-        return [
-            i + 1 for i, line in enumerate(self._origins) if line == original_line
-        ]
-
-    def __len__(self) -> int:
-        return len(self._origins)
-
-
-def pretty_print_mapped(program: ast.Program) -> Tuple[str, SourceMap]:
-    """Like :func:`pretty_print`, also returning the line-origin map."""
-    printer = _Printer()
-    text = printer.print_program(program)
-    # print_program rstrips trailing blank lines; trim origins to match.
-    count = text.count("\n")
-    return text, SourceMap(printer.origins[:count])
 
 
 def unified_source_diff(

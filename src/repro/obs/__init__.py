@@ -172,19 +172,10 @@ class Telemetry:
         registry.counter(
             "repro_dispatch_handlers_total", "Handler closures emitted"
         ).inc(stats.handlers_emitted)
-        ic = registry.counter(
-            "repro_dispatch_inline_cache_total",
-            "INVOKEV inline-cache lookups",
-            ("result",),
-        )
-        ic.labels(result="hit").inc(stats.ic_hits)
-        ic.labels(result="miss").inc(stats.ic_misses)
         # The run consumed the per-run counters; zero them so a second
         # VM under the same telemetry doesn't double-report.
         stats.methods_translated = 0
         stats.handlers_emitted = 0
-        stats.ic_hits = 0
-        stats.ic_misses = 0
 
     # -- profiler ----------------------------------------------------------
 

@@ -299,15 +299,12 @@ class MetricsRegistry:
 
 
 class DispatchStats:
-    """Mutable counters the closure compiler binds into instrumented
-    handlers. Plain ints behind ``__slots__`` — the per-call cost is one
-    attribute increment, and only virtual-call handlers pay it, only
-    when telemetry is enabled (see :mod:`repro.runtime.dispatch`)."""
+    """Translation counters the closure compiler bumps once per method
+    when telemetry is enabled (see :mod:`repro.runtime.dispatch`). No
+    handler binds them, so dispatch itself pays nothing."""
 
-    __slots__ = ("methods_translated", "handlers_emitted", "ic_hits", "ic_misses")
+    __slots__ = ("methods_translated", "handlers_emitted")
 
     def __init__(self) -> None:
         self.methods_translated = 0
         self.handlers_emitted = 0
-        self.ic_hits = 0
-        self.ic_misses = 0

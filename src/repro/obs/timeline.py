@@ -5,9 +5,9 @@ graphs — reachable vs in-use bytes against the byte-allocation clock,
 with the gap between the two curves being drag (§4.1, Figure 2).  This
 module maintains those series *incrementally*, one record at a time, in
 O(bins + sites) memory, so the same numbers are available from a live
-profiled run (``profile --timeline``), a tailed log, and the sharded
-serve daemon (``GET /timeline``) — not just from a post-hoc batch pass
-over a buffered record list.
+profiled run (:class:`TimelineSink`), a log (``repro timeline``), and
+the sharded serve daemon (``GET /timeline``) — not just from a post-hoc
+batch pass over a buffered record list.
 
 Design constraints (all pinned by ``tests/obs/test_timeline.py``):
 

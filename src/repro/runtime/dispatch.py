@@ -74,10 +74,9 @@ class DispatchContext:
         # None => emit no profiler code; else the HeapProfiler whose
         # trailers the use handlers stamp inline.
         self.profiler = profiler
-        # None => emit no telemetry call sites; else a
-        # repro.obs.DispatchStats whose inline-cache counters the
-        # INVOKEV handlers increment. Same specialization discipline as
-        # the profiler: the disabled variant is absent, not gated.
+        # None => count nothing; else a repro.obs.DispatchStats that
+        # compile_method bumps per translated method. No handler binds
+        # it, so telemetry never costs a dispatched instruction.
         self.stats = stats
         # (method, index) of the instruction being translated: the
         # last-use frame its handler stamps. Set by compile_method.
@@ -369,9 +368,7 @@ def _c_invokev(instr, ctx):
     # method. lookup_method is deterministic over an immutable class
     # graph, so memoizing it cannot change behaviour.
     cache = {}
-    profiled = ctx.profiler is not None
-    stats = ctx.stats
-    if not profiled and stats is None:
+    if ctx.profiler is None:
 
         def op_invokev(frame):
             stack = frame.stack
@@ -396,71 +393,10 @@ def _c_invokev(instr, ctx):
 
         return op_invokev
 
-    if not profiled:
-
-        def op_invokev_traced(frame):
-            stack = frame.stack
-            args = stack[len(stack) - argc:]
-            del stack[len(stack) - argc:]
-            recv = stack.pop()
-            if recv is None:
-                vm.throw("NullPointerException", npe)
-            cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
-            method = cache.get(cls_name)
-            if method is None:
-                stats.ic_misses += 1
-                method = program.lookup_method(cls_name, name)
-                if method is None:
-                    raise VMError(f"no method {cls_name}.{name}")
-                cache[cls_name] = method
-            else:
-                stats.ic_hits += 1
-            if method.is_native:
-                result = vm._call_native(method, recv, args)
-                if method.return_descriptor != "void":
-                    stack.append(result)
-            else:
-                frames.append(Frame(method, make_locals(method, args, recv)))
-
-        return op_invokev_traced
-
     heap = ctx.heap
     where, chain, nested_frames = _use_stamp(ctx)
-    if stats is None:
 
-        def op_invokev_profiled(frame):
-            stack = frame.stack
-            args = stack[len(stack) - argc:]
-            del stack[len(stack) - argc:]
-            recv = stack.pop()
-            if recv is None:
-                vm.throw("NullPointerException", npe)
-            trailer = recv.trailer
-            if trailer is not None:
-                clock = heap.clock
-                if trailer.first_use_time == 0:
-                    trailer.first_use_time = clock
-                trailer.last_use_time = clock
-                trailer.last_use_frame = where
-                if chain:
-                    trailer.last_use_chain = nested_frames(chain)
-            cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
-            method = cache.get(cls_name)
-            if method is None:
-                method = program.lookup_method(cls_name, name)
-                if method is None:
-                    raise VMError(f"no method {cls_name}.{name}")
-                cache[cls_name] = method
-            if method.is_native:
-                result = vm._call_native(method, recv, args)
-                if method.return_descriptor != "void":
-                    stack.append(result)
-            else:
-                frames.append(Frame(method, make_locals(method, args, recv)))
-
-        return op_invokev_profiled
-
-    def op_invokev_profiled_traced(frame):
+    def op_invokev_profiled(frame):
         stack = frame.stack
         args = stack[len(stack) - argc:]
         del stack[len(stack) - argc:]
@@ -479,13 +415,10 @@ def _c_invokev(instr, ctx):
         cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
         method = cache.get(cls_name)
         if method is None:
-            stats.ic_misses += 1
             method = program.lookup_method(cls_name, name)
             if method is None:
                 raise VMError(f"no method {cls_name}.{name}")
             cache[cls_name] = method
-        else:
-            stats.ic_hits += 1
         if method.is_native:
             result = vm._call_native(method, recv, args)
             if method.return_descriptor != "void":
@@ -493,7 +426,7 @@ def _c_invokev(instr, ctx):
         else:
             frames.append(Frame(method, make_locals(method, args, recv)))
 
-    return op_invokev_profiled_traced
+    return op_invokev_profiled
 
 
 def _c_invokestatic(instr, ctx):

@@ -19,15 +19,11 @@ Two engines exist, both producing bit-identical results (enforced by
   specialized out when no profiler is attached (see
   :mod:`repro.runtime.dispatch`).
 
-The process-wide default is ``baseline`` unless the ``REPRO_ENGINE``
-environment variable says otherwise — which lets CI (or a curious
-user) run the entire test suite and benchmark harness under the
-compiled engine without touching any call site.
+A config that names no engine runs ``DEFAULT_ENGINE`` (``baseline``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.errors import VMError
@@ -41,21 +37,6 @@ ENGINES = {
 }
 
 DEFAULT_ENGINE = "baseline"
-
-_ENV_VAR = "REPRO_ENGINE"
-
-
-def default_engine() -> str:
-    """The engine used when a config does not name one: the
-    ``REPRO_ENGINE`` environment variable, or ``baseline``."""
-    name = os.environ.get(_ENV_VAR, "").strip()
-    if not name:
-        return DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise VMError(
-            f"{_ENV_VAR}={name!r} is not an engine (have {sorted(ENGINES)})"
-        )
-    return name
 
 
 class VMConfig:
@@ -89,7 +70,7 @@ class VMConfig:
         telemetry=None,
     ) -> None:
         if engine is None:
-            engine = default_engine()
+            engine = DEFAULT_ENGINE
         if engine not in ENGINES:
             raise VMError(
                 f"unknown engine {engine!r} (have {sorted(ENGINES)})"

@@ -165,8 +165,3 @@ class Heap:
 
     def object_count(self) -> int:
         return len(self.objects)
-
-    def reachable_bytes_now(self) -> int:
-        """Live (registered) bytes — between GCs this over-approximates
-        reachability; right after a GC it equals reachable bytes."""
-        return self.live_bytes

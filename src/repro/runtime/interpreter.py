@@ -63,10 +63,6 @@ class ProgramResult:
         self.clock = clock
         self.finalizer_errors = finalizer_errors
 
-    @property
-    def output_text(self) -> str:
-        return "\n".join(self.stdout)
-
 
 class Interpreter:
     """A mini-JVM instance bound to one compiled program."""

@@ -41,7 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core.sampler import ByteSampler
 from repro.errors import ProfileError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.merge import RANKINGS_TABLES, merge_snapshots, rankings_payload
@@ -62,7 +61,6 @@ from repro.stream.codec import (
     peek_record_size,
     peek_site_label,
     record_weight,
-    reweight_record,
 )
 
 _MERGE_BUCKETS = (
@@ -89,8 +87,6 @@ class ServeConfig:
         top_k: int = 10,
         drain_timeout: float = 10.0,
         quiet: bool = False,
-        sample_bytes: Optional[int] = None,
-        seed: int = 0,
         snapshot_file: Optional[str] = None,
         timeline_bin_bytes: Optional[int] = None,
     ) -> None:
@@ -105,11 +101,6 @@ class ServeConfig:
         self.top_k = top_k
         self.drain_timeout = drain_timeout
         self.quiet = quiet
-        # Server-side byte resampling: each ingest stream gets its own
-        # deterministic ByteSampler (seeded off ``seed`` + stream id).
-        # Already-weighted records compose multiplicatively.
-        self.sample_bytes = sample_bytes
-        self.seed = seed
         # Optional heap snapshot file (from `profile --snapshot`): when
         # set, GET /snapshot serves its dominator-tree retained-size
         # summary. The file is parsed lazily and re-read when it grows,
@@ -129,8 +120,7 @@ class StreamInfo:
 
     __slots__ = (
         "stream_id", "peer", "metadata", "frames", "records", "samples",
-        "bytes", "ended", "truncated", "end_time", "sampler", "sampled_out",
-        "corrupt_records",
+        "bytes", "ended", "truncated", "end_time", "corrupt_records",
     )
 
     def __init__(self, stream_id: int, peer: str, metadata: dict) -> None:
@@ -144,9 +134,6 @@ class StreamInfo:
         self.ended = False
         self.truncated = False
         self.end_time: Optional[int] = None
-        # Server-side resampling state (None == route every record).
-        self.sampler: Optional[ByteSampler] = None
-        self.sampled_out = 0
         # Routed records a shard could not decode (not in ``records``).
         self.corrupt_records = 0
 
@@ -162,7 +149,6 @@ class StreamInfo:
             "ended": self.ended,
             "truncated": self.truncated,
             "end_time": self.end_time,
-            "sampled_out": self.sampled_out,
             "corrupt_records": self.corrupt_records,
         }
 
@@ -249,9 +235,6 @@ class DragServer:
         self._m_record_bytes = reg.counter(
             "repro_serve_record_bytes_total",
             "Observed allocation bytes carried by routed records")
-        self._m_sampled_out = reg.counter(
-            "repro_serve_sampled_out_records_total",
-            "Records dropped by server-side byte resampling")
         self._m_rate = reg.gauge(
             "repro_serve_effective_sample_rate",
             "Observed record bytes / weight-estimated bytes (1 = full rate)")
@@ -319,25 +302,10 @@ class DragServer:
         observed_bytes = 0
         weighted_records = 0
         weighted_bytes = 0
-        sampler = info.sampler
         try:
             for frame_type, payload in frames:
                 if frame_type == FRAME_RECORD:
                     size = peek_record_size(payload)
-                    if sampler is not None:
-                        # Server-side resampling never decodes the record:
-                        # peek the size, roll the stream's sampler, and
-                        # either drop the frame or splice the composed
-                        # weight into its trailing weight field.
-                        extra = sampler.sample(size)
-                        if not extra:
-                            info.sampled_out += 1
-                            self._m_sampled_out.inc()
-                            continue
-                        if extra != 1.0:
-                            payload = reweight_record(
-                                payload, record_weight(payload) * extra
-                            )
                     weight = record_weight(payload)
                     observed_bytes += size
                     if weight == 1.0:
@@ -412,14 +380,6 @@ class DragServer:
             return
         self._next_stream_id += 1
         info = StreamInfo(self._next_stream_id, peer, metadata)
-        cfg = self.config
-        if cfg.sample_bytes is not None and cfg.sample_bytes > 1:
-            # Deterministic per stream: the config seed offset by the
-            # stream id, so concurrent streams sample independently but
-            # a rerun of the same arrival order reproduces exactly.
-            info.sampler = ByteSampler(
-                cfg.sample_bytes, seed=cfg.seed + info.stream_id
-            )
         self.streams[info.stream_id] = info
         self._m_streams.inc()
         parser = FrameParser(source=f"stream-{info.stream_id}")
@@ -557,7 +517,6 @@ class DragServer:
                     "total_drag": analysis.total_drag,
                     "est_total_drag": analysis.est_total_drag,
                     "effective_sample_rate": analysis.effective_sample_rate,
-                    "sample_bytes": self.config.sample_bytes,
                     "end_time": analysis.end_time,
                     "sites": len(analysis.by_site),
                     "samples": sum(

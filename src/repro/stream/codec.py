@@ -211,9 +211,8 @@ class V2FrameEncoder:
             for sid in chain_ids:
                 _write_uvarint(buf, sid)
         if weight != 1.0:
-            # Trailing position is load-bearing: serve-side resampling
-            # rewrites the weight by splicing the tail without reparsing
-            # the varint body (see reweight_record).
+            # Trailing position is load-bearing: record_weight reads it
+            # at a fixed offset from the end without reparsing the body.
             buf += struct.pack("<d", weight)
             self._weighted = True
             self.weighted_count += weight
@@ -395,31 +394,10 @@ def record_weight(payload: bytes) -> float:
 def peek_record_size(payload: bytes) -> int:
     """A RECORD payload's object size (bytes) without a full decode:
     skip the flags byte and the handle varint, read the size varint.
-    Serve-side resampling feeds this to its per-stream byte sampler."""
+    The serve daemon sums it into its observed and weighted byte totals."""
     _, pos = _read_uvarint(payload, 1)  # handle
     size, _ = _read_uvarint(payload, pos)
     return size
-
-
-def reweight_record(payload: bytes, weight: float) -> bytes:
-    """A copy of a RECORD payload carrying ``weight``.
-
-    Because the weight field is strictly trailing, this flips one flag
-    bit and splices the 8-byte tail — no varint reparsing. Passing
-    ``1.0`` strips the field entirely, restoring the weightless (and
-    full-rate byte-identical) encoding.
-    """
-    flags = payload[0]
-    body_end = len(payload) - 8 if flags & _F_HAS_WEIGHT else len(payload)
-    if weight == 1.0:
-        if not flags & _F_HAS_WEIGHT:
-            return payload
-        return bytes((flags & ~_F_HAS_WEIGHT,)) + payload[1:body_end]
-    return (
-        bytes((flags | _F_HAS_WEIGHT,))
-        + payload[1:body_end]
-        + struct.pack("<d", weight)
-    )
 
 
 def peek_site_label(payload: bytes, strings: List[str]) -> str:

@@ -80,6 +80,19 @@ class LiveMetrics:
         )
 
 
+def top_site(site: str, drag, objects: int, nbytes: int, never_used: int) -> dict:
+    """One ``top_sites`` entry of a snapshot. ``watch`` on a log and
+    ``watch --follow`` on a daemon both build theirs here, so their
+    ``--metrics-json`` files have the same shape."""
+    return {
+        "site": site,
+        "drag": drag,
+        "objects": objects,
+        "bytes": nbytes,
+        "never_used": never_used,
+    }
+
+
 def snapshot(
     analysis: StreamingDragAnalysis,
     time: int,
@@ -92,13 +105,10 @@ def snapshot(
 ) -> LiveMetrics:
     """Freeze the aggregator's current state into a snapshot."""
     top = [
-        {
-            "site": str(stats.key),
-            "drag": stats.total_drag,
-            "objects": stats.count,
-            "bytes": stats.total_bytes,
-            "never_used": stats.never_used_count,
-        }
+        top_site(
+            str(stats.key), stats.total_drag, stats.count, stats.total_bytes,
+            stats.never_used_count,
+        )
         for stats in analysis.sorted_sites(top_k)
     ]
     return LiveMetrics(

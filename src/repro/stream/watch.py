@@ -291,7 +291,12 @@ def follow_server(
     """
     from repro.serve.client import fetch_json, fetch_rankings
     from repro.serve.protocol import parse_hostport
-    from repro.stream.live import LiveMetrics, update_registry, write_metrics_json
+    from repro.stream.live import (
+        LiveMetrics,
+        top_site,
+        update_registry,
+        write_metrics_json,
+    )
 
     if registry is None and metrics_out is not None:
         from repro.obs import MetricsRegistry
@@ -334,7 +339,11 @@ def follow_server(
                 total_drag=summary["total_drag"],
                 total_bytes=summary["total_bytes"],
                 sample_count=summary.get("samples", 0),
-                top_sites=rankings.get("sites", []),
+                top_sites=[
+                    top_site(e["site"], e["drag"], e["objects"], e["bytes"],
+                             e["never_used"])
+                    for e in rankings.get("sites", [])
+                ],
                 finished=finished,
             )
             if metrics_json:

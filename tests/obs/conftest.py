@@ -2,8 +2,8 @@
 
 Each benchmark is profiled ONCE per session with a
 :class:`~repro.obs.timeline.TimelineSink` teed into a streaming v2 log
-writer — the exact ``repro profile --timeline --log x.dlog2`` wiring —
-and a buffer.  Tests then get three views of the same run: the
+writer (the ``repro profile --log x.dlog2`` wiring, plus a live
+timeline) and a buffer.  Tests then get three views of the same run: the
 buffered records, the on-disk log, and the incrementally-built
 timeline, which is what the streaming-equals-post-hoc claims compare.
 """

@@ -99,19 +99,21 @@ class TestHookSpecialization:
             assert not TELEMETRY_NAMES & set(code.co_names), handler
             assert not TELEMETRY_NAMES & set(code.co_freevars), handler
 
-    def test_traced_invokev_handlers_bind_stats(self):
+    def test_telemetry_never_reaches_a_handler_closure(self):
+        """Telemetry counts translation, not dispatch: with it attached,
+        profiled or not, no handler binds the stats or names a counter."""
         from repro.obs import Telemetry
 
-        telemetry = Telemetry()
-        vm, result = _build(telemetry=telemetry)
-        assert result.stdout == ["total=7"]
-        bound = [
-            h for h in _all_handlers(vm) if "stats" in h.__code__.co_freevars
-        ]
-        assert bound, "no handler bound the DispatchStats counters"
-        for handler in bound:
-            idx = handler.__code__.co_freevars.index("stats")
-            assert handler.__closure__[idx].cell_contents is telemetry.dispatch_stats
+        for profiler in (None, HeapProfiler(interval_bytes=1 << 20)):
+            telemetry = Telemetry()
+            vm, result = _build(profiler=profiler, telemetry=telemetry)
+            assert result.stdout == ["total=7"]
+            snap = telemetry.registry.snapshot()
+            assert snap["repro_dispatch_handlers_total"] > 0
+            for handler in _all_handlers(vm):
+                code = handler.__code__
+                assert not TELEMETRY_NAMES & set(code.co_freevars), handler
+                assert not TELEMETRY_NAMES & set(code.co_names), handler
 
     def test_profiled_use_handlers_stamp_inline(self):
         """Profiled use handlers call no hook: ``on_use`` is in neither
@@ -172,19 +174,8 @@ class TestEngineFacade:
         assert type(create_vm(program, engine="baseline")) is Interpreter
         assert type(create_vm(program, engine="compiled")) is CompiledInterpreter
 
-    def test_default_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_engine(self):
         assert VMConfig().engine == DEFAULT_ENGINE == "baseline"
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "compiled")
-        program = compile_program(link(SOURCE), main_class="Main")
-        assert type(create_vm(program)) is CompiledInterpreter
-
-    def test_env_var_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        with pytest.raises(VMError, match="turbo"):
-            VMConfig()
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(VMError, match="warp"):

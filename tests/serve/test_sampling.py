@@ -1,8 +1,9 @@
 """Byte-weighted sampling through the serve daemon.
 
-Three layers of the serve path carry weights: client-side resampling
-in ``replay_log``, server-side resampling at ingest (without decoding
-records), and the weighted shard merge behind /rankings and /summary.
+Two layers of the serve path carry weights: client-side resampling in
+``replay_log``, and the weighted shard merge behind /rankings and
+/summary. The daemon itself never resamples: a stream is sampled where
+it starts (``profile --sample-bytes`` or ``replay --sample-bytes``).
 """
 
 import pytest
@@ -21,16 +22,9 @@ from repro.serve.server import ServeConfig, start_server_thread
 from tests.serve.test_server import metric_value, write_v2_log
 
 
-def start(registry=None, sample_bytes=None, seed=0, workers=2):
+def start(registry=None, workers=2):
     return start_server_thread(
-        ServeConfig(
-            port=0,
-            http_port=0,
-            workers=workers,
-            quiet=True,
-            sample_bytes=sample_bytes,
-            seed=seed,
-        ),
+        ServeConfig(port=0, http_port=0, workers=workers, quiet=True),
         registry=registry,
     )
 
@@ -71,44 +65,6 @@ def test_rankings_payload_carries_est_fields(all_profiles):
         assert entry["est_drag"] == entry["drag"]
 
 
-def test_server_side_resampling(all_profiles, tmp_path):
-    """A daemon started with --sample-bytes thins full-rate streams at
-    ingest and serves weight-corrected estimates of the full load."""
-    profile = all_profiles["db"]
-    log = write_v2_log(
-        tmp_path / "db.dlog2", profile.records, end_time=profile.end_time
-    )
-    registry = MetricsRegistry()
-    handle = start(registry=registry, sample_bytes=400, seed=0)
-    try:
-        host, port = handle.ingest_addr
-        ack = replay_log(log, host, port)
-        assert ack["ok"]
-        summary = fetch_json(handle.http_addr, "/summary")
-        assert summary["sample_bytes"] == 400
-        assert 0 < summary["objects"] < len(profile.records)
-        assert 0 < summary["effective_sample_rate"] < 1
-        full = DragAnalysis(profile.records)
-        assert summary["est_total_bytes"] == pytest.approx(
-            full.total_bytes, rel=0.15
-        )
-        assert summary["est_total_drag"] == pytest.approx(
-            full.total_drag, rel=0.2
-        )
-        assert summary["streams"][0]["sampled_out"] == len(
-            profile.records
-        ) - summary["objects"]
-
-        text = fetch_metrics_text(handle.http_addr)
-        assert 0 < metric_value(text, "repro_serve_effective_sample_rate") < 1
-        assert metric_value(text, "repro_serve_sampled_out_records_total") > 0
-        assert metric_value(
-            text, "repro_serve_weighted_bytes_total"
-        ) == pytest.approx(full.total_bytes, rel=0.15)
-    finally:
-        handle.stop()
-
-
 def test_client_side_resampling(all_profiles, tmp_path):
     """``replay_log(..., sample_bytes=N)`` thins before the socket; the
     daemon (no sampling configured) still reports weighted estimates
@@ -124,7 +80,6 @@ def test_client_side_resampling(all_profiles, tmp_path):
         assert ack["ok"]
         assert ack["sent"] < len(profile.records)
         summary = fetch_json(handle.http_addr, "/summary")
-        assert summary["sample_bytes"] is None  # server itself full-rate
         assert summary["effective_sample_rate"] < 1
         full = DragAnalysis(profile.records)
         assert summary["est_total_bytes"] == pytest.approx(
@@ -156,7 +111,6 @@ def test_full_rate_serve_metrics_stay_exact(all_profiles, tmp_path):
         assert metric_value(text, "repro_serve_weighted_bytes_total") == sum(
             r.size for r in profile.records
         )
-        assert metric_value(text, "repro_serve_sampled_out_records_total") == 0
         summary = fetch_json(handle.http_addr, "/summary")
         assert summary["effective_sample_rate"] == 1.0
         assert summary["est_total_drag"] == summary["total_drag"]

@@ -10,6 +10,7 @@ frame aggregated, poisoning nothing.
 """
 
 import io
+import json
 import socket
 import threading
 import time
@@ -412,3 +413,38 @@ def test_follow_server_polls_rankings(tmp_path):
     exposition = registry.exposition()
     assert metric_value(exposition, "repro_live_records_seen") == len(records)
     handle.stop()
+
+
+def test_follow_and_log_watch_write_the_same_top_sites(tmp_path):
+    """``watch --follow --metrics-json`` and ``watch LOG --metrics-json``
+    over the same records write the same five-key ``top_sites``."""
+    from repro.stream.watch import follow_server, watch_log
+
+    records = [
+        make_record(
+            handle=i, size=8 * (1 + i % 5), created=10 * i,
+            last_use=0 if i % 3 == 0 else 10 * i + 5,
+            collected=10 * i + 400, site_label=f"W.m:{i % 4}",
+        )
+        for i in range(60)
+    ]
+    log = write_v2_log(tmp_path / "w.dlog2", records, end_time=1000)
+    from_log = tmp_path / "log.json"
+    watch_log(log, once=True, top=3, metrics_json=str(from_log),
+              out=io.StringIO())
+
+    handle = start(workers=2, inline=True)
+    try:
+        host, port = handle.ingest_addr
+        replay_log(log, host, port, mode="raw")
+        followed = tmp_path / "follow.json"
+        hostport = f"{handle.http_addr[0]}:{handle.http_addr[1]}"
+        follow_server(hostport, once=True, top=3,
+                      metrics_json=str(followed), out=io.StringIO())
+    finally:
+        handle.stop()
+    want = json.loads(from_log.read_text())["top_sites"]
+    got = json.loads(followed.read_text())["top_sites"]
+    assert len(want) == 3
+    assert set(want[0]) == {"site", "drag", "objects", "bytes", "never_used"}
+    assert got == want

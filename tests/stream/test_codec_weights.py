@@ -20,7 +20,6 @@ from repro.stream.codec import (
     peek_record_size,
     read_v2_log,
     record_weight,
-    reweight_record,
 )
 from tests.core.test_analyzer import make_record
 
@@ -151,31 +150,9 @@ def test_record_weight_and_peek_size_helpers():
     assert peek_record_size(payload) == 777
 
 
-def test_reweight_record_splices_without_decode():
-    """reweight_record edits the payload in place (no string table
-    needed) and composes with the original encoding."""
-    record = make_record(handle=4, size=256, site_label="X.y:9")
-    data, _ = encode_stream([record])
-    (payload,) = _record_frames(data)
-
-    up = reweight_record(payload, 8.0)
-    assert record_weight(up) == 8.0
-    assert peek_record_size(up) == 256
-    assert len(up) == len(payload) + 8  # flag already fit in the byte
-
-    # re-weighting an already-weighted payload replaces, not appends
-    up2 = reweight_record(up, 3.5)
-    assert record_weight(up2) == 3.5
-    assert len(up2) == len(up)
-
-    # weight 1.0 strips the field entirely: back to the original bytes
-    down = reweight_record(up, 1.0)
-    assert down == payload
-
-
 def test_weight_field_is_trailing_eight_bytes():
     """The weight rides at the payload tail as a little-endian double —
-    the layout reweight_record and record_weight rely on."""
+    the layout record_weight relies on."""
     record = make_record(handle=2, size=40).with_weight(6.25)
     data, _ = encode_stream([record])
     (payload,) = _record_frames(data)

@@ -339,14 +339,34 @@ def test_profile_rejects_non_positive_interval_before_opening_log(
 
 @pytest.mark.parametrize("argv", [
     ["optimize", "{prog}", "--main", "Main", "--interval", "0"],
-    ["snapshot", "capture", "{prog}", "--main", "Main", "--out", "{tmp}/out",
-     "--interval", "0"],
-    ["profile", "{prog}", "--main", "Main", "--timeline",
-     "--timeline-bin-bytes", "-4"],
     ["timeline", "{tmp}/out", "--bin-bytes", "0"],
+    ["profile", "{prog}", "--main", "Main", "--log", "{tmp}/out",
+     "--sample-bytes", "0"],
+    ["profile", "{prog}", "--main", "Main", "--log", "{tmp}/out",
+     "--sample-bytes", "-3"],
+    ["replay", "{tmp}/log", "--serve", "127.0.0.1:9", "--sample-bytes", "0"],
+    ["replay", "{tmp}/log", "--serve", "127.0.0.1:9", "--sample-bytes", "-3"],
 ])
 def test_byte_sizes_are_validated_at_parsing(program_file, tmp_path, capsys, argv):
     argv = [a.format(prog=program_file, tmp=tmp_path) for a in argv]
     assert _exit_code(argv) == 2
     assert "must be a positive number of bytes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "{log}"],
+    ["watch", "{log}", "--once"],
+    ["timeline", "{log}"],
+])
+def test_negative_top_is_refused_at_parsing(program_file, tmp_path, capsys, argv):
+    log = str(tmp_path / "run.dlog2")
+    main(["profile", program_file, "--main", "Main", "--interval", "4096",
+          "--log", log])
+    capsys.readouterr()
+    argv = [a.format(log=log) for a in argv] + ["--top", "-1"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"repro {argv[0]}: error: argument --top: must not be negative, got -1"
+    )

@@ -13,7 +13,7 @@ from repro.cli import COMMANDS, build_parser, main
 GOLDEN = Path(__file__).parent / "fixtures" / "cli_help"
 SUBCOMMANDS = [
     (name,) for name in COMMANDS
-] + [("snapshot", action) for action in ("capture", "report", "diff")]
+] + [("snapshot", action) for action in ("report", "diff")]
 
 
 @pytest.fixture(autouse=True)
