@@ -42,7 +42,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.errors import MiniJavaException, ReproError
+from repro.errors import MiniJavaException, ProfileError, ReproError
 
 
 def _load_program(path: str, library_overrides=None):
@@ -82,6 +82,21 @@ def _add_obs_flags(parser) -> None:
                         "(load in Perfetto, or render with 'repro trace')")
     parser.add_argument("--metrics-out", metavar="FILE",
                         help="write Prometheus text-format metrics here")
+
+
+def _log_only(args, *options) -> bool:
+    """True, after an error line, when one of these log-reading
+    ``options`` is set alongside ``--serve``."""
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")):
+            print(f"error: {option} applies to a log file, not --serve",
+                  file=sys.stderr)
+            return True
+    return False
+
+
+def _unreachable(hostport: str, exc: OSError) -> ProfileError:
+    return ProfileError(f"cannot reach serve daemon at {hostport}: {exc}")
 
 
 def _gc_summary(stats) -> str:
@@ -271,13 +286,18 @@ def cmd_report(args) -> int:
         if args.log:
             print("error: pass a log file or --serve, not both", file=sys.stderr)
             return 2
+        if _log_only(args, "--app-only", "--lenient"):
+            return 2
         addr = parse_hostport(args.serve)
-        rankings = fetch_rankings(
-            addr,
-            top=args.top or None,
-            table="nested" if args.nested else "site",
-        )
-        summary = fetch_json(addr, "/summary")
+        try:
+            rankings = fetch_rankings(
+                addr,
+                top=args.top or None,
+                table="nested" if args.nested else "site",
+            )
+            summary = fetch_json(addr, "/summary")
+        except OSError as exc:
+            raise _unreachable(args.serve, exc) from exc
         print(render_rankings_text(rankings, summary=summary))
         return 0
     if not args.log:
@@ -350,6 +370,10 @@ def cmd_replay(args) -> int:
 
     from repro.serve import parse_hostport, replay_log
 
+    if args.mode == "raw" and (args.rate or (args.sample_bytes or 1) > 1):
+        print("error: --rate and --sample-bytes need --mode records "
+              "(raw mode copies the log verbatim)", file=sys.stderr)
+        return 2
     host, port = parse_hostport(args.serve)
     results = [None] * args.clients
     errors = []
@@ -571,6 +595,8 @@ def cmd_timeline(args) -> int:
 
         from repro.serve import fetch_json, parse_hostport
 
+        if _log_only(args, "--bin-bytes", "--lenient"):
+            return 2
         addr = parse_hostport(args.serve)
         try:
             payload = fetch_json(addr, f"/timeline?top={args.top}")
@@ -579,6 +605,8 @@ def cmd_timeline(args) -> int:
                   "(serve started with --timeline-bin-bytes 0?)",
                   file=sys.stderr)
             return 2
+        except OSError as exc:
+            raise _unreachable(args.serve, exc) from exc
     elif args.log:
         from repro.core.logfile import read_log
 

@@ -1,8 +1,9 @@
 """Phase 2: the off-line drag analyzer (§2.2).
 
-Partitions dragged objects by allocation site, by *nested* allocation
-site (call chain), and by (allocation site, last-use site); sums the
-drag space-time product per group; maintains the special partition of
+Partitions dragged objects by allocation site and by *nested*
+allocation site (call chain), and each group's records by last-use site
+on demand (:meth:`SiteGroup.partition_by_last_use`); sums the drag
+space-time product per group; maintains the special partition of
 *never-used* objects; and sorts groups by drag — "allocation sites
 having a large drag suggest a potential for significant space savings".
 """
@@ -17,7 +18,8 @@ from repro.core.trailer import ObjectRecord, space_time
 
 class SiteStats:
     """Running aggregates for one partition key: a site label, a
-    nested-site chain, or a (site, last-use site) pair.
+    nested-site chain, or (in a last-use split) a (key, last-use site)
+    pair.
 
     Both analyzers fold records into these; :class:`SiteGroup` adds the
     record list for the queries that need raw records.
@@ -230,15 +232,14 @@ class Histogram:
 
 
 class DragAggregate:
-    """The three partitions and the log totals, folded a record at a time.
+    """The two partitions and the log totals, folded a record at a time.
 
-    Partitions: ``by_site`` (plain allocation site), ``by_nested``
-    (call chain) and ``by_site_and_use`` ((site, last-use frame)). The
-    batch :class:`DragAnalysis` and the streaming
+    Partitions: ``by_site`` (plain allocation site) and ``by_nested``
+    (call chain). The batch :class:`DragAnalysis` and the streaming
     :class:`repro.stream.aggregate.StreamingDragAnalysis` are both this
     fold; they differ only in their group type and in how records
     arrive, so they agree exactly on any stream. Each record's facts
-    are computed once here and shared by its three groups, and every
+    are computed once here and shared by its two groups, and every
     total is maintained as the records arrive, never rescanned.
     """
 
@@ -247,7 +248,6 @@ class DragAggregate:
     def __init__(self) -> None:
         self.by_site: Dict[object, SiteStats] = {}
         self.by_nested: Dict[object, SiteStats] = {}
-        self.by_site_and_use: Dict[object, SiteStats] = {}
         self.object_count = 0
         self.total_bytes = 0
         # Observed drag: the sum over *logged* records, uncorrected.
@@ -284,7 +284,6 @@ class DragAggregate:
         for table, key in (
             (self.by_site, label),
             (self.by_nested, record.nested_alloc or (label,)),
-            (self.by_site_and_use, (label, record.last_use_frame)),
         ):
             group = table.get(key)
             if group is None:

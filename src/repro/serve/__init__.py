@@ -2,14 +2,14 @@
 
 The ``repro serve`` daemon turns the paper's offline two-phase profiler
 into an always-on aggregation service: many concurrent profiled runs
-stream their v2 object logs over TCP, frames fan out by allocation-site
-hash to shard workers each running an incremental
+stream their v2 object logs over TCP, record frames are dealt out
+unread to shard workers each running an incremental
 :class:`~repro.stream.aggregate.StreamingDragAnalysis`, shards merge
 associatively on demand, and live per-site drag rankings plus
 Prometheus metrics are one HTTP GET away. Layout:
 
 * :mod:`repro.serve.protocol` — handshake + wire framing;
-* :mod:`repro.serve.shard` — site-hash partitioner and shard workers;
+* :mod:`repro.serve.shard` — the shard workers;
 * :mod:`repro.serve.merge` — associative merge and the rankings
   payload, plus the merge-equals-batch proof;
 * :mod:`repro.serve.server` — the asyncio daemon;
@@ -33,8 +33,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "DragServer", "ServeConfig", "ServerHandle", "start_server_thread",
     ),
     "repro.serve.shard": (
-        "InlineShard", "ProcessShard", "make_shards", "partition_records",
-        "site_shard",
+        "InlineShard", "ProcessShard", "make_shards",
     ),
 })
 
@@ -57,6 +56,4 @@ __all__ = [
     "InlineShard",
     "ProcessShard",
     "make_shards",
-    "partition_records",
-    "site_shard",
 ]

@@ -147,6 +147,11 @@ def replay_log(
     """
     path = Path(path)
     if mode == "raw":
+        if rate or (sample_bytes or 1) > 1:
+            raise ValueError(
+                "raw replay copies the log verbatim: rate and sample_bytes "
+                "need mode='records'"
+            )
         with open(path, "rb") as f:
             head = f.read(len(MAGIC))
             if head != MAGIC:
@@ -218,18 +223,24 @@ def replay_log(
 # -- HTTP read side --------------------------------------------------------
 
 
-def fetch_json(
-    hostport: Union[str, tuple], path: str, timeout: float = 30.0
-) -> dict:
-    """GET a JSON endpoint from the daemon's HTTP port."""
-    import json
+def _get(hostport: Union[str, tuple], path: str, timeout: float) -> str:
+    """GET ``path`` from the daemon's HTTP port; the body as text."""
     from urllib.request import urlopen
 
     host, port = (
         parse_hostport(hostport) if isinstance(hostport, str) else hostport
     )
     with urlopen(f"http://{host}:{port}{path}", timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))
+        return resp.read().decode("utf-8")
+
+
+def fetch_json(
+    hostport: Union[str, tuple], path: str, timeout: float = 30.0
+) -> dict:
+    """GET a JSON endpoint from the daemon's HTTP port."""
+    import json
+
+    return json.loads(_get(hostport, path, timeout))
 
 
 def fetch_rankings(
@@ -247,10 +258,4 @@ def fetch_rankings(
 
 def fetch_metrics_text(hostport: Union[str, tuple], timeout: float = 30.0) -> str:
     """GET /metrics (Prometheus text exposition)."""
-    from urllib.request import urlopen
-
-    host, port = (
-        parse_hostport(hostport) if isinstance(hostport, str) else hostport
-    )
-    with urlopen(f"http://{host}:{port}/metrics", timeout=timeout) as resp:
-        return resp.read().decode("utf-8")
+    return _get(hostport, "/metrics", timeout)

@@ -7,9 +7,10 @@ concatenated logs, which in turn is bit-identical to the batch
 :class:`~repro.core.analyzer.DragAnalysis` (pinned by
 ``tests/stream/test_aggregate.py``). :func:`prove_merge_equals_batch`
 is the executable form of that argument: it shards a record list K
-ways, merges, and requires the full (untruncated) rankings payload to
-be equal — not approximately, ``==`` on the JSON-able structure — to
-the batch analyzer's.
+ways (as the daemon deals batches, and at random), merges, and
+requires the full (untruncated) rankings payload to be equal — not
+approximately, ``==`` on the JSON-able structure — to the batch
+analyzer's.
 
 :func:`rankings_payload` is deliberately duck-typed over both analyzers
 so the server (merged shards) and ``repro report`` (batch) serialize
@@ -38,7 +39,7 @@ def merge_snapshots(snapshots: Iterable, into=None):
 
 def _key_json(key) -> object:
     """Partition keys JSON-ably: site labels stay strings, nested
-    chains and (site, last-use) pairs become lists."""
+    chains become lists."""
     if isinstance(key, str):
         return key
     return list(key)
@@ -65,8 +66,6 @@ def rankings_payload(
         groups = analysis.never_used_sites(top)
     else:
         raise ValueError(f"unknown rankings table {table!r}")
-    total_drag = analysis.total_drag
-    est_total_drag = analysis.est_total_drag
     sites = [
         {
             "rank": rank,
@@ -76,9 +75,7 @@ def rankings_payload(
             # full-rate streams, so pre-sampling payloads are unchanged
             # except for the added est_*/effective_sample_rate keys.
             "est_drag": group.est_drag,
-            "drag_share": (
-                group.est_drag / est_total_drag if est_total_drag > 0 else 0.0
-            ),
+            "drag_share": analysis.drag_share(group),
             "objects": group.count,
             "est_objects": group.est_count,
             "bytes": group.total_bytes,
@@ -92,18 +89,15 @@ def rankings_payload(
         }
         for rank, group in enumerate(groups, start=1)
     ]
-    est_bytes = analysis.est_total_bytes
     return {
         "table": table,
         "objects": analysis.object_count,
         "est_objects": analysis.est_object_count,
         "total_bytes": analysis.total_bytes,
-        "est_total_bytes": est_bytes,
-        "total_drag": total_drag,
-        "est_total_drag": est_total_drag,
-        "effective_sample_rate": (
-            analysis.total_bytes / est_bytes if est_bytes > 0 else 1.0
-        ),
+        "est_total_bytes": analysis.est_total_bytes,
+        "total_drag": analysis.total_drag,
+        "est_total_drag": analysis.est_total_drag,
+        "effective_sample_rate": analysis.effective_sample_rate,
         "sites": sites,
     }
 
@@ -163,21 +157,20 @@ def prove_merge_equals_batch(
     records: Sequence,
     shard_counts: Sequence[int] = (1, 2, 4, 8),
     seed: int = 0,
-    by_site_hash: bool = True,
     timelines: bool = False,
     timeline_bin_bytes: Optional[int] = None,
     end_time: Optional[int] = None,
 ) -> dict:
     """Verify merge-equals-batch on ``records``; returns the proof.
 
-    For every K in ``shard_counts`` the records are split K ways — by
-    the daemon's site-hash partitioner, and (when a ``seed`` RNG is
-    given) additionally by a uniformly random assignment, which is the
-    stronger claim: associativity cannot lean on the partition being
-    site-aligned. Each split is aggregated per-shard, merged, and the
-    *full* rankings payloads (site, nested, and never-used tables) are
-    required to equal the batch analyzer's. Raises AssertionError on
-    the first mismatch.
+    For every K in ``shard_counts`` the records are split K ways twice:
+    as the daemon routes them, consecutive batches dealt to the shards
+    in turn (about four batches a shard), and by a uniformly random
+    assignment from a ``seed`` RNG, which is the stronger claim:
+    associativity cannot lean on any shape of the partition. Each split
+    is aggregated per-shard, merged, and the *full* rankings payloads
+    (site, nested, and never-used tables) are required to equal the
+    batch analyzer's. Raises AssertionError on the first mismatch.
 
     With ``timelines=True``, each shard also folds its records into a
     :class:`~repro.obs.timeline.TimelineBuilder` beside its analysis
@@ -187,8 +180,6 @@ def prove_merge_equals_batch(
     pins the declared stream end on both sides, mirroring the END frame.
     """
     from repro.core.analyzer import DragAnalysis
-
-    from repro.serve.shard import partition_records
 
     batch = DragAnalysis(records)
     expected = {
@@ -206,14 +197,14 @@ def prove_merge_equals_batch(
     rng = random.Random(seed)
     checked = 0
     for k in shard_counts:
-        splits: List[List[List]] = []
-        if by_site_hash:
-            splits.append(partition_records(records, k))
+        batch_size = max(1, -(-len(records) // (4 * k)))
+        dealt: List[List] = [[] for _ in range(k)]
+        for turn, start in enumerate(range(0, len(records), batch_size)):
+            dealt[turn % k].extend(records[start:start + batch_size])
         random_split: List[List] = [[] for _ in range(k)]
         for record in records:
             random_split[rng.randrange(k)].append(record)
-        splits.append(random_split)
-        for split in splits:
+        for split in (dealt, random_split):
             merged = merge_snapshots(
                 StreamingDragAnalysis().consume(shard) for shard in split
             )

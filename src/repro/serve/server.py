@@ -1,9 +1,9 @@
 """The ``repro serve`` daemon: drag profiling as a service.
 
 One asyncio process accepts many concurrent v2 profile streams over
-TCP, routes raw RECORD frames to N shard workers by allocation-site
-hash (see :mod:`repro.serve.shard` for why the loop never decodes a
-record), and answers HTTP on a second port:
+TCP, deals each batch of raw RECORD frames, unread, to the next of N
+shard workers in turn (see :mod:`repro.serve.shard`: the shard owns the
+one record decode), and answers HTTP on a second port:
 
 * ``GET /rankings?top=K&table=site|nested|never_used`` — live per-site
   drag rankings, merged on demand from the shard snapshots; the body is
@@ -17,13 +17,15 @@ record), and answers HTTP on a second port:
   the record-derived series; the loop keeps the markers (SAMPLE frames
   are never routed) and splices them in at serve time.
 * ``GET /healthz`` — liveness + drain state.
-* ``GET /metrics`` — Prometheus text from the PR 5
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+* ``GET /metrics`` — Prometheus text from the
+  :class:`~repro.obs.metrics.MetricsRegistry`; the record-byte,
+  weighted and sample-rate gauges are set from the merged analysis at
+  each scrape, so they equal ``/summary``'s totals.
 
-Each read snapshots and merges only what it serves: ``/rankings`` and
-``/summary`` the shards' analyses, ``/timeline`` their timelines. A
-``top`` or ``table`` the endpoint cannot serve is a ``400 Bad Request``
-with a JSON ``error`` body.
+Each read snapshots and merges only what it serves: ``/rankings``,
+``/summary`` and ``/metrics`` the shards' analyses, ``/timeline`` their
+timelines. A ``top`` or ``table`` the endpoint cannot serve is a
+``400 Bad Request`` with a JSON ``error`` body.
 
 SIGTERM/SIGINT drain gracefully: stop accepting, let in-flight streams
 finish (bounded by ``drain_timeout``), take a final merge, stop the
@@ -50,7 +52,7 @@ from repro.serve.protocol import (
     encode_json_frame,
     read_hello,
 )
-from repro.serve.shard import InlineShard, make_shards, site_shard
+from repro.serve.shard import InlineShard, make_shards
 from repro.obs.timeline import DEFAULT_BIN_BYTES, TimelineBuilder
 from repro.stream.codec import (
     FRAME_RECORD,
@@ -58,9 +60,6 @@ from repro.stream.codec import (
     FrameParser,
     _CORRUPT,
     decode_sample,
-    peek_record_size,
-    peek_site_label,
-    record_weight,
 )
 
 _MERGE_BUCKETS = (
@@ -176,6 +175,8 @@ class DragServer:
         self.ingest_addr: Optional[Tuple[str, int]] = None
         self.http_addr: Optional[Tuple[str, int]] = None
         self._next_stream_id = 0
+        # The shard the next batch of records goes to.
+        self._next_shard = 0
         self._active = 0
         self._draining = False
         self._stop_event: Optional[asyncio.Event] = None
@@ -223,22 +224,21 @@ class DragServer:
         self._m_http = reg.counter(
             "repro_serve_http_requests_total", "HTTP requests served",
             labelnames=("path",))
-        # Weight-accounting series: observed vs weight-estimated totals
-        # over every record routed to a shard, plus the resulting
-        # effective sampling rate (1 == full-rate ingest).
-        self._m_weighted_records = reg.counter(
+        # Weight accounting, set from the merged analysis at each
+        # scrape: observed vs weight-estimated totals over every folded
+        # record, and the effective sampling rate (1 == full rate).
+        self._m_weighted_records = reg.gauge(
             "repro_serve_weighted_records_total",
-            "Weight-estimated object records represented by routed records")
-        self._m_weighted_bytes = reg.counter(
+            "Weight-estimated object records represented by folded records")
+        self._m_weighted_bytes = reg.gauge(
             "repro_serve_weighted_bytes_total",
-            "Weight-estimated allocation bytes represented by routed records")
-        self._m_record_bytes = reg.counter(
+            "Weight-estimated allocation bytes represented by folded records")
+        self._m_record_bytes = reg.gauge(
             "repro_serve_record_bytes_total",
-            "Observed allocation bytes carried by routed records")
+            "Observed allocation bytes carried by folded records")
         self._m_rate = reg.gauge(
             "repro_serve_effective_sample_rate",
             "Observed record bytes / weight-estimated bytes (1 = full rate)")
-        self._m_rate.set(1.0)
         self._m_timeline_requests = reg.counter(
             "repro_timeline_requests_total", "GET /timeline requests served")
         self._m_timeline_markers = reg.counter(
@@ -252,8 +252,6 @@ class DragServer:
             "repro_timeline_bin_bytes",
             "Configured timeline bin width (0 = timeline disabled)")
         self._m_timeline_bin_bytes.set(self.config.timeline_bin_bytes or 0)
-        self._observed_record_bytes = 0
-        self._weighted_record_bytes = 0
         # Pre-create one series per shard so /metrics shows zeros early.
         for i in range(len(self.shards)):
             self._m_shard_records.labels(shard=str(i))
@@ -294,29 +292,15 @@ class DragServer:
 
     async def _route_frames(self, info: StreamInfo, parser: FrameParser,
                             frames, sent_strings: int) -> int:
-        """Fan a batch of raw frames out to the shards; returns the new
-        count of strings already broadcast."""
-        nshards = len(self.shards)
-        buckets: List[List[bytes]] = [[] for _ in range(nshards)]
-        records = 0
-        observed_bytes = 0
-        weighted_records = 0
-        weighted_bytes = 0
+        """Send a batch of raw frames on: the string-table delta to
+        every shard, then the batch's RECORD payloads, unread, to the
+        next shard in turn. Returns the new count of strings already
+        broadcast."""
+        payloads: List[bytes] = []
         try:
             for frame_type, payload in frames:
                 if frame_type == FRAME_RECORD:
-                    size = peek_record_size(payload)
-                    weight = record_weight(payload)
-                    observed_bytes += size
-                    if weight == 1.0:
-                        weighted_records += 1
-                        weighted_bytes += size
-                    else:
-                        weighted_records += weight
-                        weighted_bytes += weight * size
-                    label = peek_site_label(payload, parser.strings)
-                    buckets[site_shard(label, nshards)].append(payload)
-                    records += 1
+                    payloads.append(payload)
                 elif frame_type == FRAME_SAMPLE:
                     info.samples += 1
                     self._m_samples.inc()
@@ -325,48 +309,31 @@ class DragServer:
                         self._timeline_samples.append(list(decode_sample(payload)))
                         self._m_timeline_markers.inc()
         except _CORRUPT as exc:
-            # A well-framed RECORD or SAMPLE whose payload does not
-            # parse: the same verdict as a frame that does not parse.
+            # A well-framed SAMPLE whose payload does not parse: the
+            # same verdict as a frame that does not parse.
             raise ProfileError(
                 f"{parser.source}: corrupt v2 frame payload: {exc}"
             ) from exc
         info.frames += len(frames)
-        info.records += records
+        info.records += len(payloads)
         self._m_frames.inc(len(frames))
-        if records:
-            self._m_records.inc(records)
-            self._m_record_bytes.inc(observed_bytes)
-            self._m_weighted_records.inc(weighted_records)
-            self._m_weighted_bytes.inc(weighted_bytes)
-            self._observed_record_bytes += observed_bytes
-            self._weighted_record_bytes += weighted_bytes
-            if self._weighted_record_bytes > 0:
-                self._m_rate.set(
-                    self._observed_record_bytes / self._weighted_record_bytes
-                )
         new_strings = parser.strings[sent_strings:]
-        sends = []
         if new_strings:
             # String ids are stream-scoped and referenced by any later
             # record, so the table delta goes to every shard.
-            sends.extend(
+            await asyncio.gather(*(
                 self._call(shard, "feed_strings", info.stream_id, new_strings)
                 for shard in self.shards
-            )
+            ))
             sent_strings = len(parser.strings)
-        if sends:
-            await asyncio.gather(*sends)
-        feeds = []
-        for index, bucket in enumerate(buckets):
-            if bucket:
-                self._m_shard_records.labels(shard=str(index)).inc(len(bucket))
-                feeds.append(
-                    self._call(
-                        self.shards[index], "feed_records", info.stream_id, bucket
-                    )
-                )
-        if feeds:
-            await asyncio.gather(*feeds)
+        if payloads:
+            index = self._next_shard
+            self._next_shard = (index + 1) % len(self.shards)
+            self._m_records.inc(len(payloads))
+            self._m_shard_records.labels(shard=str(index)).inc(len(payloads))
+            await self._call(
+                self.shards[index], "feed_records", info.stream_id, payloads
+            )
         return sent_strings
 
     async def _handle_ingest(self, reader: asyncio.StreamReader,
@@ -431,8 +398,8 @@ class DragServer:
         )
         info.corrupt_records = sum(undecoded)
         if info.corrupt_records:
-            # Payloads that passed the site-label peek but not the
-            # shard's decode: folded nowhere, so not counted as records.
+            # Payloads the shard could not decode: folded nowhere, so
+            # not counted as records.
             info.records -= info.corrupt_records
             self._m_corrupt_records.inc(info.corrupt_records)
         info.ended = True
@@ -553,6 +520,11 @@ class DragServer:
                     writer.write(self._http_response(
                         "200 OK", body, "application/json"))
             elif path == "/metrics":
+                analysis, _ = await self.merged()
+                self._m_record_bytes.set(analysis.total_bytes)
+                self._m_weighted_records.set(analysis.est_object_count)
+                self._m_weighted_bytes.set(analysis.est_total_bytes)
+                self._m_rate.set(analysis.effective_sample_rate)
                 body = self.registry.exposition().encode("utf-8")
                 writer.write(self._http_response(
                     "200 OK", body, "text/plain; version=0.0.4"))

@@ -1,27 +1,25 @@
 """Shard workers: where the daemon's aggregation actually happens.
 
-The accept loop never decodes a RECORD frame. It peeks the allocation
-site label (:func:`repro.stream.codec.peek_site_label`), hashes it to a
-shard index, and forwards the raw frame payload; the shard worker owns
-the full decode and folds the record into its own incremental
+The accept loop never reads a RECORD payload. It deals each batch of
+raw record frames (all the records one socket read framed) to the next
+shard in turn; the shard worker owns the one full decode and folds the
+records into its own incremental
 :class:`~repro.stream.aggregate.StreamingDragAnalysis` and, when the
 timeline is on, its own :class:`~repro.obs.timeline.TimelineBuilder`.
-A snapshot returns only the one of the two an endpoint serves. Because
-the partition key is the site label, every site's stats live wholly in one
-shard, and the on-demand merge (:mod:`repro.serve.merge`) only has to
-union disjoint-ish tables — but correctness never depends on the
-partition: per-site sums are associative, so *any* assignment of
-records to shards merges to the batch answer.
+A snapshot returns only the one of the two an endpoint serves. Any
+site can therefore live in every shard, and correctness never depends
+on the partition: per-site sums are associative, so *any* assignment
+of records to shards merges to the batch answer (:mod:`repro.serve.merge`).
 
 String-table frames are broadcast to every shard (record payloads
 reference string ids, and ids are per-stream), keyed by stream id so
 concurrent clients cannot alias each other's tables.
 
-The accept loop peeks a RECORD payload only as far as its site label,
-so a payload can still turn out malformed in the shard. The shard
-folds every payload that decodes, counts the ones that do not per
-stream, and :meth:`end_stream` returns that count so the accept loop
-ends the stream as truncated. Both flavours behave the same way.
+Since the accept loop does not look inside a RECORD payload, the shard
+is the one place a malformed payload is found. The shard folds every
+payload that decodes, counts the ones that do not per stream, and
+:meth:`end_stream` returns that count so the accept loop ends the
+stream as truncated. Both flavours behave the same way.
 
 Two interchangeable shard flavours:
 
@@ -37,30 +35,11 @@ Two interchangeable shard flavours:
 from __future__ import annotations
 
 import threading
-import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ProfileError
 from repro.stream.aggregate import StreamingDragAnalysis
 from repro.stream.codec import _decode_record
-
-
-def site_shard(label: str, nshards: int) -> int:
-    """Stable allocation-site partitioner.
-
-    crc32 rather than ``hash()``: the mapping must agree across worker
-    processes and across runs (PYTHONHASHSEED randomizes ``str.__hash__``).
-    """
-    return zlib.crc32(label.encode("utf-8")) % nshards
-
-
-def partition_records(records: Sequence, nshards: int) -> List[List]:
-    """Split decoded records by site hash — the proof-side mirror of the
-    daemon's frame routing."""
-    shards: List[List] = [[] for _ in range(nshards)]
-    for record in records:
-        shards[site_shard(record.site_label, nshards)].append(record)
-    return shards
 
 
 #: What :meth:`_ShardState.snapshot` can return: the drag analysis
@@ -109,13 +88,9 @@ class _ShardState:
         """Close the stream's table; returns how many of its payloads
         did not decode."""
         self.tables.pop(stream_id, None)
-        if end_time is not None:
-            if self.analysis.end_time is None:
-                self.analysis.end_time = end_time
-            else:
-                self.analysis.end_time = max(self.analysis.end_time, end_time)
-            if self.timeline is not None:
-                self.timeline.note_end(end_time)
+        self.analysis.note_end(end_time)
+        if self.timeline is not None:
+            self.timeline.note_end(end_time)
         return self.corrupt.pop(stream_id, 0)
 
     def snapshot(self, part: str = "analysis") -> Tuple[object, int]:

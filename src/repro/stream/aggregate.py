@@ -4,7 +4,7 @@
 maintains exactly the aggregates the batch
 :class:`repro.core.analyzer.DragAnalysis` derives — per-site
 count/bytes/drag/in-use sums, the never-used partition, and the nested
-and (site, last-use) partitions — without ever holding the records
+partition — without ever holding the records
 themselves. Both are the same :class:`~repro.core.analyzer.DragAggregate`
 fold, so the two analyses agree exactly on any stream (the equivalence
 is pinned by ``tests/stream/test_aggregate.py`` on real benchmark
@@ -26,8 +26,7 @@ class StreamingDragAnalysis(DragAggregate):
     """One-pass, bounded-memory analyzer over a record stream.
 
     Mirrors the partitions of the batch analyzer: ``by_site`` (plain
-    allocation site), ``by_nested`` (call chain), and
-    ``by_site_and_use`` ((site, last-use frame)). Feed it with
+    allocation site) and ``by_nested`` (call chain). Feed it with
     :meth:`add` — directly, via an
     :class:`~repro.stream.sinks.AggregatorSink` during a live run, or
     from a log with :meth:`consume`.
@@ -56,6 +55,11 @@ class StreamingDragAnalysis(DragAggregate):
             self.add(record)
         return self
 
+    def note_end(self, end_time: Optional[int]) -> None:
+        """Record a stream's declared end; the latest one wins."""
+        if end_time is not None and (self.end_time is None or end_time > self.end_time):
+            self.end_time = end_time
+
     # -- merge ------------------------------------------------------------
 
     def merge(self, other: "StreamingDragAnalysis") -> "StreamingDragAnalysis":
@@ -72,7 +76,7 @@ class StreamingDragAnalysis(DragAggregate):
         self.total_bytes += other.total_bytes
         self.total_drag += other.total_drag
         self.sampled = self.sampled or other.sampled
-        for table_name in ("by_site", "by_nested", "by_site_and_use"):
+        for table_name in ("by_site", "by_nested"):
             mine: Dict[object, SiteStats] = getattr(self, table_name)
             theirs: Dict[object, SiteStats] = getattr(other, table_name)
             for key, stats in theirs.items():
@@ -83,9 +87,5 @@ class StreamingDragAnalysis(DragAggregate):
                     mine[key] = fresh
                 else:
                     existing.merge(stats)
-        if other.end_time is not None:
-            if self.end_time is None:
-                self.end_time = other.end_time
-            else:
-                self.end_time = max(self.end_time, other.end_time)
+        self.note_end(other.end_time)
         return self

@@ -211,8 +211,8 @@ class V2FrameEncoder:
             for sid in chain_ids:
                 _write_uvarint(buf, sid)
         if weight != 1.0:
-            # Trailing position is load-bearing: record_weight reads it
-            # at a fixed offset from the end without reparsing the body.
+            # Trailing position is load-bearing: readers predating the
+            # field stop before it and still parse the record.
             buf += struct.pack("<d", weight)
             self._weighted = True
             self.weighted_count += weight
@@ -378,43 +378,6 @@ def decode_sample(buf, pos: int = 0, end: Optional[int] = None) -> Tuple[int, in
     if pos > (len(buf) if end is None else end):
         raise IndexError("SAMPLE payload overruns its frame")
     return time, reachable, count
-
-
-def record_weight(payload: bytes) -> float:
-    """A RECORD payload's statistical weight without a full decode.
-
-    The weight double trails the payload, so this is one flag test plus
-    (for sampled records) one fixed-offset unpack.
-    """
-    if payload[0] & _F_HAS_WEIGHT:
-        return struct.unpack_from("<d", payload, len(payload) - 8)[0]
-    return 1.0
-
-
-def peek_record_size(payload: bytes) -> int:
-    """A RECORD payload's object size (bytes) without a full decode:
-    skip the flags byte and the handle varint, read the size varint.
-    The serve daemon sums it into its observed and weighted byte totals."""
-    _, pos = _read_uvarint(payload, 1)  # handle
-    size, _ = _read_uvarint(payload, pos)
-    return size
-
-
-def peek_site_label(payload: bytes, strings: List[str]) -> str:
-    """Decode only as far as a RECORD payload's site label.
-
-    The serve daemon routes each record frame to its shard by site-label
-    hash; this skips the fixed-width varint prefix instead of paying for
-    a full :func:`_decode_record`, leaving the rest of the decode to the
-    shard worker that owns the site.
-    """
-    pos = 1  # flags byte
-    flags = payload[0]
-    skip = 7 if flags & _F_HAS_SITE else 6  # 6 times/sizes + optional site id
-    for _ in range(skip + 1):  # ... then the type-name string id
-        _, pos = _read_uvarint(payload, pos)
-    label_id, _ = _read_uvarint(payload, pos)
-    return strings[label_id]
 
 
 def decode_end(payload: bytes) -> Tuple[Optional[int], int, Optional[int]]:

@@ -3,9 +3,10 @@
 The daemon's answer is ``merge(shard snapshots)``; the offline answer
 is batch :class:`DragAnalysis` over the concatenated records. The
 property test shards every benchmark's record stream K ways for
-K in {1, 2, 4, 8} — both by the daemon's own site-hash partitioner and
-by a seeded uniformly random assignment — and requires the *full*
-rankings payloads (site, nested, and never-used tables) to be equal.
+K in {1, 2, 4, 8} — both as the daemon routes, consecutive batches
+dealt to the shards in turn, and by a seeded uniformly random
+assignment — and requires the *full* rankings payloads (site, nested,
+and never-used tables) to be equal.
 """
 
 import pytest
@@ -34,7 +35,7 @@ def test_merge_equals_batch_for_every_benchmark(all_profiles, name):
         end_time=all_profiles[name].end_time,
     )
     assert proof["records"] == len(records)
-    # site-hash split + random split, for each of the four K values
+    # dealt-batch split + random split, for each of the four K values
     assert proof["splits_checked"] == 8
     assert proof["sites"] > 0
     assert proof["timeline_bins"] > 0

@@ -1,8 +1,7 @@
-"""Serve wire protocol: handshake framing, host:port parsing, sharding."""
+"""Serve wire protocol: handshake framing and host:port parsing."""
 
 import asyncio
 import io
-import zlib
 
 import pytest
 
@@ -19,9 +18,7 @@ from repro.serve.protocol import (
     read_hello,
     read_json_frame_sync,
 )
-from repro.serve.shard import partition_records, site_shard
 from repro.stream.codec import _write_uvarint
-from tests.core.test_analyzer import make_record
 
 
 def run_hello(data: bytes) -> dict:
@@ -140,25 +137,3 @@ def test_parse_hostport():
     assert parse_hostport("host", default_port=1234) == ("host", 1234)
     with pytest.raises(ProtocolError):
         parse_hostport("host:notaport")
-
-
-def test_site_shard_is_crc32_stable():
-    """The partitioner must agree across processes and runs, so it is
-    pinned to crc32 — not the PYTHONHASHSEED-randomized ``hash()``."""
-    assert site_shard("App.m:1", 8) == 4185199232 % 8
-    assert site_shard("Hot.site:1", 8) == 2634495724 % 8
-    assert site_shard("B.use:9", 8) == 257351711 % 8
-    for label in ("App.m:1", "Hot.site:1", "B.use:9"):
-        assert site_shard(label, 8) == zlib.crc32(label.encode()) % 8
-        assert 0 <= site_shard(label, 3) < 3
-
-
-def test_partition_records_covers_and_groups_by_site():
-    records = [
-        make_record(handle=i, site_label=f"Site.m:{i % 5}") for i in range(50)
-    ]
-    shards = partition_records(records, 4)
-    assert sum(len(s) for s in shards) == len(records)
-    for index, shard in enumerate(shards):
-        for record in shard:
-            assert site_shard(record.site_label, 4) == index

@@ -118,6 +118,57 @@ def test_full_rate_serve_metrics_stay_exact(all_profiles, tmp_path):
         handle.stop()
 
 
+def test_weight_metrics_equal_summary_after_sampled_and_full_replays(
+    all_profiles, tmp_path
+):
+    """Four concurrent sampled replays and one full-rate replay: the
+    four weight series on /metrics are the merged analysis's values,
+    so they equal /summary's exactly, floats included."""
+    import threading
+
+    profile = all_profiles["db"]
+    log = write_v2_log(
+        tmp_path / "db.dlog2", profile.records, end_time=profile.end_time
+    )
+    handle = start()
+    try:
+        host, port = handle.ingest_addr
+        acks = []
+
+        def sampled(seed):
+            acks.append(replay_log(log, host, port, sample_bytes=64, seed=seed))
+
+        threads = [threading.Thread(target=sampled, args=(s,)) for s in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert len(acks) == 4 and all(ack["ok"] for ack in acks)
+        assert replay_log(log, host, port)["ok"]
+        text = fetch_metrics_text(handle.http_addr)
+        summary = fetch_json(handle.http_addr, "/summary")
+        assert summary["effective_sample_rate"] < 1
+        for metric, key in (
+            ("repro_serve_record_bytes_total", "total_bytes"),
+            ("repro_serve_weighted_records_total", "est_objects"),
+            ("repro_serve_weighted_bytes_total", "est_total_bytes"),
+            ("repro_serve_effective_sample_rate", "effective_sample_rate"),
+        ):
+            assert metric_value(text, metric) == summary[key], metric
+    finally:
+        handle.stop()
+
+
+def test_raw_replay_refuses_rate_and_sampling(tmp_path):
+    """Raw replay sends the file's bytes verbatim; asking it to pace
+    or resample is an error, raised before any connection."""
+    log = write_v2_log(tmp_path / "one.dlog2", [])
+    with pytest.raises(ValueError, match="mode='records'"):
+        replay_log(log, "127.0.0.1", 9, mode="raw", sample_bytes=64)
+    with pytest.raises(ValueError, match="mode='records'"):
+        replay_log(log, "127.0.0.1", 9, mode="raw", rate=100.0)
+
+
 def test_sampled_replay_matches_direct_aggregation(all_profiles, tmp_path):
     """Determinism end-to-end: replaying with a pinned seed produces
     exactly the rankings of aggregating the same resample locally."""

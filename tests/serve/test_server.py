@@ -257,8 +257,8 @@ def test_malformed_record_payload_is_truncated_not_fatal(payload):
 
 def _stream_with_undecodable_record(records, bad_index):
     """A v2 stream of ``records`` whose ``bad_index``-th RECORD payload
-    lacks its last byte: malformed past the site label, so it passes the
-    accept loop's peek and fails only in the shard's decode."""
+    lacks its last byte: well framed, so it is found only by the
+    shard's decode."""
     body = io.BytesIO()
     encoder = V2FrameEncoder(body)
     for record in records:
@@ -302,9 +302,9 @@ def test_shard_counts_records_it_cannot_decode(inline):
 
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
 def test_undecodable_record_truncates_the_stream(inline):
-    """Across two shards, a record that passes the peek but not the
-    shard's decode ends the stream truncated, whichever shard flavour
-    serves it; every other record is folded and counted."""
+    """Across two shards, a record the shard cannot decode ends the
+    stream truncated, whichever shard flavour serves it; every other
+    record is folded and counted."""
     records = [
         make_record(handle=i, site_label=f"Site.m:{i % 7}", last_use=0)
         for i in range(200)
@@ -333,6 +333,31 @@ def test_undecodable_record_truncates_the_stream(inline):
         text = fetch_metrics_text(handle.http_addr)
         assert metric_value(text, "repro_serve_truncated_streams_total") == 1
         assert metric_value(text, "repro_serve_corrupt_records_total") == 1
+    finally:
+        handle.stop()
+
+
+def test_one_site_spreads_over_every_shard(tmp_path):
+    """Records are dealt out a batch at a time, not by site: a
+    one-site stream longer than one 64 KiB socket read reaches both
+    shards, and the merge still equals the batch analysis."""
+    records = [
+        make_record(handle=i, site_label="Hot.m:1", last_use=i % 3)
+        for i in range(1, 12001)
+    ]
+    log = write_v2_log(tmp_path / "one.dlog2", records)
+    assert log.stat().st_size > 2 * (1 << 16)  # several batches
+    handle = start(workers=2, inline=True)
+    try:
+        host, port = handle.ingest_addr
+        assert replay_log(log, host, port, mode="raw")["records"] == len(records)
+        summary = fetch_json(handle.http_addr, "/summary")
+        counts = [shard["records"] for shard in summary["shards"]]
+        assert sum(counts) == len(records)
+        assert all(count > 0 for count in counts), counts
+        assert fetch_rankings(handle.http_addr, top=None) == rankings_payload(
+            DragAnalysis(records), top=None
+        )
     finally:
         handle.stop()
 

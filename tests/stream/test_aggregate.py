@@ -13,7 +13,7 @@ def assert_equivalent(batch: DragAnalysis, stream: StreamingDragAnalysis):
     assert stream.object_count == batch.object_count
     assert stream.total_bytes == batch.total_bytes
     assert stream.total_drag == batch.total_drag
-    for table in ("by_site", "by_nested", "by_site_and_use"):
+    for table in ("by_site", "by_nested"):
         batch_table = getattr(batch, table)
         stream_table = getattr(stream, table)
         assert set(stream_table) == set(batch_table), table

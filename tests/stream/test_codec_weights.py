@@ -17,9 +17,7 @@ from repro.stream.codec import (
     V2FrameEncoder,
     V2LogWriter,
     decode_end_totals,
-    peek_record_size,
     read_v2_log,
-    record_weight,
 )
 from tests.core.test_analyzer import make_record
 
@@ -97,7 +95,6 @@ def test_full_rate_stream_has_no_weight_flag_and_no_end_totals():
     data, enc = encode_stream(records)
     for payload in _record_frames(data):
         assert not payload[0] & _F_HAS_WEIGHT
-        assert record_weight(payload) == 1.0
     assert decode_end_totals(_end_payload(data)) == (None, None)
     # and the encoder's running totals stay exact ints
     assert enc.weighted_count == len(records)
@@ -136,23 +133,10 @@ def test_end_totals_surface_on_loaded_log(tmp_path):
     assert loaded.est_bytes is None
 
 
-def test_record_weight_and_peek_size_helpers():
-    record = make_record(handle=9, size=777).with_weight(2.5)
-    data, _ = encode_stream([record])
-    (payload,) = _record_frames(data)
-    assert record_weight(payload) == 2.5
-    assert peek_record_size(payload) == 777
-
-    plain = make_record(handle=9, size=777)
-    data, _ = encode_stream([plain])
-    (payload,) = _record_frames(data)
-    assert record_weight(payload) == 1.0
-    assert peek_record_size(payload) == 777
-
-
 def test_weight_field_is_trailing_eight_bytes():
-    """The weight rides at the payload tail as a little-endian double —
-    the layout record_weight relies on."""
+    """The weight rides at the payload tail as a little-endian double,
+    after every other field, so readers predating it still parse the
+    record."""
     record = make_record(handle=2, size=40).with_weight(6.25)
     data, _ = encode_stream([record])
     (payload,) = _record_frames(data)

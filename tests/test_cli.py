@@ -370,3 +370,62 @@ def test_negative_top_is_refused_at_parsing(program_file, tmp_path, capsys, argv
     assert err.splitlines()[-1] == (
         f"repro {argv[0]}: error: argument --top: must not be negative, got -1"
     )
+
+
+def _closed_port():
+    """A localhost port nothing listens on."""
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("extra", [["--sample-bytes", "64"], ["--rate", "100"]])
+def test_raw_replay_refuses_sampling_and_pacing(program_file, tmp_path, capsys, extra):
+    """Raw mode copies the log's bytes verbatim, so it can neither
+    resample nor pace; the pair is refused before any connection."""
+    from repro.serve.client import fetch_json
+    from repro.serve.server import ServeConfig, start_server_thread
+
+    log = str(tmp_path / "run.dlog2")
+    main(["profile", program_file, "--main", "Main", "--interval", "4096",
+          "--log", log])
+    capsys.readouterr()
+    handle = start_server_thread(
+        ServeConfig(port=0, http_port=0, workers=1, inline=True, quiet=True)
+    )
+    try:
+        host, port = handle.ingest_addr
+        argv = ["replay", log, "--serve", f"{host}:{port}", "--mode", "raw"]
+        assert main(argv + extra) == 2
+        assert "need --mode records" in capsys.readouterr().err
+        assert fetch_json(handle.http_addr, "/summary")["streams"] == []
+    finally:
+        handle.stop()
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--app-only"],
+    ["report", "--lenient"],
+    ["timeline", "--bin-bytes", "4096"],
+    ["timeline", "--lenient"],
+])
+def test_serve_views_refuse_log_only_flags(capsys, argv):
+    """A flag that shapes how a log is read cannot apply to a daemon's
+    view; it is refused before any request (the port is closed, so a
+    request would fail differently)."""
+    command, *flags = argv
+    hostport = f"127.0.0.1:{_closed_port()}"
+    assert main([command, "--serve", hostport] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: {flags[0]} applies to a log file, not --serve"
+
+
+@pytest.mark.parametrize("command", ["report", "timeline"])
+def test_serve_views_report_an_unreachable_daemon(capsys, command):
+    """Like ``watch --follow``: one error line and exit 2, no traceback."""
+    hostport = f"127.0.0.1:{_closed_port()}"
+    assert main([command, "--serve", hostport]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot reach serve daemon at {hostport}: ")
