@@ -708,7 +708,7 @@ def _add_run(sub) -> None:
     run.add_argument("--stats", action="store_true", help="print VM counters")
     run.add_argument("--engine", choices=["baseline", "compiled"], default=None,
                      help="dispatch engine: classic if/elif interpreter or "
-                     "precompiled closures (default: baseline)")
+                     "precompiled closures (default: compiled)")
     run.add_argument("--time", action="store_true",
                      help="print instructions, instr/sec, and final byte-clock")
     _add_obs_flags(run)
@@ -743,8 +743,8 @@ def _add_profile(sub) -> None:
                          help="sampling RNG seed for reproducible runs "
                          "(default 0; CI gates pin it)")
     profile.add_argument("--engine", choices=["baseline", "compiled"], default=None,
-                         help="dispatch engine (profiles are bit-identical "
-                         "either way)")
+                         help="dispatch engine (default: compiled); the two "
+                         "write identical logs")
     profile.add_argument("--snapshot", metavar="FILE",
                          help="also capture a heap snapshot at every deep-GC "
                          "safepoint into this file (analyze with "
@@ -818,7 +818,8 @@ def _add_optimize(sub) -> None:
     )
     optimize.add_argument(
         "--engine", choices=["baseline", "compiled"], default=None,
-        help="VM engine for profiling and verification runs",
+        help="VM engine for profiling and verification runs "
+        "(default: compiled)",
     )
     optimize.add_argument(
         "--snapshot", action="store_true",

@@ -95,7 +95,13 @@ class HeapProfiler:
             self._on_record = self.records.append
             self._on_sample = self.samples.append
         else:
-            self._on_record = sink.on_record
+            from repro.stream.sinks import LogWriterSink
+
+            if type(sink) is LogWriterSink:
+                # Its on_record only forwards: skip that call per record.
+                self._on_record = sink.writer.write_record
+            else:
+                self._on_record = sink.on_record
             self._on_sample = sink.on_sample
         self.record_count = 0
         self.sample_count = 0

@@ -19,7 +19,9 @@ Two engines exist, both producing bit-identical results (enforced by
   specialized out when no profiler is attached (see
   :mod:`repro.runtime.dispatch`).
 
-A config that names no engine runs ``DEFAULT_ENGINE`` (``baseline``).
+A config that names no engine runs ``DEFAULT_ENGINE`` (``compiled``);
+``baseline`` stays the independent reference the equivalence tests
+name explicitly.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ ENGINES = {
     "compiled": CompiledInterpreter,
 }
 
-DEFAULT_ENGINE = "baseline"
+DEFAULT_ENGINE = "compiled"
 
 
 class VMConfig:

@@ -13,7 +13,8 @@ of records to shards merges to the batch answer (:mod:`repro.serve.merge`).
 
 String-table frames are broadcast to every shard (record payloads
 reference string ids, and ids are per-stream), keyed by stream id so
-concurrent clients cannot alias each other's tables.
+concurrent clients cannot alias each other's tables. Each table has
+the codec's decode cache beside it, dropped with it at end of stream.
 
 Since the accept loop does not look inside a RECORD payload, the shard
 is the one place a malformed payload is found. The shard folds every
@@ -60,6 +61,8 @@ class _ShardState:
 
             self.timeline = TimelineBuilder(bin_bytes=timeline_bin_bytes)
         self.tables: Dict[int, List[str]] = {}
+        # Per open stream: the decode cache bound to its table.
+        self.tails: Dict[int, dict] = {}
         self.records_seen = 0
         # Per open stream: payloads that did not decode.
         self.corrupt: Dict[int, int] = {}
@@ -71,10 +74,11 @@ class _ShardState:
         """Fold every payload of the batch that decodes; count the rest
         against the stream."""
         table = self.tables.setdefault(stream_id, [])
+        tails = self.tails.setdefault(stream_id, {})
         records = []
         for payload in payloads:
             try:
-                records.append(_decode_record(payload, table))
+                records.append(_decode_record(payload, table, tails))
             except ProfileError:
                 self.corrupt[stream_id] = self.corrupt.get(stream_id, 0) + 1
         if self.timeline is not None:
@@ -85,9 +89,10 @@ class _ShardState:
         self.records_seen += len(records)
 
     def end_stream(self, stream_id: int, end_time: Optional[int]) -> int:
-        """Close the stream's table; returns how many of its payloads
-        did not decode."""
+        """Close the stream's table and decode cache; returns how many
+        of its payloads did not decode."""
         self.tables.pop(stream_id, None)
+        self.tails.pop(stream_id, None)
         self.analysis.note_end(end_time)
         if self.timeline is not None:
             self.timeline.note_end(end_time)

@@ -299,6 +299,13 @@ _unpack_double = struct.Struct("<d").unpack_from
 # these into one ProfileError that names its source and the offset.
 _CORRUPT = (IndexError, struct.error, UnicodeDecodeError)
 
+# Entries one stream's decode cache may hold (see _decode_record_at).
+# db's 5,783-record log has 54 distinct record tails. Past the cap a new
+# tail is decoded but not kept, so a stream whose records all end
+# differently cannot grow a long-lived reader, a serve shard say,
+# without limit.
+_TAIL_CACHE_LIMIT = 4096
+
 
 def _read_strings(buf, pos: int, strings: List[str]) -> Tuple[Tuple[str, ...], int]:
     """Decode a count-prefixed list of string-table ids at ``pos``."""
@@ -313,25 +320,11 @@ def _read_strings(buf, pos: int, strings: List[str]) -> Tuple[Tuple[str, ...], i
     return tuple(out), pos
 
 
-def _decode_record_at(buf, pos: int, end: int, strings: List[str]) -> ObjectRecord:
-    """Decode the RECORD payload ``buf[pos:end]`` in place.
-
-    This is the only record decoder: the frame loop runs it over its
-    buffer without copying the payload out, and the serve shards run it
-    over standalone payloads (:func:`_decode_record`). A malformed
-    payload raises one of ``_CORRUPT``.
-    """
+def _decode_tail(buf, pos: int, end: int, flags: int, strings: List[str]) -> tuple:
+    """Decode a RECORD's tail, ``buf[pos:end]``: its string-id run, then
+    the optional last-use chain and weight. Returns ``(type, label,
+    kind, nested, use_frame, use_chain, weight)``."""
     read = _read_uvarint
-    flags = buf[pos]
-    handle, pos = read(buf, pos + 1)
-    size, pos = read(buf, pos)
-    created, pos = read(buf, pos)
-    first_use, pos = read(buf, pos)
-    last_use, pos = read(buf, pos)
-    collected, pos = read(buf, pos)
-    alloc_site = None
-    if flags & _F_HAS_SITE:
-        alloc_site, pos = read(buf, pos)
     type_id, pos = read(buf, pos)
     label_id, pos = read(buf, pos)
     kind_id, pos = read(buf, pos)
@@ -351,9 +344,130 @@ def _decode_record_at(buf, pos: int, end: int, strings: List[str]) -> ObjectReco
         raise IndexError("RECORD payload overruns its frame")
     # Trailing bytes past the known fields are tolerated: that is how
     # readers predating a strictly trailing field (the weight) parse it.
+    return (strings[type_id], strings[label_id], strings[kind_id], nested,
+            use_frame, use_chain, weight)
+
+
+def _decode_record_at(
+    buf: bytes, pos: int, end: int, strings: List[str], tails: dict
+) -> ObjectRecord:
+    """Decode the RECORD payload ``buf[pos:end]`` in place.
+
+    This is the only record decoder: the frame loop runs it over its
+    buffer without copying the payload out, and the serve shards run it
+    over standalone payloads (:func:`_decode_record`). A malformed
+    payload raises one of ``_CORRUPT``.
+
+    The leading varints (handle, size, the four times, the site) are
+    decoded inline, with 1-, 2- and 3-byte fast paths. The rest of the
+    payload, its tail, repeats: the writer builds the string-id run
+    once per allocation context and last-use frame
+    (``V2FrameEncoder._id_runs``). So ``tails``, the stream's decode
+    cache, maps ``(flags, tail bytes)`` to the decoded tail. Ids never
+    change once interned, so a hit is exactly what decoding the same
+    bytes against the same table gave before. Leading varints that
+    overrun the payload leave an empty tail, which never decodes and
+    so is never cached.
+    """
+    read = _read_uvarint
+    flags = buf[pos]
+    pos += 1
+    b = buf[pos]
+    if b < 0x80:
+        handle = b
+        pos += 1
+    elif buf[pos + 1] < 0x80:
+        handle = (b & 0x7F) | buf[pos + 1] << 7
+        pos += 2
+    elif buf[pos + 2] < 0x80:
+        handle = (b & 0x7F) | (buf[pos + 1] & 0x7F) << 7 | buf[pos + 2] << 14
+        pos += 3
+    else:
+        handle, pos = read(buf, pos)
+    b = buf[pos]
+    if b < 0x80:
+        size = b
+        pos += 1
+    elif buf[pos + 1] < 0x80:
+        size = (b & 0x7F) | buf[pos + 1] << 7
+        pos += 2
+    elif buf[pos + 2] < 0x80:
+        size = (b & 0x7F) | (buf[pos + 1] & 0x7F) << 7 | buf[pos + 2] << 14
+        pos += 3
+    else:
+        size, pos = read(buf, pos)
+    b = buf[pos]
+    if b < 0x80:
+        created = b
+        pos += 1
+    elif buf[pos + 1] < 0x80:
+        created = (b & 0x7F) | buf[pos + 1] << 7
+        pos += 2
+    elif buf[pos + 2] < 0x80:
+        created = (b & 0x7F) | (buf[pos + 1] & 0x7F) << 7 | buf[pos + 2] << 14
+        pos += 3
+    else:
+        created, pos = read(buf, pos)
+    b = buf[pos]
+    if b < 0x80:
+        first_use = b
+        pos += 1
+    elif buf[pos + 1] < 0x80:
+        first_use = (b & 0x7F) | buf[pos + 1] << 7
+        pos += 2
+    elif buf[pos + 2] < 0x80:
+        first_use = (b & 0x7F) | (buf[pos + 1] & 0x7F) << 7 | buf[pos + 2] << 14
+        pos += 3
+    else:
+        first_use, pos = read(buf, pos)
+    b = buf[pos]
+    if b < 0x80:
+        last_use = b
+        pos += 1
+    elif buf[pos + 1] < 0x80:
+        last_use = (b & 0x7F) | buf[pos + 1] << 7
+        pos += 2
+    elif buf[pos + 2] < 0x80:
+        last_use = (b & 0x7F) | (buf[pos + 1] & 0x7F) << 7 | buf[pos + 2] << 14
+        pos += 3
+    else:
+        last_use, pos = read(buf, pos)
+    b = buf[pos]
+    if b < 0x80:
+        collected = b
+        pos += 1
+    elif buf[pos + 1] < 0x80:
+        collected = (b & 0x7F) | buf[pos + 1] << 7
+        pos += 2
+    elif buf[pos + 2] < 0x80:
+        collected = (b & 0x7F) | (buf[pos + 1] & 0x7F) << 7 | buf[pos + 2] << 14
+        pos += 3
+    else:
+        collected, pos = read(buf, pos)
+    alloc_site = None
+    if flags & _F_HAS_SITE:
+        b = buf[pos]
+        if b < 0x80:
+            alloc_site = b
+            pos += 1
+        elif buf[pos + 1] < 0x80:
+            alloc_site = (b & 0x7F) | buf[pos + 1] << 7
+            pos += 2
+        elif buf[pos + 2] < 0x80:
+            alloc_site = (b & 0x7F) | (buf[pos + 1] & 0x7F) << 7 | buf[pos + 2] << 14
+            pos += 3
+        else:
+            alloc_site, pos = read(buf, pos)
+    key = (flags, buf[pos:end])
+    tail = tails.get(key)
+    if tail is None:
+        tail = _decode_tail(buf, pos, end, flags, strings)
+        if len(tails) < _TAIL_CACHE_LIMIT:
+            tails[key] = tail
+    type_name, label, kind, nested, use_frame, use_chain, weight = tail
     return ObjectRecord(
-        handle, strings[type_id], size, created, last_use, collected,
-        alloc_site, strings[label_id], strings[kind_id],
+        handle, type_name, size, created, last_use, collected,
+        alloc_site, label, kind,
         bool(flags & _F_LIBRARY), nested, use_frame, use_chain,
         bool(flags & _F_EXCLUDED), bool(flags & _F_SURVIVED),
         first_use, weight,
@@ -361,11 +475,12 @@ def _decode_record_at(buf, pos: int, end: int, strings: List[str]) -> ObjectReco
 
 
 def _decode_record(
-    payload: bytes, strings: List[str], source: str = "<record>"
+    payload: bytes, strings: List[str], tails: dict, source: str = "<record>"
 ) -> ObjectRecord:
-    """Decode one standalone RECORD payload (the serve shards' path)."""
+    """Decode one standalone RECORD payload (the serve shards' path);
+    ``tails`` is the stream's decode cache."""
     try:
-        return _decode_record_at(payload, 0, len(payload), strings)
+        return _decode_record_at(payload, 0, len(payload), strings, tails)
     except _CORRUPT as exc:
         raise ProfileError(f"{source}: corrupt v2 RECORD payload: {exc}") from exc
 
@@ -433,6 +548,9 @@ class FrameParser:
         string table into it.
         """
         self.strings: List[str] = []
+        # The decode cache of _decode_record_at: bound to this stream's
+        # string table, so it goes whenever the table does.
+        self._tails: dict = {}
         self.metadata: dict = {}
         self.end_time: Optional[int] = None
         self.declared_count: Optional[int] = None
@@ -483,21 +601,24 @@ class FrameParser:
         """Decode every complete frame of the buffer plus ``chunk``.
 
         One offset walks the buffer; payloads are decoded where they
-        lie, and the consumed prefix is dropped once at the end. With
-        ``on_record`` set, each RECORD is decoded and passed to it, and
-        ``on_other`` gets ``("sample", HeapSample)`` and ``("end",
-        end_time)``. With ``on_record`` None, ``on_other`` gets every
-        frame raw as ``(frame_type, payload)``. Either way STRING frames
-        grow :attr:`strings` and the END frame sets the end state. A
-        malformed frame raises :class:`ProfileError`.
+        lie in one ``bytes`` copy of it, and the consumed prefix is
+        dropped once at the end. With ``on_record`` set, each RECORD is
+        decoded and passed to it, and ``on_other`` gets ``("sample",
+        HeapSample)`` and ``("end", end_time)``. With ``on_record``
+        None, ``on_other`` gets every frame raw as ``(frame_type,
+        payload)``. Either way STRING frames grow :attr:`strings` and
+        the END frame sets the end state. A malformed frame raises
+        :class:`ProfileError`.
         """
         buf = self._buf
         buf += chunk
         if not self._header_done and not self._parse_header():
             return
         strings = self.strings
+        tails = self._tails
         decode = on_record is not None
         n = len(buf)
+        data = b""
         pos = 0
         frame_type = 0
         try:
@@ -515,23 +636,29 @@ class FrameParser:
                 end = start + length
                 if end > n:
                     break
+                if not data:
+                    # One copy per scan, made at the first complete
+                    # frame, so a frame still arriving is not copied on
+                    # every chunk. Slices of bytes are the payloads and
+                    # the decode cache's keys.
+                    data = bytes(buf)
                 if frame_type == FRAME_RECORD:
                     if decode:
-                        on_record(_decode_record_at(buf, start, end, strings))
+                        on_record(_decode_record_at(data, start, end, strings, tails))
                     else:
-                        on_other(frame_type, bytes(buf[start:end]))
+                        on_other(frame_type, data[start:end])
                 elif frame_type == FRAME_STRING:
-                    payload = bytes(buf[start:end])
+                    payload = data[start:end]
                     strings.append(payload.decode("utf-8"))
                     if not decode:
                         on_other(frame_type, payload)
                 elif frame_type == FRAME_SAMPLE:
                     if decode:
-                        on_other("sample", HeapSample(*decode_sample(buf, start, end)))
+                        on_other("sample", HeapSample(*decode_sample(data, start, end)))
                     else:
-                        on_other(frame_type, bytes(buf[start:end]))
+                        on_other(frame_type, data[start:end])
                 elif frame_type == FRAME_END:
-                    payload = bytes(buf[start:end])
+                    payload = data[start:end]
                     self.end_time, self.declared_count, self.finalizer_errors = (
                         decode_end(payload)
                     )

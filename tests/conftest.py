@@ -16,8 +16,8 @@ def compile_app(source, main_class="Main", library_overrides=None):
 def run_source(source, args=None, main_class="Main", max_heap=None, **interp_kwargs):
     """Compile + run; returns (ProgramResult, Interpreter).
 
-    Goes through the engine facade, so REPRO_ENGINE=compiled runs the
-    whole suite under the closure-compiled dispatcher.
+    Goes through the engine facade, so it runs the default engine
+    (compiled); the engine-equivalence tests name the baseline.
     """
     program = compile_app(source, main_class)
     interp = create_vm(program, max_heap=max_heap, **interp_kwargs)

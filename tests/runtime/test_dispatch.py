@@ -175,7 +175,7 @@ class TestEngineFacade:
         assert type(create_vm(program, engine="compiled")) is CompiledInterpreter
 
     def test_default_engine(self):
-        assert VMConfig().engine == DEFAULT_ENGINE == "baseline"
+        assert VMConfig().engine == DEFAULT_ENGINE == "compiled"
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(VMError, match="warp"):

@@ -290,7 +290,7 @@ def test_frame_parser_feed_frames_raw_layer(tmp_path):
     assert kinds.count(FRAME_STRING) == len(parser.strings) > 0
     # raw payloads decode to the originals
     decoded = [
-        _decode_record(p, parser.strings) for t, p in frames if t == FRAME_RECORD
+        _decode_record(p, parser.strings, {}) for t, p in frames if t == FRAME_RECORD
     ]
     for original, parsed in zip(records, decoded):
         assert parsed.to_dict() == original.to_dict()
