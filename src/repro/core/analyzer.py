@@ -239,8 +239,10 @@ class DragAggregate:
     :class:`repro.stream.aggregate.StreamingDragAnalysis` are both this
     fold; they differ only in their group type and in how records
     arrive, so they agree exactly on any stream. Each record's facts
-    are computed once here and shared by its two groups, and every
-    total is maintained as the records arrive, never rescanned.
+    are computed once by the caller of :meth:`_fold` and shared by its
+    two groups (and, in :class:`~repro.obs.timeline.TimelineBuilder`,
+    by the heap-timeline bins), and every total is maintained as the
+    records arrive, never rescanned.
     """
 
     group_type = SiteStats
@@ -257,10 +259,11 @@ class DragAggregate:
         self._est: Optional[List[WeightedTotal]] = None
         self.sampled = False  # True once any record carries a non-unit weight
 
-    def _fold(self, record: ObjectRecord) -> None:
+    def _fold(self, record: ObjectRecord, drag: int, in_use: int) -> None:
+        """Fold one record whose ``drag`` and ``in_use`` (from
+        :func:`space_time`) the caller already computed."""
         size = record.size
         weight = record.weight
-        _, drag, in_use = space_time(record)
         never_used = record.last_use_time == 0
         est = self._est
         if weight != 1.0:
@@ -369,4 +372,5 @@ class DragAnalysis(DragAggregate):
         self.records = all_records
         fold = self._fold
         for record in all_records:
-            fold(record)
+            _, drag, in_use = space_time(record)
+            fold(record, drag, in_use)

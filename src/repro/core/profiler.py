@@ -65,7 +65,6 @@ class HeapProfiler:
         interval_bytes: int = 100 * 1024,
         nesting_depth: int = 4,
         last_use_depth: int = 1,
-        include_excluded: bool = False,
         sink=None,
         sample_bytes: Optional[int] = None,
         seed: int = 0,
@@ -76,7 +75,6 @@ class HeapProfiler:
         self.interval_bytes = interval_bytes
         self.nesting_depth = nesting_depth
         self.last_use_depth = last_use_depth
-        self.include_excluded = include_excluded
         self.next_sample_at = interval_bytes
         # ``sink`` receives each record/sample the moment it is emitted
         # (see repro.stream.sinks), keeping memory at O(live objects +
@@ -222,7 +220,7 @@ class HeapProfiler:
     def on_free(self, obj: HeapObject, survived: bool = False) -> None:
         """Log ``obj``'s record, collected now: reclaimed by the GC, or
         (``survived``) still in the heap at program end."""
-        if obj.excluded and not self.include_excluded:
+        if obj.excluded:
             return
         trailer = obj.trailer
         if trailer is None:
@@ -238,7 +236,7 @@ class HeapProfiler:
             context.nested,
             None if use_frame is None else labels[use_frame],
             None if use_chain is None else tuple([labels[f] for f in use_chain]),
-            obj.excluded, survived, trailer.first_use_time, trailer.weight,
+            False, survived, trailer.first_use_time, trailer.weight,
         )
         self.record_count += 1
         self._on_record(record)

@@ -60,7 +60,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "TimelineBuilder",
-    "TimelineSink",
     "TraceError",
     "Tracer",
     "read_chrome_trace",
@@ -71,12 +70,12 @@ __all__ = [
     "write_html",
 ]
 
-# Timeline names resolve lazily: repro.obs.timeline imports the stream
-# package for the sink protocol, which the tracer and the registry the
+# Timeline names resolve lazily: repro.obs.timeline imports the drag
+# aggregate it extends, which the tracer and the registry the
 # Telemetry class below is built on never need.
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.obs.timeline": (
-        "DEFAULT_BIN_BYTES", "TimelineBuilder", "TimelineSink",
+        "DEFAULT_BIN_BYTES", "TimelineBuilder",
         "render_timeline_text", "sparkline",
     ),
     "repro.obs.htmlreport": ("render_html", "write_html"),

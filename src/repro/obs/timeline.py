@@ -4,10 +4,15 @@ The paper's core diagnostic artifact is its heap-occupancy-over-time
 graphs — reachable vs in-use bytes against the byte-allocation clock,
 with the gap between the two curves being drag (§4.1, Figure 2).  This
 module maintains those series *incrementally*, one record at a time, in
-O(bins + sites) memory, so the same numbers are available from a live
-profiled run (:class:`TimelineSink`), a log (``repro timeline``), and
-the sharded serve daemon (``GET /timeline``) — not just from a post-hoc
-batch pass over a buffered record list.
+O(bins + sites) memory, so the same numbers are available from a log
+(``repro timeline``) and the sharded serve daemon (``GET /timeline``) —
+not just from a post-hoc batch pass over a buffered record list.
+
+A :class:`TimelineBuilder` is the drag aggregate plus its bins: it owns
+a :class:`~repro.stream.aggregate.StreamingDragAnalysis`, folds each
+record into it and into the bins in one pass, and reads every count,
+byte, drag and ``est_*`` total from it. So ``/timeline`` and
+``/rankings`` report the same facts from the same place.
 
 Design constraints (all pinned by ``tests/obs/test_timeline.py``):
 
@@ -26,15 +31,15 @@ Design constraints (all pinned by ``tests/obs/test_timeline.py``):
   ints at full rate — the PR 8 contract extended to every bin.
 
 * **Associatively mergeable.** ``TimelineBuilder.merge`` is the shard
-  primitive: elementwise integer/expansion sums, sample concatenation,
-  max end-time.  ``prove_merge_equals_batch(..., timelines=True)``
-  checks payload equality across shardings on every benchmark.
+  primitive: the analysis merge, elementwise integer/expansion sums,
+  sample concatenation, max end-time.
+  ``prove_merge_equals_batch(..., timelines=True)`` checks payload
+  equality across shardings on every benchmark.
 
-The builder deliberately applies **no record filter** (not even
-``excluded``): the timeline is a log-level view, like the raw v2 log
-itself, so a recompute from the same log always agrees.  It keeps no
-per-record state, so its size grows with bins and sites only.  The
-exact (unbinned) heap curves come from
+The builder applies the analysis's record filter (``excluded`` records
+are dropped; library sites are kept), so a timeline's objects are the
+rankings' objects.  It keeps no per-record state, so its size grows
+with bins and sites only.  The exact (unbinned) heap curves come from
 :func:`repro.core.integrals.curve_from_records` alone.
 """
 
@@ -44,9 +49,9 @@ import math
 from typing import Dict, List, Optional
 
 from repro.core.integrals import MB
-from repro.core.sampler import WeightedTotal, merge_lazy_totals, seeded_totals
+from repro.core.sampler import WeightedTotal
 from repro.core.trailer import ObjectRecord, space_time
-from repro.stream.sinks import ProfileSink
+from repro.stream.aggregate import StreamingDragAnalysis
 
 __all__ = [
     "DEFAULT_BIN_BYTES",
@@ -55,7 +60,6 @@ __all__ = [
     "Log2Histogram",
     "SiteTimeline",
     "TimelineBuilder",
-    "TimelineSink",
     "format_axis",
     "format_bytes",
     "payload_series",
@@ -301,73 +305,45 @@ class Log2Histogram:
 
 
 class SiteTimeline:
-    """Per-allocation-site temporal profile: the site's binned drag
-    series plus lifetime and drag-time histograms — the substrate the
-    cold-object detector (ROADMAP) needs: creation/last-use density
-    over the byte clock, attributed to sites."""
+    """The binned parts of one allocation site's temporal profile: its
+    drag series plus lifetime and drag-time histograms. The site's
+    count, bytes and drag live in the drag analysis's ``by_site``
+    group, never here."""
 
-    __slots__ = (
-        "label",
-        "count",
-        "total_bytes",
-        "total_drag",
-        "_est",
-        "drag_series",
-        "lifetime_hist",
-        "drag_hist",
-    )
+    __slots__ = ("label", "drag_series", "lifetime_hist", "drag_hist")
 
     def __init__(self, label: str) -> None:
         self.label = label
-        self.count = 0
-        self.total_bytes = 0
-        self.total_drag = 0
-        # [drag] as a WeightedTotal; None until the first weighted
-        # contribution: at full rate the observed total IS the estimate.
-        self._est: Optional[List[WeightedTotal]] = None
         self.drag_series = BinnedSeries()
         self.lifetime_hist = Log2Histogram()
         self.drag_hist = Log2Histogram()
 
-    @property
-    def est_drag(self):
-        est = self._est
-        return self.total_drag if est is None else est[0].value
-
     def merge(self, other: "SiteTimeline") -> None:
         if other.label != self.label:
             raise ValueError(f"cannot merge {other.label!r} into {self.label!r}")
-        self._est = merge_lazy_totals(
-            self._est, (self.total_drag,), other._est, (other.total_drag,)
-        )
-        self.count += other.count
-        self.total_bytes += other.total_bytes
-        self.total_drag += other.total_drag
         self.drag_series.merge(other.drag_series)
         self.lifetime_hist.merge(other.lifetime_hist)
         self.drag_hist.merge(other.drag_hist)
 
 
 class TimelineBuilder:
-    """Incremental, mergeable heap timeline over the byte clock.
+    """Incremental, mergeable heap timeline over the byte clock: a drag
+    analysis plus its bins.
 
-    Feed it one :class:`ObjectRecord` at a time (:meth:`add`, or via
-    :class:`TimelineSink` during a live run); it maintains the three
-    global Figure-2 series, per-site drag series and histograms for
-    *every* site (pruning to top-K happens only at :meth:`payload`
-    time — mid-stream pruning would make merges order-dependent) and
-    the deep-GC snapshot markers.  Nothing is kept per record, so the
-    state is O(bins + sites) however many records it has folded.
+    Feed it one :class:`ObjectRecord` at a time (:meth:`add`); each
+    record's facts are computed once and folded into :attr:`analysis`
+    (the totals and per-site groups every view reads) and into the
+    bins kept here: the reachable and in-use series, and per site a
+    drag series and two histograms, for *every* site (pruning to top-K
+    happens only at :meth:`payload` time — mid-stream pruning would
+    make merges order-dependent), plus the deep-GC snapshot markers.
+    Nothing is kept per record, so the state is O(bins + sites)
+    however many records it has folded.
     """
 
     __slots__ = (
         "bin_bytes",
-        "object_count",
-        "total_bytes",
-        "total_drag",
-        "_est",
-        "sampled",
-        "end_time",
+        "analysis",
         "last_time",
         "sites",
         "samples",
@@ -379,15 +355,7 @@ class TimelineBuilder:
         if bin_bytes < 1:
             raise ValueError(f"bin_bytes must be >= 1, got {bin_bytes}")
         self.bin_bytes = int(bin_bytes)
-        self.object_count = 0
-        self.total_bytes = 0
-        self.total_drag = 0
-        # [count, bytes, drag] as WeightedTotals; None until the first
-        # weighted record, the observed int totals doubling as the
-        # estimates until then.
-        self._est: Optional[List[WeightedTotal]] = None
-        self.sampled = False
-        self.end_time: Optional[int] = None
+        self.analysis = StreamingDragAnalysis()
         self.last_time = 0
         # The global drag series and the global lifetime/drag
         # histograms are NOT maintained here: every record belongs to
@@ -402,50 +370,30 @@ class TimelineBuilder:
     # -- ingestion --------------------------------------------------------
 
     def add(self, record: ObjectRecord) -> None:
-        # Hot path: one call per reclaimed object during a live run.
-        # Raw fields are read once and every derived quantity (interval
-        # endpoints, lifetime, weighted_*) is computed locally — the
-        # ObjectRecord properties recompute on each access, which
-        # profiles as the dominant cost when done per kind.
+        # Hot path: one call per record. Raw fields are read once and
+        # every derived quantity (interval endpoints, lifetime) is
+        # computed locally — the ObjectRecord properties recompute on
+        # each access, which profiles as the dominant cost when done
+        # per kind.
+        if record.excluded:
+            # The analysis's record filter (it keeps library sites).
+            return
         size = record.size
         weight = record.weight
         creation = record.creation_time
         last_use = record.last_use_time
         collection = record.collection_time
-        never_used = last_use == 0
-        drag_start = creation if never_used else last_use
-        drag_time, drag, _ = space_time(record)
+        drag_time, drag, in_use = space_time(record)
+        self.analysis._fold(record, drag, in_use)
+        drag_start = creation if last_use == 0 else last_use
         lifetime = collection - creation
         if lifetime < 0:
             lifetime = 0
-        est = self._est
-        if weight != 1.0 and est is None:
-            est = self._est = seeded_totals(
-                (self.object_count, self.total_bytes, self.total_drag)
-            )
-        self.object_count += 1
-        self.total_bytes += size
-        self.total_drag += drag
-        if est is None:
-            weighted_count = 1
-            weighted_drag = drag
-        elif weight == 1.0:
-            weighted_count = 1
-            weighted_drag = drag
-            est[0].ints += 1
-            est[1].ints += size
-            est[2].ints += drag
-        else:
-            self.sampled = True
-            weighted_count = weight
-            weighted_drag = weight * drag
-            est[0].add(weight)
-            est[1].add(weight * size)
-            est[2].add(weighted_drag)
         if collection > self.last_time:
             self.last_time = collection
         bin_bytes = self.bin_bytes
         fast = weight == 1.0
+        weighted_count = 1 if fast else weight
         # Inlined _interval(record, kind) for the three global kinds,
         # with the int-only BinnedSeries fast path unrolled in place
         # (the method call itself is measurable at this call rate; the
@@ -471,7 +419,7 @@ class TimelineBuilder:
                         full[last] = full.get(last, 0) - body
             else:
                 s.add(creation, collection, size, weight, bin_bytes)
-        if not never_used and last_use > creation:
+        if last_use > creation:
             s = self._s_in_use
             if fast and not s.weighted:
                 first = creation // bin_bytes
@@ -493,19 +441,6 @@ class TimelineBuilder:
         site = self.sites.get(label)
         if site is None:
             site = self.sites[label] = SiteTimeline(label)
-        # Per-site fold, inlined: this loop is the only writer —
-        # SiteTimeline itself only knows how to merge.
-        est = site._est
-        if not fast and est is None:
-            est = site._est = seeded_totals((site.total_drag,))
-        site.count += 1
-        site.total_bytes += size
-        site.total_drag += drag
-        if est is not None:
-            if fast:
-                est[0].ints += drag
-            else:
-                est[0].add(weighted_drag)
         hist = site.lifetime_hist
         if fast and not hist.weighted:
             bucket = lifetime.bit_length()
@@ -549,11 +484,8 @@ class TimelineBuilder:
         self.add_marker(sample.time, sample.reachable_bytes, sample.object_count)
 
     def note_end(self, end_time: Optional[int]) -> None:
-        if end_time is None:
-            return
-        if self.end_time is None or end_time > self.end_time:
-            self.end_time = end_time
-        if end_time > self.last_time:
+        self.analysis.note_end(end_time)
+        if end_time is not None and end_time > self.last_time:
             self.last_time = end_time
 
     def consume(self, records) -> "TimelineBuilder":
@@ -568,16 +500,7 @@ class TimelineBuilder:
             raise ValueError(
                 f"cannot merge timelines with bin_bytes {other.bin_bytes} != {self.bin_bytes}"
             )
-        self._est = merge_lazy_totals(
-            self._est,
-            (self.object_count, self.total_bytes, self.total_drag),
-            other._est,
-            (other.object_count, other.total_bytes, other.total_drag),
-        )
-        self.object_count += other.object_count
-        self.total_bytes += other.total_bytes
-        self.total_drag += other.total_drag
-        self.sampled = self.sampled or other.sampled
+        self.analysis.merge(other.analysis)
         self._s_reachable.merge(other._s_reachable)
         self._s_in_use.merge(other._s_in_use)
         for label, theirs in other.sites.items():
@@ -586,7 +509,6 @@ class TimelineBuilder:
                 mine = self.sites[label] = SiteTimeline(label)
             mine.merge(theirs)
         self.samples.extend(other.samples)
-        self.note_end(other.end_time)
         if other.last_time > self.last_time:
             self.last_time = other.last_time
         return self
@@ -596,7 +518,8 @@ class TimelineBuilder:
     @property
     def span(self) -> int:
         """Byte-clock extent of the timeline (declared end when known)."""
-        return self.end_time if self.end_time is not None else self.last_time
+        end_time = self.analysis.end_time
+        return end_time if end_time is not None else self.last_time
 
     def bin_count(self) -> int:
         span = self.span
@@ -613,31 +536,14 @@ class TimelineBuilder:
             empty.merge(getattr(site, attr))
         return empty
 
-    @property
-    def est_object_count(self):
-        est = self._est
-        return self.object_count if est is None else est[0].value
-
-    @property
-    def est_total_bytes(self):
-        est = self._est
-        return self.total_bytes if est is None else est[1].value
-
-    @property
-    def est_total_drag(self):
-        est = self._est
-        return self.total_drag if est is None else est[2].value
-
-    @property
-    def effective_sample_rate(self) -> float:
-        est = self.est_total_bytes
-        return self.total_bytes / est if est > 0 else 1.0
-
     def payload(self, top: Optional[int] = 5, include_samples: bool = True) -> dict:
         """JSON-ready timeline: the payload served by ``GET /timeline``
         and compared verbatim in the merge-equals-batch proof.  Every
         field is a deterministic function of the record *set* (plus
-        markers when ``include_samples``), never of arrival order."""
+        markers when ``include_samples``), never of arrival order.
+        Counts, bytes and drag are the analysis's; bins are this
+        builder's."""
+        analysis = self.analysis
         nbins = self.bin_count()
         by_kind = {
             "reachable": self._s_reachable,
@@ -651,45 +557,40 @@ class TimelineBuilder:
                 "values": s.values(nbins),
                 "est_values": s.est_values(nbins),
             }
-        ranked = sorted(self.sites.values(), key=lambda s: (-s.est_drag, s.label))
+        ranked = analysis.sorted_sites()
         if top is not None:
             ranked = ranked[:top]
-        est_total_drag = self.est_total_drag
         sites = []
-        for rank, site in enumerate(ranked, 1):
+        for rank, group in enumerate(ranked, 1):
+            site = self.sites[group.key]
             sites.append(
                 {
                     "rank": rank,
-                    "site": site.label,
-                    "objects": site.count,
-                    "bytes": site.total_bytes,
-                    "drag": site.total_drag,
-                    "est_drag": site.est_drag,
-                    "drag_share": (
-                        site.est_drag / est_total_drag if est_total_drag > 0 else 0.0
-                    ),
+                    "site": group.key,
+                    "objects": group.count,
+                    "bytes": group.total_bytes,
+                    "drag": group.total_drag,
+                    "est_drag": group.est_drag,
+                    "drag_share": analysis.drag_share(group),
                     "values": site.drag_series.values(nbins),
                     "est_values": site.drag_series.est_values(nbins),
                     "lifetime_hist": site.lifetime_hist.payload(),
                     "drag_hist": site.drag_hist.payload(),
                 }
             )
-        est_total_bytes = self.est_total_bytes
         out = {
             "bin_bytes": self.bin_bytes,
             "bins": nbins,
-            "end_time": self.end_time,
+            "end_time": analysis.end_time,
             "last_time": self.last_time,
-            "objects": self.object_count,
-            "est_objects": self.est_object_count,
-            "total_bytes": self.total_bytes,
-            "est_total_bytes": est_total_bytes,
-            "total_drag": self.total_drag,
-            "est_total_drag": est_total_drag,
-            "sampled": self.sampled,
-            "effective_sample_rate": (
-                self.total_bytes / est_total_bytes if est_total_bytes > 0 else 1.0
-            ),
+            "objects": analysis.object_count,
+            "est_objects": analysis.est_object_count,
+            "total_bytes": analysis.total_bytes,
+            "est_total_bytes": analysis.est_total_bytes,
+            "total_drag": analysis.total_drag,
+            "est_total_drag": analysis.est_total_drag,
+            "sampled": analysis.sampled,
+            "effective_sample_rate": analysis.effective_sample_rate,
             "series": series,
             "site_count": len(self.sites),
             "sites": sites,
@@ -699,26 +600,6 @@ class TimelineBuilder:
         if include_samples:
             out["samples"] = sorted(self.samples)
         return out
-
-
-class TimelineSink(ProfileSink):
-    """Attach a :class:`TimelineBuilder` to a live profiled run."""
-
-    def __init__(
-        self,
-        builder: Optional[TimelineBuilder] = None,
-        bin_bytes: int = DEFAULT_BIN_BYTES,
-    ) -> None:
-        self.builder = builder if builder is not None else TimelineBuilder(bin_bytes=bin_bytes)
-
-    def on_record(self, record) -> None:
-        self.builder.add(record)
-
-    def on_sample(self, sample) -> None:
-        self.builder.add_sample(sample)
-
-    def on_end(self, end_time: int, finalizer_errors: int = 0) -> None:
-        self.builder.note_end(end_time)
 
 
 # -- text rendering (shared by `repro timeline`, watch --follow, and the

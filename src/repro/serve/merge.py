@@ -172,12 +172,14 @@ def prove_merge_equals_batch(
     (site, nested, and never-used tables) are required to equal the
     batch analyzer's. Raises AssertionError on the first mismatch.
 
-    With ``timelines=True``, each shard also folds its records into a
-    :class:`~repro.obs.timeline.TimelineBuilder` beside its analysis
-    (as the serve shards do), and the merged untruncated ``/timeline``
-    payload must equal a batch builder's over the same records — every
-    bin of every series, site strip, and histogram bucket. ``end_time``
-    pins the declared stream end on both sides, mirroring the END frame.
+    With ``timelines=True``, each shard folds its records once into a
+    :class:`~repro.obs.timeline.TimelineBuilder` (as the serve shards
+    do), and both payloads are read from the same merged builders: the
+    rankings from its analysis, and the untruncated ``/timeline``
+    payload, which must equal a batch builder's over the same records —
+    every bin of every series, site strip, and histogram bucket.
+    ``end_time`` pins the declared stream end on both sides, mirroring
+    the END frame.
     """
     from repro.core.analyzer import DragAnalysis
 
@@ -205,14 +207,6 @@ def prove_merge_equals_batch(
         for record in records:
             random_split[rng.randrange(k)].append(record)
         for split in (dealt, random_split):
-            merged = merge_snapshots(
-                StreamingDragAnalysis().consume(shard) for shard in split
-            )
-            for table, want in expected.items():
-                got = rankings_payload(merged, table=table)
-                assert got == want, (
-                    f"merge != batch for K={k} shards, table={table!r}"
-                )
             if timelines:
                 shard_timelines = []
                 for shard in split:
@@ -227,6 +221,16 @@ def prove_merge_equals_batch(
                 )
                 assert got_timeline == expected_timeline, (
                     f"timeline merge != batch for K={k} shards"
+                )
+                merged = merged_timeline.analysis
+            else:
+                merged = merge_snapshots(
+                    StreamingDragAnalysis().consume(shard) for shard in split
+                )
+            for table, want in expected.items():
+                got = rankings_payload(merged, table=table)
+                assert got == want, (
+                    f"merge != batch for K={k} shards, table={table!r}"
                 )
             checked += 1
     proof = {

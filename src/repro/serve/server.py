@@ -106,9 +106,9 @@ class ServeConfig:
         # so a profiler can stream snapshots into it mid-run.
         self.snapshot_file = snapshot_file
         # Heap-timeline bin width for GET /timeline. Defaults on: each
-        # shard keeps a TimelineBuilder beside its analysis, O(bins +
-        # sites) in size and only dict arithmetic per record, and only
-        # /timeline reads snapshot it. 0 disables the timeline entirely.
+        # shard folds into a TimelineBuilder, its analysis plus O(bins +
+        # sites) of bins, and only /timeline reads snapshot the bins.
+        # 0 disables the timeline entirely.
         self.timeline_bin_bytes = (
             DEFAULT_BIN_BYTES if timeline_bin_bytes is None else timeline_bin_bytes
         )

@@ -2,14 +2,16 @@
 
 The accept loop never reads a RECORD payload. It deals each batch of
 raw record frames (all the records one socket read framed) to the next
-shard in turn; the shard worker owns the one full decode and folds the
-records into its own incremental
-:class:`~repro.stream.aggregate.StreamingDragAnalysis` and, when the
-timeline is on, its own :class:`~repro.obs.timeline.TimelineBuilder`.
-A snapshot returns only the one of the two an endpoint serves. Any
-site can therefore live in every shard, and correctness never depends
-on the partition: per-site sums are associative, so *any* assignment
-of records to shards merges to the batch answer (:mod:`repro.serve.merge`).
+shard in turn; the shard worker owns the one full decode and folds each
+record once into its one state: a
+:class:`~repro.obs.timeline.TimelineBuilder` when the timeline is on,
+which is its :class:`~repro.stream.aggregate.StreamingDragAnalysis`
+plus bins, and a bare analysis otherwise. A snapshot returns only what
+an endpoint serves: the builder for ``/timeline``, its analysis alone
+for the other reads. Any site can therefore live in every shard, and
+correctness never depends on the partition: per-site sums are
+associative, so *any* assignment of records to shards merges to the
+batch answer (:mod:`repro.serve.merge`).
 
 String-table frames are broadcast to every shard (record payloads
 reference string ids, and ids are per-stream), keyed by stream id so
@@ -49,17 +51,21 @@ SNAPSHOT_PARTS = ("analysis", "timeline")
 
 
 class _ShardState:
-    """The aggregation state shared by both shard flavours: a drag
-    analysis and, unless the timeline is off, a heap timeline, side by
-    side and fed the same decoded records."""
+    """The aggregation state shared by both shard flavours. Records
+    fold once into :attr:`fold`: a heap timeline (a drag analysis plus
+    its bins) unless the timeline is off, a bare drag analysis
+    otherwise. :attr:`analysis` and :attr:`timeline` name the parts a
+    snapshot can return."""
 
     def __init__(self, timeline_bin_bytes: Optional[int] = None) -> None:
-        self.analysis = StreamingDragAnalysis()
-        self.timeline = None
         if timeline_bin_bytes:
             from repro.obs.timeline import TimelineBuilder
 
-            self.timeline = TimelineBuilder(bin_bytes=timeline_bin_bytes)
+            self.timeline = self.fold = TimelineBuilder(bin_bytes=timeline_bin_bytes)
+            self.analysis = self.timeline.analysis
+        else:
+            self.timeline = None
+            self.analysis = self.fold = StreamingDragAnalysis()
         self.tables: Dict[int, List[str]] = {}
         # Per open stream: the decode cache bound to its table.
         self.tails: Dict[int, dict] = {}
@@ -81,11 +87,7 @@ class _ShardState:
                 records.append(_decode_record(payload, table, tails))
             except ProfileError:
                 self.corrupt[stream_id] = self.corrupt.get(stream_id, 0) + 1
-        if self.timeline is not None:
-            # A log-level view: the timeline sees every record, before
-            # the analysis's excluded/library filters.
-            self.timeline.consume(records)
-        self.analysis.consume(records)
+        self.fold.consume(records)
         self.records_seen += len(records)
 
     def end_stream(self, stream_id: int, end_time: Optional[int]) -> int:
@@ -93,15 +95,15 @@ class _ShardState:
         of its payloads did not decode."""
         self.tables.pop(stream_id, None)
         self.tails.pop(stream_id, None)
-        self.analysis.note_end(end_time)
-        if self.timeline is not None:
-            self.timeline.note_end(end_time)
+        self.fold.note_end(end_time)
         return self.corrupt.pop(stream_id, 0)
 
     def snapshot(self, part: str = "analysis") -> Tuple[object, int]:
         """``(state, records folded)``, where ``part`` (one of
         :data:`SNAPSHOT_PARTS`) names the state an endpoint serves, so
-        a read pickles and merges nothing it does not use."""
+        a read pickles and merges nothing it does not use: the
+        analysis without the bins, or the whole timeline (None when
+        the timeline is off)."""
         if part not in SNAPSHOT_PARTS:
             raise ValueError(f"unknown snapshot part {part!r}")
         return getattr(self, part), self.records_seen

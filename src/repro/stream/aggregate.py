@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from repro.core.analyzer import DragAggregate, SiteStats
 from repro.core.sampler import merge_lazy_totals
-from repro.core.trailer import ObjectRecord
+from repro.core.trailer import ObjectRecord, space_time
 
 __all__ = ["SiteStats", "StreamingDragAnalysis"]
 
@@ -46,7 +46,8 @@ class StreamingDragAnalysis(DragAggregate):
             return
         if not self.include_library_sites and record.site_is_library:
             return
-        self._fold(record)
+        _, drag, in_use = space_time(record)
+        self._fold(record, drag, in_use)
 
     def consume(self, records) -> "StreamingDragAnalysis":
         """Fold in an iterable of records (e.g. ``iter_log(path)``);

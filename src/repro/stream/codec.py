@@ -43,6 +43,15 @@ FRAME_RECORD = 0x02
 FRAME_SAMPLE = 0x03
 FRAME_END = 0x04
 
+#: Largest frame payload, and largest header, a reader accepts. A
+#: longer declared length is refused before any payload byte is
+#: buffered, so a bogus length cannot make a reader (or a serve
+#: connection) buffer without limit. Real frames are tens of bytes.
+MAX_FRAME = 1 << 20
+
+# Bytes of a canonical uvarint holding any length up to MAX_FRAME.
+_LENGTH_PREFIX_BYTES = 3
+
 # Record flag bits.
 _F_LIBRARY = 0x01
 _F_EXCLUDED = 0x02
@@ -629,10 +638,10 @@ class FrameParser:
                 frame_type = buf[pos]
                 length = buf[pos + 1]
                 if length > 0x7F:
-                    try:
-                        length, start = _read_uvarint(buf, pos + 1)
-                    except IndexError:  # the length varint is still arriving
+                    span = self._read_length(buf, pos + 1, "frame")
+                    if span is None:  # the length varint is still arriving
                         break
+                    length, start = span
                 end = start + length
                 if end > n:
                     break
@@ -684,6 +693,25 @@ class FrameParser:
                 del buf[:pos]
                 self._base += pos
 
+    def _read_length(self, buf: bytearray, pos: int, what: str) -> Optional[Tuple[int, int]]:
+        """The length varint at ``pos`` as ``(length, payload start)``,
+        or None while it is still arriving. Raises
+        :class:`ProfileError` as soon as it declares more than
+        :data:`MAX_FRAME` bytes or runs past the bytes such a length
+        needs, before any of the payload is buffered."""
+        try:
+            length, start = _read_uvarint(buf, pos)
+        except IndexError:
+            if len(buf) - pos < _LENGTH_PREFIX_BYTES:
+                return None
+            length = start = None
+        if start is None or start - pos > _LENGTH_PREFIX_BYTES or length > MAX_FRAME:
+            raise ProfileError(
+                f"{self.source}: v2 {what} length at byte {self._base + pos}"
+                f" is over the {MAX_FRAME}-byte limit"
+            )
+        return length, start
+
     def _parse_header(self) -> bool:
         buf = self._buf
         if len(buf) < len(MAGIC) + 1:
@@ -693,10 +721,10 @@ class FrameParser:
         version = buf[len(MAGIC)]
         if version != VERSION:
             raise ProfileError(f"{self.source}: unsupported v2 version {version}")
-        try:
-            length, pos = _read_uvarint(buf, len(MAGIC) + 1)
-        except IndexError:
+        span = self._read_length(buf, len(MAGIC) + 1, "header")
+        if span is None:
             return False
+        length, pos = span
         if len(buf) < pos + length:
             return False
         try:

@@ -3,7 +3,7 @@
 Four claims, each pinned here:
 
 1. **Streaming == post-hoc.** The timeline built incrementally during
-   a live run (one ``TimelineSink.on_record`` per reclaimed object) is
+   a live run (one ``TimelineBuilder.add`` per reclaimed object) is
    bit-identical — ``==`` on the full JSON payload — to one recomputed
    after the fact from the v2 log the same run wrote.
 2. **Merge == batch.** K-way sharded builders merge to the batch
@@ -111,10 +111,10 @@ def test_weighted_series_within_tolerance(timeline_profiles, name):
     assert payload["sampled"] is True
     assert payload["effective_sample_rate"] < 1.0
     assert payload["est_total_bytes"] == pytest.approx(
-        full.total_bytes, rel=TOLERANCE
+        full.analysis.total_bytes, rel=TOLERANCE
     )
     assert payload["est_total_drag"] == pytest.approx(
-        full.total_drag, rel=TOLERANCE
+        full.analysis.total_drag, rel=TOLERANCE
     )
     # Full-rate streams: est series are the very same integers.
     full_payload = full.payload(top=None)
@@ -257,6 +257,39 @@ def test_serve_timeline_endpoint_equals_batch(timeline_profiles):
         assert f"repro_timeline_bin_bytes {DEFAULT_BIN_BYTES}" in text
     finally:
         handle.stop()
+
+
+def test_timeline_applies_the_analysis_record_filter(tmp_path):
+    """/timeline and /rankings read one fold: an excluded record counts
+    in neither, and every site's totals agree."""
+    from repro.serve.client import fetch_json, fetch_rankings, replay_log
+    from repro.serve.server import ServeConfig, start_server_thread
+    from tests.core.test_analyzer import make_record
+    from tests.serve.test_server import write_v2_log
+
+    records = [
+        make_record(handle=i, size=16 + i, last_use=0 if i % 3 else 400,
+                    site_label=f"Site.m:{i % 4}")
+        for i in range(30)
+    ]
+    records.append(make_record(handle=99, site_label="Site.m:9", excluded=True))
+    log = write_v2_log(tmp_path / "excluded.dlog2", records, end_time=5000)
+    handle = start_server_thread(
+        ServeConfig(port=0, http_port=0, workers=2, inline=True, quiet=True)
+    )
+    try:
+        host, port = handle.ingest_addr
+        assert replay_log(str(log), host, port)["ok"]
+        timeline = fetch_json(handle.http_addr, "/timeline?top=all")
+        rankings = fetch_rankings(handle.http_addr, top=None)
+    finally:
+        handle.stop()
+    assert timeline["objects"] == rankings["objects"] == len(records) - 1
+    ranked = {entry["site"]: entry for entry in rankings["sites"]}
+    assert [site["site"] for site in timeline["sites"]] == list(ranked)
+    for site in timeline["sites"]:
+        for key in ("objects", "bytes", "drag", "est_drag", "drag_share"):
+            assert site[key] == ranked[site["site"]][key], (site["site"], key)
 
 
 def test_serve_timeline_can_be_disabled():

@@ -227,6 +227,41 @@ def test_garbage_after_handshake_is_truncated_not_fatal():
     handle.stop()
 
 
+def test_oversized_frame_ends_the_stream_and_serving_goes_on(tmp_path):
+    """A client whose RECORD header declares 4 GiB gets its FIN as
+    truncated while its connection is still open, without the daemon
+    buffering what it sends; another client is then served in full."""
+    registry = MetricsRegistry()
+    handle = start(workers=2, inline=True, registry=registry)
+    try:
+        host, port = handle.ingest_addr
+        header = io.BytesIO()
+        V2FrameEncoder(header)
+        frame = bytearray([FRAME_RECORD])
+        _write_uvarint(frame, 4 << 30)
+        with socket.create_connection((host, port), timeout=30) as sock:
+            fp = sock.makefile("rwb")
+            fp.write(encode_hello({"program": "greedy-client"}))
+            fp.write(header.getvalue() + bytes(frame) + b"\0" * 65536)
+            fp.flush()
+            assert read_json_frame_sync(fp)["ok"]  # ACK
+            fin = read_json_frame_sync(fp)  # no SHUT_WR: the daemon ends it
+        assert fin["truncated"] is True and fin["ok"] is False
+        assert fin["records"] == 0
+
+        records = [make_record(handle=i, site_label=f"Site.m:{i % 5}") for i in range(40)]
+        log = write_v2_log(tmp_path / "ok.dlog2", records, end_time=5000)
+        ack = replay_log(log, host, port, mode="raw")
+        assert ack["ok"] and ack["records"] == len(records)
+        assert fetch_rankings(handle.http_addr, top=None) == rankings_payload(
+            DragAnalysis(records), top=None
+        )
+        text = fetch_metrics_text(handle.http_addr)
+        assert metric_value(text, "repro_serve_truncated_streams_total") == 1
+    finally:
+        handle.stop()
+
+
 @pytest.mark.parametrize("payload", [b"\x00", b"\x08\x05"])
 def test_malformed_record_payload_is_truncated_not_fatal(payload):
     """A well-framed RECORD whose payload does not parse (here 1 and 2

@@ -1,5 +1,6 @@
 """The compact v2 log codec: round trips, string table, truncation."""
 
+import io
 import json
 import os
 from pathlib import Path
@@ -10,9 +11,16 @@ from repro.errors import ProfileError
 from repro.core.logfile import iter_log, read_log
 from repro.core.profiler import HeapSample
 from repro.stream.codec import (
+    FRAME_RECORD,
+    FRAME_STRING,
     MAGIC,
+    MAX_FRAME,
+    VERSION,
+    FrameParser,
+    V2FrameEncoder,
     V2LogWriter,
     V2TailReader,
+    _write_uvarint,
     iter_v2_log,
     read_v2_log,
 )
@@ -393,3 +401,61 @@ def test_corrupt_frame_is_a_profile_error_naming_the_source(tmp_path, case):
         V2TailReader(path).poll()
     with pytest.raises(ProfileError, match="sock-1: corrupt v2 frame"):
         FrameParser(source="sock-1").feed(data)
+
+
+def _header_bytes() -> bytes:
+    out = io.BytesIO()
+    V2FrameEncoder(out)
+    return out.getvalue()
+
+
+def test_oversized_frame_length_raises_before_buffering():
+    """A RECORD header that declares 4 GiB is refused on its length
+    alone: feeding 64 x 64 KiB after it used to buffer them all."""
+    parser = FrameParser(source="big")
+    parser.feed_frames(_header_bytes())
+    frame = bytearray([FRAME_RECORD])
+    _write_uvarint(frame, 4 << 30)
+    with pytest.raises(ProfileError, match=f"big: v2 frame length .* {MAX_FRAME}-byte limit"):
+        parser.feed_frames(bytes(frame))
+        for _ in range(64):
+            parser.feed_frames(b"\0" * 65536)
+    assert parser.pending_bytes < 16
+
+
+def test_frame_length_prefix_is_capped_as_it_arrives():
+    """A length varint that keeps its continuation bit set is refused
+    once it runs past the bytes MAX_FRAME needs, one byte at a time."""
+    parser = FrameParser()
+    parser.feed_frames(_header_bytes() + bytes([FRAME_RECORD]))
+    with pytest.raises(ProfileError, match="v2 frame length"):
+        for _ in range(8):
+            parser.feed_frames(b"\x80")
+
+
+def test_frame_of_max_length_is_accepted():
+    """The cap is inclusive: a STRING frame of exactly MAX_FRAME bytes
+    reads, one byte more does not."""
+    for size, ok in ((MAX_FRAME, True), (MAX_FRAME + 1, False)):
+        frame = bytearray([FRAME_STRING])
+        _write_uvarint(frame, size)
+        parser = FrameParser()
+        data = _header_bytes() + bytes(frame) + b"s" * size
+        if ok:
+            parser.feed_frames(data)
+            assert len(parser.strings[0]) == MAX_FRAME
+        else:
+            with pytest.raises(ProfileError, match="v2 frame length"):
+                parser.feed_frames(data)
+
+
+def test_oversized_header_length_raises(tmp_path):
+    data = bytearray(MAGIC + bytes([VERSION]))
+    _write_uvarint(data, MAX_FRAME + 1)
+    with pytest.raises(ProfileError, match="h: v2 header length"):
+        FrameParser(source="h").feed_frames(bytes(data) + b"{")
+    path = tmp_path / "h.dlog2"
+    path.write_bytes(bytes(data) + b"{")
+    for strict in (True, False):
+        with pytest.raises(ProfileError, match="v2 header length"):
+            read_log(path, strict=strict)
