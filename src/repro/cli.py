@@ -268,7 +268,7 @@ def cmd_profile(args) -> int:
     else:
         print(
             drag_report(
-                DragAnalysis(result.records),
+                DragAnalysis(result.records, nested=False),
                 top=args.top,
                 interval_bytes=args.interval,
                 program=result.program,
@@ -310,7 +310,8 @@ def cmd_report(args) -> int:
 
     loaded = read_log(args.log, strict=not args.lenient)
     analysis = DragAnalysis(
-        loaded.records, include_library_sites=not args.app_only
+        loaded.records, include_library_sites=not args.app_only,
+        nested=args.nested,
     )
     interval = loaded.metadata.get("interval", 100 * 1024)
     print(drag_report(analysis, top=args.top, interval_bytes=interval, nested=args.nested))
@@ -525,10 +526,12 @@ def cmd_lint(args) -> int:
 
 
 def _load_drag_analysis(path: str):
+    """The log's site-only analysis: lint and snapshot reports look
+    sites up, never call chains."""
     from repro.core.analyzer import DragAnalysis
     from repro.core.logfile import read_log
 
-    return DragAnalysis(read_log(path).records)
+    return DragAnalysis(read_log(path).records, nested=False)
 
 
 def cmd_snapshot(args) -> int:
@@ -612,7 +615,7 @@ def cmd_timeline(args) -> int:
 
         loaded = read_log(args.log, strict=not args.lenient)
         builder = TimelineBuilder(
-            bin_bytes=args.bin_bytes or DEFAULT_BIN_BYTES
+            bin_bytes=args.bin_bytes or DEFAULT_BIN_BYTES, nested=False
         ).consume(loaded.records)
         for sample in loaded.samples:
             builder.add_sample(sample)

@@ -1,16 +1,17 @@
 """Phase 2: the off-line drag analyzer (§2.2).
 
-Partitions dragged objects by allocation site and by *nested*
-allocation site (call chain), and each group's records by last-use site
-on demand (:meth:`SiteGroup.partition_by_last_use`); sums the drag
-space-time product per group; maintains the special partition of
-*never-used* objects; and sorts groups by drag — "allocation sites
-having a large drag suggest a potential for significant space savings".
+Partitions dragged objects by allocation site and, when the caller asks
+for that view, by *nested* allocation site (call chain); partitions each
+group's records by last-use site on demand
+(:meth:`SiteGroup.partition_by_last_use`); sums the drag space-time
+product per group; maintains the special partition of *never-used*
+objects; and sorts groups by drag — "allocation sites having a large
+drag suggest a potential for significant space savings".
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.sampler import WeightedTotal, merge_lazy_totals, seeded_totals
 from repro.core.trailer import ObjectRecord, space_time
@@ -58,14 +59,15 @@ class SiteStats:
         return (self.count, self.total_bytes, self.total_drag)
 
     def add(self, record: ObjectRecord) -> None:
-        _, drag, in_use = space_time(record)
         self._fold(
-            record, record.size, drag, in_use, record.last_use_time == 0,
+            record, record.size, space_time(record), record.last_use_time == 0,
             record.weight,
         )
 
-    def _fold(self, record, size, drag, in_use, never_used, weight) -> None:
-        """Fold one record whose facts the caller already computed."""
+    def _fold(self, record, size, facts, never_used, weight) -> None:
+        """Fold one record whose facts (``facts`` is its
+        :func:`space_time` triple) the caller already computed."""
+        _, drag, in_use = facts
         est = self._est
         if weight != 1.0:
             if est is None:
@@ -135,31 +137,44 @@ class SiteStats:
         return f"<stats {self.key} n={self.count} drag={self.total_drag}>"
 
 
+# The record attributes a SiteGroup's stored space_time triples hold.
+_FACT_INDEX = {"drag_time": 0, "drag": 1}
+
+
 class SiteGroup(SiteStats):
     """A :class:`SiteStats` that also keeps its records, for the batch
     analyzer's record-level queries (last-use partition, lifetime
-    breakdowns, pattern classification)."""
+    breakdowns, pattern classification).
 
-    __slots__ = ("records",)
+    Beside each record it keeps the record's :func:`space_time` triple
+    ``(drag_time, drag, in_use)`` as the fold computed it (``facts``),
+    so the queries read it instead of recomputing it."""
+
+    __slots__ = ("records", "facts")
 
     def __init__(self, key) -> None:
         super().__init__(key)
         self.records: List[ObjectRecord] = []
+        self.facts: List[Tuple[int, int, int]] = []
 
-    def _fold(self, record, size, drag, in_use, never_used, weight) -> None:
+    def _fold(self, record, size, facts, never_used, weight) -> None:
         self.records.append(record)
-        SiteStats._fold(self, record, size, drag, in_use, never_used, weight)
+        self.facts.append(facts)
+        SiteStats._fold(self, record, size, facts, never_used, weight)
 
     def partition_by_last_use(self) -> Dict[Optional[str], "SiteGroup"]:
         """§2.2: 'we also partition dragged objects according to nested
         allocation site and last-use site'."""
         out: Dict[Optional[str], SiteGroup] = {}
-        for record in self.records:
+        for record, facts in zip(self.records, self.facts):
             key = record.last_use_frame
             group = out.get(key)
             if group is None:
                 group = out[key] = SiteGroup((self.key, key))
-            group.add(record)
+            group._fold(
+                record, record.size, facts, record.last_use_time == 0,
+                record.weight,
+            )
         return out
 
     def lifetime_breakdown(self, attr: str = "drag_time", buckets: int = 4) -> "Histogram":
@@ -168,7 +183,11 @@ class SiteGroup(SiteStats):
         time, and collection time.' ``attr`` is one of ``drag_time``,
         ``in_use_time``, ``collection_time``, ``lag_time``, ``lifetime``
         or ``drag``."""
-        values = [getattr(r, attr) for r in self.records]
+        index = _FACT_INDEX.get(attr)
+        if index is None:
+            values = [getattr(r, attr) for r in self.records]
+        else:
+            values = [facts[index] for facts in self.facts]
         return Histogram(attr, values, buckets)
 
     def __repr__(self) -> str:
@@ -232,24 +251,28 @@ class Histogram:
 
 
 class DragAggregate:
-    """The two partitions and the log totals, folded a record at a time.
+    """The partitions and the log totals, folded a record at a time.
 
-    Partitions: ``by_site`` (plain allocation site) and ``by_nested``
-    (call chain). The batch :class:`DragAnalysis` and the streaming
+    Partitions: ``by_site`` (plain allocation site), always, and
+    ``by_nested`` (call chain) when ``nested`` is true; a fold built
+    with ``nested=False`` leaves ``by_nested`` None, and its nested
+    views raise. The nested view is the finer one, shown only on
+    request (§2.2), so a caller that never prints it folds only sites.
+    The batch :class:`DragAnalysis` and the streaming
     :class:`repro.stream.aggregate.StreamingDragAnalysis` are both this
     fold; they differ only in their group type and in how records
     arrive, so they agree exactly on any stream. Each record's facts
     are computed once by the caller of :meth:`_fold` and shared by its
-    two groups (and, in :class:`~repro.obs.timeline.TimelineBuilder`,
-    by the heap-timeline bins), and every total is maintained as the
+    groups (and, in :class:`~repro.obs.timeline.TimelineBuilder`, by
+    the heap-timeline bins), and every total is maintained as the
     records arrive, never rescanned.
     """
 
     group_type = SiteStats
 
-    def __init__(self) -> None:
+    def __init__(self, nested: bool = True) -> None:
         self.by_site: Dict[object, SiteStats] = {}
-        self.by_nested: Dict[object, SiteStats] = {}
+        self.by_nested: Optional[Dict[object, SiteStats]] = {} if nested else None
         self.object_count = 0
         self.total_bytes = 0
         # Observed drag: the sum over *logged* records, uncorrected.
@@ -259,11 +282,12 @@ class DragAggregate:
         self._est: Optional[List[WeightedTotal]] = None
         self.sampled = False  # True once any record carries a non-unit weight
 
-    def _fold(self, record: ObjectRecord, drag: int, in_use: int) -> None:
-        """Fold one record whose ``drag`` and ``in_use`` (from
-        :func:`space_time`) the caller already computed."""
+    def _fold(self, record: ObjectRecord, facts: Tuple[int, int, int]) -> None:
+        """Fold one record whose :func:`space_time` triple ``facts``
+        the caller already computed."""
         size = record.size
         weight = record.weight
+        drag = facts[1]
         never_used = record.last_use_time == 0
         est = self._est
         if weight != 1.0:
@@ -283,15 +307,17 @@ class DragAggregate:
         self.total_bytes += size
         self.total_drag += drag
         label = record.site_label
-        new_group = self.group_type
-        for table, key in (
-            (self.by_site, label),
-            (self.by_nested, record.nested_alloc or (label,)),
-        ):
-            group = table.get(key)
+        group = self.by_site.get(label)
+        if group is None:
+            group = self.by_site[label] = self.group_type(label)
+        group._fold(record, size, facts, never_used, weight)
+        nested = self.by_nested
+        if nested is not None:
+            key = record.nested_alloc or (label,)
+            group = nested.get(key)
             if group is None:
-                group = table[key] = new_group(key)
-            group._fold(record, size, drag, in_use, never_used, weight)
+                group = nested[key] = self.group_type(key)
+            group._fold(record, size, facts, never_used, weight)
 
     # Weight-corrected (Horvitz-Thompson) population estimates. On a
     # full-rate profile every record weight is 1.0 and these are the
@@ -331,6 +357,8 @@ class DragAggregate:
         return groups[:limit] if limit else groups
 
     def sorted_nested(self, limit: Optional[int] = None) -> List[SiteStats]:
+        if self.by_nested is None:
+            raise ValueError("this analysis was folded without the nested partition")
         groups = sorted(self.by_nested.values(), key=lambda g: (-g.est_drag, str(g.key)))
         return groups[:limit] if limit else groups
 
@@ -353,9 +381,10 @@ class DragAnalysis(DragAggregate):
 
     Coarse partition ``by_site``: §2.2, "sometimes an allocation site is
     used in many contexts and a large drag may be distributed among
-    several smaller drag groups" under the fine ``by_nested`` one.
-    Nothing changes an analysis after construction, so every total is
-    final once ``__init__`` returns.
+    several smaller drag groups" under the fine ``by_nested`` one, which
+    is folded only when ``nested`` is true. Nothing changes an analysis
+    after construction, so every total is final once ``__init__``
+    returns.
     """
 
     group_type = SiteGroup
@@ -364,13 +393,13 @@ class DragAnalysis(DragAggregate):
         self,
         records: Iterable[ObjectRecord],
         include_library_sites: bool = True,
+        nested: bool = True,
     ) -> None:
-        super().__init__()
+        super().__init__(nested)
         all_records = [r for r in records if not r.excluded]
         if not include_library_sites:
             all_records = [r for r in all_records if not r.site_is_library]
         self.records = all_records
         fold = self._fold
         for record in all_records:
-            _, drag, in_use = space_time(record)
-            fold(record, drag, in_use)
+            fold(record, space_time(record))

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Optional
 
 from repro.core.analyzer import SiteGroup
-from repro.core.trailer import space_time
 
 
 class LifetimePattern(Enum):
@@ -79,14 +78,13 @@ def classify_group(
     if group.count == 0 or group.total_drag == 0:
         return LifetimePattern.UNCLASSIFIED
 
-    # One pass over the records reads each one's raw fields once and
-    # yields everything the four tests below need.
+    # One pass over the records and the space_time triples the fold
+    # stored beside them yields everything the four tests below need.
     drags = []
     never_drag = 0
     large = 0
     half_interval = interval_bytes // 2
-    for record in group.records:
-        drag_time, drag, _ = space_time(record)
+    for record, (drag_time, drag, _) in zip(group.records, group.facts):
         drags.append(drag)
         if constructor_only_use(record, ctor_use_window):
             never_drag += drag

@@ -12,7 +12,11 @@ A :class:`TimelineBuilder` is the drag aggregate plus its bins: it owns
 a :class:`~repro.stream.aggregate.StreamingDragAnalysis`, folds each
 record into it and into the bins in one pass, and reads every count,
 byte, drag and ``est_*`` total from it. So ``/timeline`` and
-``/rankings`` report the same facts from the same place.
+``/rankings`` report the same facts from the same place. No timeline
+payload reads the nested (call-chain) partition, so a log-only
+``repro timeline`` builds its analysis with ``nested=False``; a serve
+shard keeps it, since the same analysis answers
+``/rankings?table=nested``.
 
 Design constraints (all pinned by ``tests/obs/test_timeline.py``):
 
@@ -338,7 +342,8 @@ class TimelineBuilder:
     happens only at :meth:`payload` time — mid-stream pruning would
     make merges order-dependent), plus the deep-GC snapshot markers.
     Nothing is kept per record, so the state is O(bins + sites)
-    however many records it has folded.
+    however many records it has folded. ``nested`` is passed to the
+    analysis: whether it folds the nested partition too.
     """
 
     __slots__ = (
@@ -351,11 +356,11 @@ class TimelineBuilder:
         "_s_in_use",
     )
 
-    def __init__(self, bin_bytes: int = DEFAULT_BIN_BYTES) -> None:
+    def __init__(self, bin_bytes: int = DEFAULT_BIN_BYTES, nested: bool = True) -> None:
         if bin_bytes < 1:
             raise ValueError(f"bin_bytes must be >= 1, got {bin_bytes}")
         self.bin_bytes = int(bin_bytes)
-        self.analysis = StreamingDragAnalysis()
+        self.analysis = StreamingDragAnalysis(nested=nested)
         self.last_time = 0
         # The global drag series and the global lifetime/drag
         # histograms are NOT maintained here: every record belongs to
@@ -383,8 +388,9 @@ class TimelineBuilder:
         creation = record.creation_time
         last_use = record.last_use_time
         collection = record.collection_time
-        drag_time, drag, in_use = space_time(record)
-        self.analysis._fold(record, drag, in_use)
+        facts = space_time(record)
+        self.analysis._fold(record, facts)
+        drag_time = facts[0]
         drag_start = creation if last_use == 0 else last_use
         lifetime = collection - creation
         if lifetime < 0:

@@ -3,17 +3,18 @@
 :class:`StreamingDragAnalysis` consumes one record at a time and
 maintains exactly the aggregates the batch
 :class:`repro.core.analyzer.DragAnalysis` derives — per-site
-count/bytes/drag/in-use sums, the never-used partition, and the nested
-partition — without ever holding the records
-themselves. Both are the same :class:`~repro.core.analyzer.DragAggregate`
-fold, so the two analyses agree exactly on any stream (the equivalence
-is pinned by ``tests/stream/test_aggregate.py`` on real benchmark
-profiles).
+count/bytes/drag/in-use sums, the never-used partition, and, unless it
+is built with ``nested=False``, the nested partition — without ever
+holding the records themselves. Both are the same
+:class:`~repro.core.analyzer.DragAggregate` fold, so the two analyses
+agree exactly on any stream, with or without the nested partition (the
+equivalence is pinned by ``tests/stream/test_aggregate.py`` on real
+benchmark profiles).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.analyzer import DragAggregate, SiteStats
 from repro.core.sampler import merge_lazy_totals
@@ -26,14 +27,14 @@ class StreamingDragAnalysis(DragAggregate):
     """One-pass, bounded-memory analyzer over a record stream.
 
     Mirrors the partitions of the batch analyzer: ``by_site`` (plain
-    allocation site) and ``by_nested`` (call chain). Feed it with
-    :meth:`add` — directly, via an
+    allocation site) and, when ``nested`` is true, ``by_nested`` (call
+    chain). Feed it with :meth:`add` — directly, via an
     :class:`~repro.stream.sinks.AggregatorSink` during a live run, or
     from a log with :meth:`consume`.
     """
 
-    def __init__(self, include_library_sites: bool = True) -> None:
-        super().__init__()
+    def __init__(self, include_library_sites: bool = True, nested: bool = True) -> None:
+        super().__init__(nested)
         self.include_library_sites = include_library_sites
         self.end_time: Optional[int] = None
 
@@ -46,8 +47,7 @@ class StreamingDragAnalysis(DragAggregate):
             return
         if not self.include_library_sites and record.site_is_library:
             return
-        _, drag, in_use = space_time(record)
-        self._fold(record, drag, in_use)
+        self._fold(record, space_time(record))
 
     def consume(self, records) -> "StreamingDragAnalysis":
         """Fold in an iterable of records (e.g. ``iter_log(path)``);
@@ -66,7 +66,12 @@ class StreamingDragAnalysis(DragAggregate):
     def merge(self, other: "StreamingDragAnalysis") -> "StreamingDragAnalysis":
         """Fold another aggregator (e.g. from a sharded run) into this
         one; per-site sums are associative so the result equals a
-        single-stream analysis of the concatenated logs."""
+        single-stream analysis of the concatenated logs. Both must keep
+        the same partitions: only the tables present are merged."""
+        if (self.by_nested is None) != (other.by_nested is None):
+            raise ValueError(
+                "cannot merge an analysis with the nested partition and one without"
+            )
         self._est = merge_lazy_totals(
             self._est,
             (self.object_count, self.total_bytes, self.total_drag),
@@ -77,9 +82,12 @@ class StreamingDragAnalysis(DragAggregate):
         self.total_bytes += other.total_bytes
         self.total_drag += other.total_drag
         self.sampled = self.sampled or other.sampled
-        for table_name in ("by_site", "by_nested"):
-            mine: Dict[object, SiteStats] = getattr(self, table_name)
-            theirs: Dict[object, SiteStats] = getattr(other, table_name)
+        for mine, theirs in (
+            (self.by_site, other.by_site),
+            (self.by_nested, other.by_nested),
+        ):
+            if theirs is None:
+                continue
             for key, stats in theirs.items():
                 existing = mine.get(key)
                 if existing is None:

@@ -332,7 +332,8 @@ def _read_strings(buf, pos: int, strings: List[str]) -> Tuple[Tuple[str, ...], i
 def _decode_tail(buf, pos: int, end: int, flags: int, strings: List[str]) -> tuple:
     """Decode a RECORD's tail, ``buf[pos:end]``: its string-id run, then
     the optional last-use chain and weight. Returns ``(type, label,
-    kind, nested, use_frame, use_chain, weight)``."""
+    kind, library, nested, use_frame, use_chain, excluded, survived,
+    weight)``, the three booleans read from ``flags``."""
     read = _read_uvarint
     type_id, pos = read(buf, pos)
     label_id, pos = read(buf, pos)
@@ -353,8 +354,9 @@ def _decode_tail(buf, pos: int, end: int, flags: int, strings: List[str]) -> tup
         raise IndexError("RECORD payload overruns its frame")
     # Trailing bytes past the known fields are tolerated: that is how
     # readers predating a strictly trailing field (the weight) parse it.
-    return (strings[type_id], strings[label_id], strings[kind_id], nested,
-            use_frame, use_chain, weight)
+    return (strings[type_id], strings[label_id], strings[kind_id],
+            bool(flags & _F_LIBRARY), nested, use_frame, use_chain,
+            bool(flags & _F_EXCLUDED), bool(flags & _F_SURVIVED), weight)
 
 
 def _decode_record_at(
@@ -372,9 +374,10 @@ def _decode_record_at(
     payload, its tail, repeats: the writer builds the string-id run
     once per allocation context and last-use frame
     (``V2FrameEncoder._id_runs``). So ``tails``, the stream's decode
-    cache, maps ``(flags, tail bytes)`` to the decoded tail. Ids never
-    change once interned, so a hit is exactly what decoding the same
-    bytes against the same table gave before. Leading varints that
+    cache, maps ``(flags, tail bytes)`` to the decoded tail, which also
+    holds the record's three flag booleans. Ids never change once
+    interned, so a hit is exactly what decoding the same bytes and
+    flags against the same table gave before. Leading varints that
     overrun the payload leave an empty tail, which never decodes and
     so is never cached.
     """
@@ -473,13 +476,12 @@ def _decode_record_at(
         tail = _decode_tail(buf, pos, end, flags, strings)
         if len(tails) < _TAIL_CACHE_LIMIT:
             tails[key] = tail
-    type_name, label, kind, nested, use_frame, use_chain, weight = tail
+    (type_name, label, kind, library, nested, use_frame, use_chain,
+     excluded, survived, weight) = tail
     return ObjectRecord(
         handle, type_name, size, created, last_use, collected,
-        alloc_site, label, kind,
-        bool(flags & _F_LIBRARY), nested, use_frame, use_chain,
-        bool(flags & _F_EXCLUDED), bool(flags & _F_SURVIVED),
-        first_use, weight,
+        alloc_site, label, kind, library, nested, use_frame, use_chain,
+        excluded, survived, first_use, weight,
     )
 
 

@@ -3,7 +3,7 @@
 v2 logs are tailed frame-by-frame with
 :class:`~repro.stream.codec.V2TailReader`. A v1 JSONL log, which only
 older versions wrote, is finished and is read once. Each poll folds
-the new records into a
+the new records into a site-only
 :class:`~repro.stream.aggregate.StreamingDragAnalysis` — memory stays
 O(sites) no matter how large the log grows — and refreshes a top-K
 drag summary, optionally flushing a machine-readable JSON snapshot.
@@ -143,7 +143,7 @@ def watch_log(
         if max_polls is not None and waited / poll_interval >= max_polls:
             raise ProfileError(f"{path}: log never appeared")
     tail = None
-    analysis = StreamingDragAnalysis()
+    analysis = StreamingDragAnalysis(nested=False)  # the summary ranks sites only
     last_sample = None
     sample_count = 0
     finished = False

@@ -1,5 +1,6 @@
 """Streaming/batch equivalence: StreamingDragAnalysis must reproduce
-DragAnalysis exactly — the property the whole pipeline rests on."""
+DragAnalysis exactly — the property the whole pipeline rests on —
+with the nested partition and without it (``nested=False``)."""
 
 import pytest
 
@@ -13,9 +14,12 @@ def assert_equivalent(batch: DragAnalysis, stream: StreamingDragAnalysis):
     assert stream.object_count == batch.object_count
     assert stream.total_bytes == batch.total_bytes
     assert stream.total_drag == batch.total_drag
+    assert (stream.by_nested is None) == (batch.by_nested is None)
     for table in ("by_site", "by_nested"):
         batch_table = getattr(batch, table)
         stream_table = getattr(stream, table)
+        if batch_table is None:
+            continue
         assert set(stream_table) == set(batch_table), table
         for key, group in batch_table.items():
             stats = stream_table[key]
@@ -30,9 +34,10 @@ def assert_equivalent(batch: DragAnalysis, stream: StreamingDragAnalysis):
     assert [g.key for g in stream.sorted_sites()] == [
         g.key for g in batch.sorted_sites()
     ]
-    assert [g.key for g in stream.sorted_nested()] == [
-        g.key for g in batch.sorted_nested()
-    ]
+    if batch.by_nested is not None:
+        assert [g.key for g in stream.sorted_nested()] == [
+            g.key for g in batch.sorted_nested()
+        ]
     assert [g.key for g in stream.never_used_sites()] == [
         g.key for g in batch.never_used_sites()
     ]
@@ -45,6 +50,22 @@ def test_equivalence_on_benchmark_profiles(bench_profiles, name):
     batch = DragAnalysis(records)
     stream = StreamingDragAnalysis().consume(records)
     assert_equivalent(batch, stream)
+
+
+@pytest.mark.parametrize("name", ["db", "euler"])
+def test_site_only_equivalence_on_benchmark_profiles(bench_profiles, name):
+    """The site-only folds agree, and leaving the nested partition out
+    changes nothing else."""
+    records = bench_profiles[name].records
+    batch = DragAnalysis(records, nested=False)
+    stream = StreamingDragAnalysis(nested=False).consume(records)
+    assert stream.by_nested is None and batch.by_nested is None
+    assert_equivalent(batch, stream)
+    full = DragAnalysis(records)
+    full.by_nested = None  # compare everything else
+    assert_equivalent(full, stream)
+    with pytest.raises(ValueError, match="nested partition"):
+        stream.sorted_nested()
 
 
 @pytest.mark.parametrize("name", ["db", "euler"])
@@ -109,6 +130,28 @@ def test_merge_equals_single_stream(bench_profiles):
     assert [g.key for g in merged.sorted_sites()] == [
         g.key for g in whole.sorted_sites()
     ]
+
+
+def test_site_only_merge_equals_batch_rankings(bench_profiles):
+    """Site-only shards merge into the batch site and never-used
+    rankings; a site-only fold does not merge with a nested one."""
+    from repro.serve.merge import rankings_payload
+
+    records = bench_profiles["db"].records
+    third = len(records) // 3
+    shards = [records[:third], records[third:2 * third], records[2 * third:]]
+    merged = StreamingDragAnalysis(nested=False)
+    for shard in shards:
+        merged.merge(StreamingDragAnalysis(nested=False).consume(shard))
+    batch = DragAnalysis(records)
+    for table in ("site", "never_used"):
+        assert rankings_payload(merged, table=table) == rankings_payload(
+            batch, table=table
+        ), table
+    with pytest.raises(ValueError, match="nested partition"):
+        StreamingDragAnalysis().merge(StreamingDragAnalysis(nested=False))
+    with pytest.raises(ValueError, match="nested partition"):
+        StreamingDragAnalysis(nested=False).merge(StreamingDragAnalysis())
 
 
 def test_merge_rejects_mismatched_keys():
