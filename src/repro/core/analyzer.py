@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.sampler import WeightedTotal, merge_lazy_totals, seeded_totals
+from repro.core.sampler import WeightedTotal, corrected, merge_corrections, reweight
 from repro.core.trailer import ObjectRecord, space_time
 
 
@@ -35,7 +35,7 @@ class SiteStats:
         "never_used_count",
         "never_used_drag",
         "type_names",
-        "_est",
+        "_corr",
     )
 
     def __init__(self, key) -> None:
@@ -47,16 +47,13 @@ class SiteStats:
         self.never_used_count = 0
         self.never_used_drag = 0
         self.type_names: List[str] = []  # insertion-ordered, deduplicated
-        # Weight-corrected (Horvitz-Thompson) estimates of count, bytes
-        # and drag, as WeightedTotals — whose float part is exact and
+        # Weighted records' corrections to count (0), bytes (1) and drag
+        # (2): each Horvitz-Thompson estimate is its observed int plus
+        # its correction (see repro.core.sampler), exact and
         # order-independent, so batch, streaming and sharded-merge
-        # analyses agree bit for bit on sampled data.
-        # None until the first weighted record: until then the observed
-        # ints above *are* the estimates, and stay ints.
-        self._est: Optional[List[WeightedTotal]] = None
-
-    def _observed(self):
-        return (self.count, self.total_bytes, self.total_drag)
+        # analyses agree bit for bit on sampled data. Empty at full
+        # rate, where the estimates are the observed ints.
+        self._corr: Dict[int, WeightedTotal] = {}
 
     def add(self, record: ObjectRecord) -> None:
         self._fold(
@@ -68,17 +65,11 @@ class SiteStats:
         """Fold one record whose facts (``facts`` is its
         :func:`space_time` triple) the caller already computed."""
         _, drag, in_use = facts
-        est = self._est
         if weight != 1.0:
-            if est is None:
-                est = self._est = seeded_totals(self._observed())
-            est[0].add(weight)
-            est[1].add(weight * size)
-            est[2].add(weight * drag)
-        elif est is not None:
-            est[0].ints += 1
-            est[1].ints += size
-            est[2].ints += drag
+            corr = self._corr
+            reweight(corr, 0, 1, weight)
+            reweight(corr, 1, size, weight)
+            reweight(corr, 2, drag, weight)
         self.count += 1
         self.total_bytes += size
         self.total_drag += drag
@@ -95,16 +86,16 @@ class SiteStats:
 
     @property
     def est_count(self):
-        return self.count if self._est is None else self._est[0].value
+        return corrected(self.count, self._corr, 0)
 
     @property
     def est_bytes(self):
-        return self.total_bytes if self._est is None else self._est[1].value
+        return corrected(self.total_bytes, self._corr, 1)
 
     @property
     def est_drag(self):
         """Estimated total drag (bytes²) this group stands for."""
-        return self.total_drag if self._est is None else self._est[2].value
+        return corrected(self.total_drag, self._corr, 2)
 
     @property
     def never_used_fraction(self) -> float:
@@ -120,9 +111,7 @@ class SiteStats:
         (the multi-process merge primitive)."""
         if other.key != self.key:
             raise ValueError(f"cannot merge {other.key!r} into {self.key!r}")
-        self._est = merge_lazy_totals(
-            self._est, self._observed(), other._est, other._observed()
-        )
+        merge_corrections(self._corr, other._corr)
         self.count += other.count
         self.total_bytes += other.total_bytes
         self.total_drag += other.total_drag
@@ -277,10 +266,9 @@ class DragAggregate:
         self.total_bytes = 0
         # Observed drag: the sum over *logged* records, uncorrected.
         self.total_drag = 0
-        # Weight-corrected object count, bytes and drag; None (the
-        # observed ints are the estimates) until a weighted record.
-        self._est: Optional[List[WeightedTotal]] = None
-        self.sampled = False  # True once any record carries a non-unit weight
+        # Weighted records' corrections to the object count (0), bytes
+        # (1) and drag (2), as in SiteStats.
+        self._corr: Dict[int, WeightedTotal] = {}
 
     def _fold(self, record: ObjectRecord, facts: Tuple[int, int, int]) -> None:
         """Fold one record whose :func:`space_time` triple ``facts``
@@ -289,20 +277,11 @@ class DragAggregate:
         weight = record.weight
         drag = facts[1]
         never_used = record.last_use_time == 0
-        est = self._est
         if weight != 1.0:
-            self.sampled = True
-            if est is None:
-                est = self._est = seeded_totals(
-                    (self.object_count, self.total_bytes, self.total_drag)
-                )
-            est[0].add(weight)
-            est[1].add(weight * size)
-            est[2].add(weight * drag)
-        elif est is not None:
-            est[0].ints += 1
-            est[1].ints += size
-            est[2].ints += drag
+            corr = self._corr
+            reweight(corr, 0, 1, weight)
+            reweight(corr, 1, size, weight)
+            reweight(corr, 2, drag, weight)
         self.object_count += 1
         self.total_bytes += size
         self.total_drag += drag
@@ -326,16 +305,21 @@ class DragAggregate:
     # unconditionally.
 
     @property
+    def sampled(self) -> bool:
+        """True once any record carries a non-unit weight."""
+        return bool(self._corr)
+
+    @property
     def est_object_count(self):
-        return self.object_count if self._est is None else self._est[0].value
+        return corrected(self.object_count, self._corr, 0)
 
     @property
     def est_total_bytes(self):
-        return self.total_bytes if self._est is None else self._est[1].value
+        return corrected(self.total_bytes, self._corr, 1)
 
     @property
     def est_total_drag(self):
-        return self.total_drag if self._est is None else self._est[2].value
+        return corrected(self.total_drag, self._corr, 2)
 
     @property
     def effective_sample_rate(self) -> float:

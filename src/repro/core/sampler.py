@@ -39,14 +39,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence
+from typing import Dict
 
 __all__ = [
     "ByteSampler",
     "WeightedTotal",
     "inclusion_probability",
-    "merge_lazy_totals",
-    "seeded_totals",
 ]
 
 
@@ -135,13 +133,13 @@ class WeightedTotal:
     can drift in the last ulp and break payload equality.  So weighted
     contributions are kept as a Shewchuk expansion (the ``math.fsum``
     representation: a list of non-overlapping partials whose exact sum
-    is the true total), which makes :attr:`value` the correctly rounded
-    true sum regardless of accumulation or merge order.
+    is the true total), which makes every sum read through :meth:`plus`
+    the correctly rounded true sum regardless of accumulation or merge
+    order.
 
-    Integer contributions (full-rate records: weight exactly 1.0) take
-    a separate int path, so an unsampled group's total stays the exact
-    observed ``int`` — type and value — and serializes as ``1000``, not
-    ``1000.0``.
+    Integer contributions take a separate int path, so a total that
+    never received a float stays an exact ``int`` — type and value —
+    and serializes as ``1000``, not ``1000.0``.
     """
 
     __slots__ = ("ints", "partials")
@@ -174,52 +172,51 @@ class WeightedTotal:
         for p in other.partials:
             self.add(p)
 
-    @property
-    def value(self):
-        """The exact int when no weighted contribution arrived, else the
-        correctly rounded float total."""
-        if not self.partials:
-            return self.ints
-        return math.fsum(self.partials + [self.ints])
+    def plus(self, base: int, *others: "WeightedTotal"):
+        """``base`` plus this total and ``others``, exactly: an int
+        while none of them holds a float partial, else the correctly
+        rounded float sum."""
+        ints = base + self.ints
+        partials = self.partials
+        for other in others:
+            ints += other.ints
+            partials = partials + other.partials
+        return math.fsum(partials + [ints]) if partials else ints
 
     def __repr__(self) -> str:
-        return f"<WeightedTotal {self.value}>"
+        return f"<WeightedTotal {self.plus(0)}>"
 
 
-# Aggregates keep their weight-corrected estimates lazily: ``None`` until
-# the first weighted record, because until then the observed ints *are*
-# the estimates. These two helpers are the whole protocol.
+# A weight-corrected quantity is stored as its observed int plus a sparse
+# *correction*: a dict of WeightedTotals, keyed like the observed table,
+# that only records with weight w != 1.0 write. A contribution v of such
+# a record adds w*v - v, exactly: w*v as a float partial, -v to the int
+# part. The estimate is observed + correction, so it is the observed int
+# itself until a weighted record touches its key, and the correctly
+# rounded float sum after. These three functions are the whole protocol.
 
 
-def seeded_totals(observed: Sequence[int]) -> List[WeightedTotal]:
-    """WeightedTotals holding ``observed`` as their int parts: exactly
-    what eager weight-1.0 accumulation of the same records would hold.
-    Called on an aggregate's first weighted record."""
-    out = []
-    for value in observed:
-        total = WeightedTotal()
-        total.ints = value
-        out.append(total)
-    return out
+def reweight(corrections: Dict, key, observed, weight: float) -> None:
+    """Correct the contribution ``observed`` to cell ``key`` for its
+    record's ``weight`` (called only when ``weight != 1.0``)."""
+    total = corrections.get(key)
+    if total is None:
+        total = corrections[key] = WeightedTotal()
+    total.add(weight * observed)
+    total.ints -= observed
 
 
-def merge_lazy_totals(
-    mine: Optional[List[WeightedTotal]],
-    mine_observed: Sequence[int],
-    theirs: Optional[List[WeightedTotal]],
-    theirs_observed: Sequence[int],
-) -> Optional[List[WeightedTotal]]:
-    """Fold one side's lazy estimates into the other's; returns the
-    merged list (``mine``, updated in place, when it existed), or None
-    when neither side has seen a weighted record."""
-    if mine is None and theirs is None:
-        return None
-    if mine is None:
-        mine = seeded_totals(mine_observed)
-    if theirs is None:
-        for total, value in zip(mine, theirs_observed):
-            total.ints += value
-    else:
-        for total, other in zip(mine, theirs):
-            total.merge(other)
-    return mine
+def corrected(observed: int, corrections: Dict, key):
+    """The estimate of cell ``key`` whose observed value is ``observed``."""
+    total = corrections.get(key)
+    return observed if total is None else total.plus(observed)
+
+
+def merge_corrections(mine: Dict, theirs: Dict) -> None:
+    """Fold ``theirs`` into ``mine``, cell by cell. The observed tables
+    merge separately, by int addition."""
+    for key, total in theirs.items():
+        existing = mine.get(key)
+        if existing is None:
+            existing = mine[key] = WeightedTotal()
+        existing.merge(total)

@@ -28,11 +28,12 @@ Design constraints (all pinned by ``tests/obs/test_timeline.py``):
   Integer sums are associative, so streaming, batch recompute, and
   K-way sharded merges land on the same bits.
 
-* **Weight-corrected under sampling.**  Each series also carries
-  ``est_*`` variants accumulated in :class:`~repro.core.sampler.
-  WeightedTotal` (Shewchuk expansions), so Horvitz-Thompson corrected
-  timelines are exact, order-independent, and collapse to the observed
-  ints at full rate — the PR 8 contract extended to every bin.
+* **Weight-corrected under sampling.**  Each ``est_*`` value is its
+  observed int plus a sparse correction that only weighted records
+  write (:mod:`repro.core.sampler`; Shewchuk expansions), so
+  Horvitz-Thompson corrected timelines are exact, order-independent,
+  and are the observed ints themselves at full rate — the sampling
+  contract of the rankings extended to every bin.
 
 * **Associatively mergeable.** ``TimelineBuilder.merge`` is the shard
   primitive: the analysis merge, elementwise integer/expansion sums,
@@ -49,11 +50,10 @@ with bins and sites only.  The exact (unbinned) heap curves come from
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 from repro.core.integrals import MB
-from repro.core.sampler import WeightedTotal
+from repro.core.sampler import WeightedTotal, corrected, merge_corrections, reweight
 from repro.core.trailer import ObjectRecord, space_time
 from repro.stream.aggregate import StreamingDragAnalysis
 
@@ -90,84 +90,39 @@ class BinnedSeries:
     covers completely — ``+size·W`` at the first full bin, ``−size·W``
     one past the last — so adding a record is O(1) regardless of how
     many bins its lifetime spans.  Rendering prefix-sums ``full`` and
-    adds ``edge`` per bin.  ``est_*`` mirrors both maps with
-    :class:`WeightedTotal` cells for the weight-corrected estimate.
+    adds ``edge`` per bin.  ``corr_edge`` and ``corr_full`` hold the
+    weighted records' corrections to the same cells (see
+    :mod:`repro.core.sampler`); they stay empty at full rate.
     """
 
-    __slots__ = ("edge", "full", "est_edge", "est_full", "weighted")
+    __slots__ = ("edge", "full", "corr_edge", "corr_full")
 
     def __init__(self) -> None:
         self.edge: Dict[int, int] = {}
         self.full: Dict[int, int] = {}
-        self.est_edge: Dict[int, WeightedTotal] = {}
-        self.est_full: Dict[int, WeightedTotal] = {}
-        # Lazily weighted: until the first weight != 1.0 contribution
-        # the est tables stay empty (the observed ints ARE the
-        # estimate, bit for bit), keeping the per-record hot path free
-        # of WeightedTotal churn on unsampled streams.
-        self.weighted = False
-
-    def _promote(self) -> None:
-        """Materialize the est tables from the (so far all weight-1.0)
-        observed ints. A weight-1 area lands in ``WeightedTotal.ints``,
-        so this replay is exactly what eager accumulation would hold."""
-        self.weighted = True
-        est_edge = self.est_edge
-        for key, v in self.edge.items():
-            total = WeightedTotal()
-            total.ints = v
-            est_edge[key] = total
-        est_full = self.est_full
-        for key, v in self.full.items():
-            total = WeightedTotal()
-            total.ints = v
-            est_full[key] = total
-
-    @staticmethod
-    def _est_add(table: Dict[int, WeightedTotal], key: int, area: int, weight: float) -> None:
-        total = table.get(key)
-        if total is None:
-            total = table[key] = WeightedTotal()
-        total.add(area if weight == 1.0 else weight * area)
+        self.corr_edge: Dict[int, WeightedTotal] = {}
+        self.corr_full: Dict[int, WeightedTotal] = {}
 
     def add(self, start: int, end: int, size: int, weight: float, bin_bytes: int) -> None:
         """Fold the interval ``[start, end)`` of ``size`` bytes in."""
         first = start // bin_bytes
         last = (end - 1) // bin_bytes
-        edge = self.edge
-        if weight == 1.0 and not self.weighted:
-            # Int-only fast path: the overwhelmingly common case.
-            if first == last:
-                edge[first] = edge.get(first, 0) + size * (end - start)
-                return
-            edge[first] = edge.get(first, 0) + size * ((first + 1) * bin_bytes - start)
-            edge[last] = edge.get(last, 0) + size * (end - last * bin_bytes)
+        edge, corr_edge = self.edge, self.corr_edge
+        if first == last:
+            cells = [(edge, corr_edge, first, size * (end - start))]
+        else:
+            cells = [
+                (edge, corr_edge, first, size * ((first + 1) * bin_bytes - start)),
+                (edge, corr_edge, last, size * (end - last * bin_bytes)),
+            ]
             if last > first + 1:
                 body = size * bin_bytes
-                full = self.full
-                full[first + 1] = full.get(first + 1, 0) + body
-                full[last] = full.get(last, 0) - body
-            return
-        if not self.weighted:
-            self._promote()
-        if first == last:
-            area = size * (end - start)
-            edge[first] = edge.get(first, 0) + area
-            self._est_add(self.est_edge, first, area, weight)
-            return
-        head = size * ((first + 1) * bin_bytes - start)
-        tail = size * (end - last * bin_bytes)
-        edge[first] = edge.get(first, 0) + head
-        edge[last] = edge.get(last, 0) + tail
-        self._est_add(self.est_edge, first, head, weight)
-        self._est_add(self.est_edge, last, tail, weight)
-        if last > first + 1:
-            body = size * bin_bytes
-            full = self.full
-            full[first + 1] = full.get(first + 1, 0) + body
-            full[last] = full.get(last, 0) - body
-            self._est_add(self.est_full, first + 1, body, weight)
-            self._est_add(self.est_full, last, -body, weight)
+                cells.append((self.full, self.corr_full, first + 1, body))
+                cells.append((self.full, self.corr_full, last, -body))
+        for table, corrections, key, area in cells:
+            table[key] = table.get(key, 0) + area
+            if weight != 1.0:
+                reweight(corrections, key, area, weight)
 
     def values(self, nbins: int) -> List[int]:
         """Exact observed integral per bin (bytes²), length ``nbins``."""
@@ -185,53 +140,27 @@ class BinnedSeries:
         rate, correctly rounded floats once weighted records appear.
         Each bin value is one ``fsum`` over exact expansions, so the
         result is independent of accumulation and merge order."""
-        if not self.weighted:
-            return self.values(nbins)
+        observed = self.values(nbins)
+        if not self.corr_edge and not self.corr_full:
+            return observed
         out = []
         running = WeightedTotal()
-        est_full = self.est_full
-        est_edge = self.est_edge
-        for b in range(nbins):
-            diff = est_full.get(b)
+        corr_full = self.corr_full
+        corr_edge = self.corr_edge
+        for b, value in enumerate(observed):
+            diff = corr_full.get(b)
             if diff is not None:
                 running.merge(diff)
-            e = est_edge.get(b)
-            if e is None:
-                out.append(running.value)
-            else:
-                ints = running.ints + e.ints
-                partials = running.partials + e.partials
-                out.append(ints if not partials else math.fsum(partials + [ints]))
+            e = corr_edge.get(b)
+            out.append(running.plus(value) if e is None else running.plus(value, e))
         return out
 
     def merge(self, other: "BinnedSeries") -> None:
-        if other.weighted and not self.weighted:
-            self._promote()
-        edge = self.edge
-        for key, v in other.edge.items():
-            edge[key] = edge.get(key, 0) + v
-        full = self.full
-        for key, v in other.full.items():
-            full[key] = full.get(key, 0) + v
-        if not self.weighted:
-            return
-        if other.weighted:
-            for table_name in ("est_edge", "est_full"):
-                mine: Dict[int, WeightedTotal] = getattr(self, table_name)
-                for key, total in getattr(other, table_name).items():
-                    existing = mine.get(key)
-                    if existing is None:
-                        existing = mine[key] = WeightedTotal()
-                    existing.merge(total)
-        else:
-            # The unweighted side's observed ints are its estimates.
-            for table_name, source in (("est_edge", other.edge), ("est_full", other.full)):
-                mine = getattr(self, table_name)
-                for key, v in source.items():
-                    existing = mine.get(key)
-                    if existing is None:
-                        existing = mine[key] = WeightedTotal()
-                    existing.ints += v
+        for mine, theirs in ((self.edge, other.edge), (self.full, other.full)):
+            for key, v in theirs.items():
+                mine[key] = mine.get(key, 0) + v
+        merge_corrections(self.corr_edge, other.corr_edge)
+        merge_corrections(self.corr_full, other.corr_full)
 
 
 class Log2Histogram:
@@ -239,72 +168,35 @@ class Log2Histogram:
 
     Bucket ``b`` holds durations in ``[2^(b-1), 2^b)`` (bucket 0 is
     exactly zero — e.g. void objects' in-use time), via
-    ``duration.bit_length()``.  Carries both the observed int count and
-    the weight-corrected estimated count per bucket.
+    ``duration.bit_length()``.  Carries the observed int count per
+    bucket and the weighted records' corrections to it, which make the
+    estimated count.
     """
 
-    __slots__ = ("counts", "est_counts", "weighted")
+    __slots__ = ("counts", "corrections")
 
     def __init__(self) -> None:
         self.counts: Dict[int, int] = {}
-        self.est_counts: Dict[int, WeightedTotal] = {}
-        self.weighted = False
+        self.corrections: Dict[int, WeightedTotal] = {}
 
-    def _promote(self) -> None:
-        """Materialize est buckets from the all-weight-1.0 counts seen
-        so far (a weight-1 count is an int, so the replay is exact)."""
-        self.weighted = True
-        est = self.est_counts
-        for bucket, n in self.counts.items():
-            total = WeightedTotal()
-            total.ints = n
-            est[bucket] = total
-
-    def add(self, duration: int, weighted_count) -> None:
+    def add(self, duration: int, weight: float) -> None:
         bucket = duration.bit_length()
-        counts = self.counts
-        if not self.weighted:
-            if weighted_count == 1:
-                counts[bucket] = counts.get(bucket, 0) + 1
-                return
-            self._promote()
-        counts[bucket] = counts.get(bucket, 0) + 1
-        total = self.est_counts.get(bucket)
-        if total is None:
-            total = self.est_counts[bucket] = WeightedTotal()
-        total.add(weighted_count)
+        self.counts[bucket] = self.counts.get(bucket, 0) + 1
+        if weight != 1.0:
+            reweight(self.corrections, bucket, 1, weight)
 
     def merge(self, other: "Log2Histogram") -> None:
-        if other.weighted and not self.weighted:
-            self._promote()
         counts = self.counts
         for bucket, n in other.counts.items():
             counts[bucket] = counts.get(bucket, 0) + n
-        if not self.weighted:
-            return
-        est = self.est_counts
-        if other.weighted:
-            for bucket, total in other.est_counts.items():
-                existing = est.get(bucket)
-                if existing is None:
-                    existing = est[bucket] = WeightedTotal()
-                existing.merge(total)
-        else:
-            for bucket, n in other.counts.items():
-                existing = est.get(bucket)
-                if existing is None:
-                    existing = est[bucket] = WeightedTotal()
-                existing.ints += n
+        merge_corrections(self.corrections, other.corrections)
 
     def payload(self) -> dict:
         buckets = sorted(self.counts)
-        counts = [self.counts[b] for b in buckets]
-        if not self.weighted:
-            return {"buckets": buckets, "counts": counts, "est_counts": list(counts)}
         return {
             "buckets": buckets,
-            "counts": counts,
-            "est_counts": [self.est_counts[b].value for b in buckets],
+            "counts": [self.counts[b] for b in buckets],
+            "est_counts": [corrected(self.counts[b], self.corrections, b) for b in buckets],
         }
 
 
@@ -399,17 +291,16 @@ class TimelineBuilder:
             self.last_time = collection
         bin_bytes = self.bin_bytes
         fast = weight == 1.0
-        weighted_count = 1 if fast else weight
         # Inlined _interval(record, kind) for the three global kinds,
         # with the int-only BinnedSeries fast path unrolled in place
-        # (the method call itself is measurable at this call rate; the
-        # weighted/promoted path still delegates).  The arithmetic is
+        # (the method call itself is measurable at this call rate; a
+        # weighted record still delegates).  The arithmetic is
         # pinned against BinnedSeries.add by the conservation asserts
         # in tests/obs/test_timeline.py: per-series bin sums must equal
         # independently-computed exact space-time totals.
         if collection > creation:
             s = self._s_reachable
-            if fast and not s.weighted:
+            if fast:
                 first = creation // bin_bytes
                 last = (collection - 1) // bin_bytes
                 edge = s.edge
@@ -427,7 +318,7 @@ class TimelineBuilder:
                 s.add(creation, collection, size, weight, bin_bytes)
         if last_use > creation:
             s = self._s_in_use
-            if fast and not s.weighted:
+            if fast:
                 first = creation // bin_bytes
                 last = (last_use - 1) // bin_bytes
                 edge = s.edge
@@ -448,22 +339,22 @@ class TimelineBuilder:
         if site is None:
             site = self.sites[label] = SiteTimeline(label)
         hist = site.lifetime_hist
-        if fast and not hist.weighted:
+        if fast:
             bucket = lifetime.bit_length()
             counts = hist.counts
             counts[bucket] = counts.get(bucket, 0) + 1
         else:
-            hist.add(lifetime, weighted_count)
+            hist.add(lifetime, weight)
         hist = site.drag_hist
-        if fast and not hist.weighted:
+        if fast:
             bucket = drag_time.bit_length()
             counts = hist.counts
             counts[bucket] = counts.get(bucket, 0) + 1
         else:
-            hist.add(drag_time, weighted_count)
+            hist.add(drag_time, weight)
         if collection > drag_start:
             s = site.drag_series
-            if fast and not s.weighted:
+            if fast:
                 first = drag_start // bin_bytes
                 last = (collection - 1) // bin_bytes
                 edge = s.edge

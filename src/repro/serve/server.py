@@ -22,10 +22,12 @@ one record decode), and answers HTTP on a second port:
   weighted and sample-rate gauges are set from the merged analysis at
   each scrape, so they equal ``/summary``'s totals.
 
-Each read snapshots and merges only what it serves: ``/rankings``,
-``/summary`` and ``/metrics`` the shards' analyses, ``/timeline`` their
-timelines. A ``top`` or ``table`` the endpoint cannot serve is a
-``400 Bad Request`` with a JSON ``error`` body.
+Each read snapshots and merges only what it serves:
+``/rankings?table=nested`` the shards' analyses, the other
+``/rankings`` tables, ``/summary`` and ``/metrics`` the same analyses
+without their nested partition, ``/timeline`` their timelines. A
+``top`` or ``table`` the endpoint cannot serve is a ``400 Bad
+Request`` with a JSON ``error`` body.
 
 SIGTERM/SIGINT drain gracefully: stop accepting, let in-flight streams
 finish (bounded by ``drain_timeout``), take a final merge, stop the
@@ -54,6 +56,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.shard import InlineShard, make_shards
 from repro.obs.timeline import DEFAULT_BIN_BYTES, TimelineBuilder
+from repro.stream.aggregate import StreamingDragAnalysis
 from repro.stream.codec import (
     FRAME_RECORD,
     FRAME_SAMPLE,
@@ -274,14 +277,17 @@ class DragServer:
 
     async def merged(self, part: str = "analysis"):
         """Snapshot ``part`` of every shard and merge associatively —
-        the on-demand read path: analyses behind /rankings and
-        /summary, timelines behind /timeline."""
+        the on-demand read path: site-only analyses behind /summary,
+        /metrics and most /rankings tables, whole analyses behind
+        /rankings?table=nested, timelines behind /timeline."""
         started = time.perf_counter()
         snaps = await asyncio.gather(
             *(self._call(shard, "snapshot", part) for shard in self.shards)
         )
         into = None
-        if part == "timeline":
+        if part == "sites":
+            into = StreamingDragAnalysis(nested=False)
+        elif part == "timeline":
             into = TimelineBuilder(bin_bytes=self.config.timeline_bin_bytes)
         merged = merge_snapshots((state for state, _ in snaps), into)
         self._m_merges.inc()
@@ -470,12 +476,14 @@ class DragServer:
                 writer.write(self._http_response("200 OK", body, "application/json"))
             elif path == "/rankings":
                 top, table = self._read_query(query, tables=RANKINGS_TABLES)
-                analysis, _ = await self.merged()
+                analysis, _ = await self.merged(
+                    "analysis" if table == "nested" else "sites"
+                )
                 payload = rankings_payload(analysis, top=top, table=table)
                 body = json.dumps(payload).encode("utf-8")
                 writer.write(self._http_response("200 OK", body, "application/json"))
             elif path == "/summary":
-                analysis, shard_counts = await self.merged()
+                analysis, shard_counts = await self.merged("sites")
                 body = json.dumps({
                     "objects": analysis.object_count,
                     "est_objects": analysis.est_object_count,
@@ -520,7 +528,7 @@ class DragServer:
                     writer.write(self._http_response(
                         "200 OK", body, "application/json"))
             elif path == "/metrics":
-                analysis, _ = await self.merged()
+                analysis, _ = await self.merged("sites")
                 self._m_record_bytes.set(analysis.total_bytes)
                 self._m_weighted_records.set(analysis.est_object_count)
                 self._m_weighted_bytes.set(analysis.est_total_bytes)

@@ -8,10 +8,11 @@ record once into its one state: a
 which is its :class:`~repro.stream.aggregate.StreamingDragAnalysis`
 plus bins, and a bare analysis otherwise. A snapshot returns only what
 an endpoint serves: the builder for ``/timeline``, its analysis alone
-for the other reads. Any site can therefore live in every shard, and
-correctness never depends on the partition: per-site sums are
-associative, so *any* assignment of records to shards merges to the
-batch answer (:mod:`repro.serve.merge`).
+for ``/rankings?table=nested`` and the drain, and for every other read
+the analysis without its nested partition. Any site can therefore
+live in every shard, and correctness never depends on the partition:
+per-site sums are associative, so *any* assignment of records to
+shards merges to the batch answer (:mod:`repro.serve.merge`).
 
 String-table frames are broadcast to every shard (record payloads
 reference string ids, and ids are per-stream), keyed by stream id so
@@ -37,6 +38,7 @@ Two interchangeable shard flavours:
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,17 +47,19 @@ from repro.stream.aggregate import StreamingDragAnalysis
 from repro.stream.codec import _decode_record
 
 
-#: What :meth:`_ShardState.snapshot` can return: the drag analysis
-#: behind /rankings and /summary, or the heap timeline behind /timeline.
-SNAPSHOT_PARTS = ("analysis", "timeline")
+#: What :meth:`_ShardState.snapshot` can return: the whole drag analysis
+#: behind /rankings?table=nested, its site-only view behind the other
+#: /rankings tables, /summary and /metrics, or the heap timeline behind
+#: /timeline.
+SNAPSHOT_PARTS = ("analysis", "sites", "timeline")
 
 
 class _ShardState:
     """The aggregation state shared by both shard flavours. Records
     fold once into :attr:`fold`: a heap timeline (a drag analysis plus
     its bins) unless the timeline is off, a bare drag analysis
-    otherwise. :attr:`analysis` and :attr:`timeline` name the parts a
-    snapshot can return."""
+    otherwise. :attr:`analysis`, :attr:`sites` and :attr:`timeline`
+    name the parts a snapshot can return."""
 
     def __init__(self, timeline_bin_bytes: Optional[int] = None) -> None:
         if timeline_bin_bytes:
@@ -72,6 +76,15 @@ class _ShardState:
         self.records_seen = 0
         # Per open stream: payloads that did not decode.
         self.corrupt: Dict[int, int] = {}
+
+    @property
+    def sites(self) -> StreamingDragAnalysis:
+        """The analysis without its nested partition: a shallow view
+        sharing the site groups, so it costs nothing to make and
+        pickles only the ``by_site`` table."""
+        view = copy.copy(self.analysis)
+        view.by_nested = None
+        return view
 
     def add_strings(self, stream_id: int, strings: Sequence[str]) -> None:
         self.tables.setdefault(stream_id, []).extend(strings)
@@ -102,8 +115,9 @@ class _ShardState:
         """``(state, records folded)``, where ``part`` (one of
         :data:`SNAPSHOT_PARTS`) names the state an endpoint serves, so
         a read pickles and merges nothing it does not use: the
-        analysis without the bins, or the whole timeline (None when
-        the timeline is off)."""
+        analysis without the bins, with or without its nested
+        partition, or the whole timeline (None when the timeline is
+        off)."""
         if part not in SNAPSHOT_PARTS:
             raise ValueError(f"unknown snapshot part {part!r}")
         return getattr(self, part), self.records_seen

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.analyzer import DragAggregate, SiteStats
-from repro.core.sampler import merge_lazy_totals
+from repro.core.sampler import merge_corrections
 from repro.core.trailer import ObjectRecord, space_time
 
 __all__ = ["SiteStats", "StreamingDragAnalysis"]
@@ -72,16 +72,10 @@ class StreamingDragAnalysis(DragAggregate):
             raise ValueError(
                 "cannot merge an analysis with the nested partition and one without"
             )
-        self._est = merge_lazy_totals(
-            self._est,
-            (self.object_count, self.total_bytes, self.total_drag),
-            other._est,
-            (other.object_count, other.total_bytes, other.total_drag),
-        )
+        merge_corrections(self._corr, other._corr)
         self.object_count += other.object_count
         self.total_bytes += other.total_bytes
         self.total_drag += other.total_drag
-        self.sampled = self.sampled or other.sampled
         for mine, theirs in (
             (self.by_site, other.by_site),
             (self.by_nested, other.by_nested),

@@ -165,6 +165,44 @@ def write_metrics_json(metrics: LiveMetrics, path: str) -> None:
     os.replace(tmp, path)
 
 
+class MetricsPublisher:
+    """Where each live snapshot goes: the ``--metrics-json`` file
+    (``json_path``), the ``repro_live_*`` gauges of ``registry``, and
+    that registry's Prometheus exposition in the ``--metrics-out`` file
+    (``metrics_out``; given alone, it gets a fresh registry). The one
+    publish path of :class:`MetricsSink`, ``repro watch`` and ``repro
+    watch --follow``."""
+
+    __slots__ = ("json_path", "registry", "metrics_out")
+
+    def __init__(
+        self,
+        json_path: Optional[str] = None,
+        registry=None,
+        metrics_out: Optional[str] = None,
+    ) -> None:
+        if registry is None and metrics_out:
+            from repro.obs import MetricsRegistry
+
+            registry = MetricsRegistry()
+        self.json_path = json_path
+        self.registry = registry
+        self.metrics_out = metrics_out
+
+    @property
+    def wanted(self) -> bool:
+        """Whether a snapshot has anywhere to go."""
+        return bool(self.json_path) or self.registry is not None
+
+    def publish(self, metrics: LiveMetrics) -> None:
+        if self.json_path:
+            write_metrics_json(metrics, self.json_path)
+        if self.registry is not None:
+            update_registry(self.registry, metrics)
+            if self.metrics_out:
+                self.registry.write_exposition(self.metrics_out)
+
+
 class MetricsSink(ProfileSink):
     """Maintain live metrics over the event stream.
 
@@ -188,9 +226,8 @@ class MetricsSink(ProfileSink):
     ) -> None:
         self.analysis = analysis or StreamingDragAnalysis()
         self.top_k = top_k
-        self.json_path = json_path
+        self.publisher = MetricsPublisher(json_path, registry)
         self.on_snapshot = on_snapshot
-        self.registry = registry
         self.keep_history = keep_history
         self.history: List[LiveMetrics] = []
         self.latest: Optional[LiveMetrics] = None
@@ -241,9 +278,6 @@ class MetricsSink(ProfileSink):
         self.latest = metrics
         if self.keep_history:
             self.history.append(metrics)
-        if self.json_path:
-            write_metrics_json(metrics, self.json_path)
-        if self.registry is not None:
-            update_registry(self.registry, metrics)
+        self.publisher.publish(metrics)
         if self.on_snapshot is not None:
             self.on_snapshot(metrics)

@@ -27,7 +27,7 @@ from repro.core.logfile import read_log
 from repro.core.integrals import MB
 from repro.stream.aggregate import StreamingDragAnalysis
 from repro.stream.codec import MAGIC, V2TailReader
-from repro.stream.live import snapshot, update_registry, write_metrics_json
+from repro.stream.live import MetricsPublisher, snapshot
 
 
 class _V1Log:
@@ -128,10 +128,7 @@ def watch_log(
     ``metrics_out`` additionally flushes its Prometheus exposition to a
     file after each refresh. Returns the accumulated analysis.
     """
-    if registry is None and metrics_out is not None:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    publisher = MetricsPublisher(metrics_json, registry, metrics_out)
     path = Path(path)
     out = out if out is not None else sys.stdout
     waited = 0.0
@@ -176,8 +173,8 @@ def watch_log(
                 ),
                 file=out,
             )
-            if metrics_json or registry is not None:
-                metrics = snapshot(
+            if publisher.wanted:
+                publisher.publish(snapshot(
                     analysis,
                     time=(
                         analysis.end_time
@@ -190,13 +187,7 @@ def watch_log(
                     top_k=top,
                     finished=finished,
                     finalizer_errors=finalizer_errors or 0,
-                )
-                if metrics_json:
-                    write_metrics_json(metrics, metrics_json)
-                if registry is not None:
-                    update_registry(registry, metrics)
-                    if metrics_out:
-                        registry.write_exposition(metrics_out)
+                ))
         if once or finished:
             return analysis
         if max_polls is not None and polls >= max_polls:
@@ -291,17 +282,9 @@ def follow_server(
     """
     from repro.serve.client import fetch_json, fetch_rankings
     from repro.serve.protocol import parse_hostport
-    from repro.stream.live import (
-        LiveMetrics,
-        top_site,
-        update_registry,
-        write_metrics_json,
-    )
+    from repro.stream.live import LiveMetrics, top_site
 
-    if registry is None and metrics_out is not None:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    publisher = MetricsPublisher(metrics_json, registry, metrics_out)
     addr = parse_hostport(hostport)
     out = out if out is not None else sys.stdout
     polls = 0
@@ -330,8 +313,8 @@ def follow_server(
         finished = bool(summary.get("draining")) or (
             bool(summary.get("streams")) and summary.get("active_clients", 0) == 0
         )
-        if metrics_json or registry is not None:
-            metrics = LiveMetrics(
+        if publisher.wanted:
+            publisher.publish(LiveMetrics(
                 time=summary.get("end_time") or 0,
                 reachable_bytes=0,  # a deep-GC-point notion; not served
                 reachable_objects=0,
@@ -345,13 +328,7 @@ def follow_server(
                     for e in rankings.get("sites", [])
                 ],
                 finished=finished,
-            )
-            if metrics_json:
-                write_metrics_json(metrics, metrics_json)
-            if registry is not None:
-                update_registry(registry, metrics)
-                if metrics_out:
-                    registry.write_exposition(metrics_out)
+            ))
         if once or summary.get("draining"):
             return summary
         if max_polls is not None and polls >= max_polls:

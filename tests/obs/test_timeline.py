@@ -18,10 +18,12 @@ Four claims, each pinned here:
 """
 
 import json
+import random
 from html.parser import HTMLParser
 
 import pytest
 
+from repro.core.analyzer import DragAnalysis
 from repro.core.sampler import ByteSampler
 from repro.obs.htmlreport import render_html
 from repro.obs.timeline import (
@@ -32,7 +34,7 @@ from repro.obs.timeline import (
     render_timeline_text,
     sparkline,
 )
-from repro.serve.merge import prove_merge_equals_batch
+from repro.serve.merge import RANKINGS_TABLES, prove_merge_equals_batch, rankings_payload
 from repro.stream.codec import read_v2_log
 from tests.obs.conftest import TIMELINE_BENCHES
 
@@ -98,6 +100,59 @@ def test_timeline_merge_equals_batch_with_sampled_weights(timeline_profiles):
         weighted, shard_counts=(2, 4), timelines=True, end_time=result.end_time
     )
     assert proof["timeline_bins"] > 0
+
+
+def _payload_texts(builder):
+    """Every rankings table and the untruncated timeline of ``builder``,
+    as JSON text: an estimate that turns from an int into a float (or
+    back) changes the text even where ``==`` would not notice."""
+    out = {
+        table: json.dumps(rankings_payload(builder.analysis, table=table))
+        for table in RANKINGS_TABLES
+    }
+    out["timeline"] = json.dumps(builder.payload(top=None, include_samples=False))
+    return out
+
+
+def test_mixed_weight_merge_equals_batch(timeline_profiles):
+    """A full-rate shard merged with a byte-sampled one, in either
+    order, and a mixed stream split at random three ways, all equal the
+    batch fold over the concatenated records, int for int and float
+    for float."""
+    result, _, _ = timeline_profiles["db"]
+    records = result.records
+    half = len(records) // 2
+    full = records[:half]
+    sampled = resample(records[half:], sample_bytes=512)
+    assert all(r.weight == 1.0 for r in full)
+    assert any(r.weight != 1.0 for r in sampled)
+
+    def build(part):
+        return rebuild(part, end_time=result.end_time)
+
+    expected = _payload_texts(build(full + sampled))
+    batch = DragAnalysis(full + sampled)
+    for table in RANKINGS_TABLES:
+        assert json.dumps(rankings_payload(batch, table=table)) == expected[table]
+    # Unit-weight records folded after weighted ones.
+    assert _payload_texts(build(sampled + full)) == expected
+    for first, second in ((full, sampled), (sampled, full)):
+        assert _payload_texts(build(first).merge(build(second))) == expected
+    # The mix really is mixed: full-rate-only sites keep int estimates.
+    sites = json.loads(expected["site"])["sites"]
+    assert any(type(entry["est_drag"]) is int for entry in sites)
+    assert any(type(entry["est_drag"]) is float for entry in sites)
+
+    rng = random.Random(3)
+    mixed = full + sampled
+    rng.shuffle(mixed)
+    shards = [[], [], []]
+    for record in mixed:
+        shards[rng.randrange(3)].append(record)
+    merged = build(shards[0])
+    for shard in shards[1:]:
+        merged.merge(build(shard))
+    assert _payload_texts(merged) == expected
 
 
 @pytest.mark.parametrize("name", TIMELINE_BENCHES)

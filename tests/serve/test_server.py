@@ -397,6 +397,40 @@ def test_one_site_spreads_over_every_shard(tmp_path):
         handle.stop()
 
 
+def test_site_reads_snapshot_no_nested_partition(all_profiles, tmp_path):
+    """Only ``/rankings?table=nested`` reads the nested partition: the
+    other tables, /summary and /metrics snapshot and merge the shards'
+    site tables alone, and still equal the batch analysis."""
+    result = all_profiles["db"]
+    log = write_v2_log(tmp_path / "db.dlog2", result.records, end_time=result.end_time)
+    batch = DragAnalysis(result.records)
+    handle = start(workers=2, inline=True)
+    snapped = []
+    for shard in handle.server.shards:
+        def spy(part="analysis", _snapshot=shard.snapshot):
+            state, seen = _snapshot(part)
+            snapped.append(state)
+            return state, seen
+
+        shard.snapshot = spy
+    try:
+        host, port = handle.ingest_addr
+        replay_log(log, host, port, mode="raw")
+        for table in ("site", "never_used"):
+            served = fetch_rankings(handle.http_addr, top=None, table=table)
+            assert served == rankings_payload(batch, top=None, table=table)
+        assert fetch_json(handle.http_addr, "/summary")["objects"] == len(result.records)
+        fetch_metrics_text(handle.http_addr)
+        assert len(snapped) == 4 * len(handle.server.shards)
+        assert all(state.by_nested is None for state in snapped)
+        snapped.clear()
+        served = fetch_rankings(handle.http_addr, top=None, table="nested")
+        assert served == rankings_payload(batch, top=None, table="nested")
+        assert snapped and all(state.by_nested is not None for state in snapped)
+    finally:
+        handle.stop()
+
+
 def test_serve_sink_streams_live_profile():
     """ServeSink is a ProfileSink: drive it event by event."""
     records = [
