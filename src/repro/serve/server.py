@@ -27,7 +27,18 @@ Each read snapshots and merges only what it serves:
 ``/rankings`` tables, ``/summary`` and ``/metrics`` the same analyses
 without their nested partition, ``/timeline`` their timelines. A
 ``top`` or ``table`` the endpoint cannot serve is a ``400 Bad
-Request`` with a JSON ``error`` body.
+Request`` with a JSON ``error`` body; a read whose snapshot round finds
+a shard gone is a ``503 Service Unavailable`` naming the shard.
+
+A read reuses its part's last merge while no shard state has changed:
+the daemon counts the shard calls that change what a snapshot returns
+(``feed_records`` and ``end_stream``) as they start and finish, and a
+kept merge is served only if none is under way and none has finished
+since its snapshots were taken. A merge is kept only if no change was
+under way when its snapshots started and none finished before they
+returned, so a reused merge is exactly what a fresh one would return.
+``repro_serve_merges_total`` and ``repro_serve_merge_seconds`` count
+real merges only.
 
 SIGTERM/SIGINT drain gracefully: stop accepting, let in-flight streams
 finish (bounded by ``drain_timeout``), take a final merge, stop the
@@ -74,6 +85,15 @@ _MERGE_BUCKETS = (
 class BadRequest(Exception):
     """A read's query string asks for something the endpoint cannot
     serve; answered with ``400 Bad Request``."""
+
+    status = "400 Bad Request"
+
+
+class ShardUnavailable(Exception):
+    """A shard did not answer a read's snapshot round (its worker is
+    gone); answered with ``503 Service Unavailable``."""
+
+    status = "503 Service Unavailable"
 
 
 class ServeConfig:
@@ -186,6 +206,12 @@ class DragServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ingest_server = None
         self._http_server = None
+        # Shard calls that change what a snapshot returns, started and
+        # finished, and per snapshot part the last merge worth reusing:
+        # (changes finished when its snapshots were taken, result).
+        self._changes_started = 0
+        self._changes_finished = 0
+        self._merged: Dict[str, Tuple[int, tuple]] = {}
         # /snapshot cache: (file size at parse time, summary payload).
         self._snapshot_cache: Optional[Tuple[int, dict]] = None
         # Dedicated pool for blocking shard-pipe calls: sized so every
@@ -275,24 +301,56 @@ class DragServer:
             self._pool, fn, *args
         )
 
+    async def _change(self, shard, method: str, *args):
+        """A shard call that changes what its snapshots return, counted
+        as it starts and finishes for :meth:`merged`'s reuse rule."""
+        self._changes_started += 1
+        try:
+            return await self._call(shard, method, *args)
+        finally:
+            self._changes_finished += 1
+
+    async def _snapshot(self, shard, part: str):
+        try:
+            return await self._call(shard, "snapshot", part)
+        except (EOFError, OSError) as exc:
+            raise ShardUnavailable(
+                f"shard {shard.index} is unavailable ({type(exc).__name__})"
+            ) from exc
+
     async def merged(self, part: str = "analysis"):
         """Snapshot ``part`` of every shard and merge associatively —
         the on-demand read path: site-only analyses behind /summary,
         /metrics and most /rankings tables, whole analyses behind
-        /rankings?table=nested, timelines behind /timeline."""
+        /rankings?table=nested, timelines behind /timeline. Returns the
+        part's last merge instead while no shard state has changed
+        since it was taken (see the module docstring), so every read
+        it serves shares the result: callers only read it."""
+        finished = self._changes_finished
+        settled = finished == self._changes_started
+        kept = self._merged.get(part)
+        if settled and kept is not None and kept[0] == finished:
+            return kept[1]
         started = time.perf_counter()
         snaps = await asyncio.gather(
-            *(self._call(shard, "snapshot", part) for shard in self.shards)
+            *(self._snapshot(shard, part) for shard in self.shards)
         )
         into = None
         if part == "sites":
             into = StreamingDragAnalysis(nested=False)
         elif part == "timeline":
             into = TimelineBuilder(bin_bytes=self.config.timeline_bin_bytes)
-        merged = merge_snapshots((state for state, _ in snaps), into)
+        result = (
+            merge_snapshots((state for state, _ in snaps), into),
+            [count for _, count in snaps],
+        )
         self._m_merges.inc()
         self._m_merge_latency.observe(time.perf_counter() - started)
-        return merged, [count for _, count in snaps]
+        if settled and self._changes_finished == finished:
+            self._merged[part] = (finished, result)
+        else:
+            self._merged.pop(part, None)
+        return result
 
     # -- ingest -----------------------------------------------------------
 
@@ -337,7 +395,7 @@ class DragServer:
             self._next_shard = (index + 1) % len(self.shards)
             self._m_records.inc(len(payloads))
             self._m_shard_records.labels(shard=str(index)).inc(len(payloads))
-            await self._call(
+            await self._change(
                 self.shards[index], "feed_records", info.stream_id, payloads
             )
         return sent_strings
@@ -398,7 +456,7 @@ class DragServer:
             self._m_active.set(self._active)
         undecoded = await asyncio.gather(
             *(
-                self._call(shard, "end_stream", info.stream_id, parser.end_time)
+                self._change(shard, "end_stream", info.stream_id, parser.end_time)
                 for shard in self.shards
             )
         )
@@ -548,11 +606,11 @@ class DragServer:
                     "404 Not Found", b"unknown path\n", "text/plain"))
             await writer.drain()
             writer.close()
-        except BadRequest as exc:
+        except (BadRequest, ShardUnavailable) as exc:
             body = json.dumps({"error": str(exc)}).encode("utf-8")
             try:
                 writer.write(self._http_response(
-                    "400 Bad Request", body, "application/json"))
+                    exc.status, body, "application/json"))
                 await writer.drain()
                 writer.close()
             except (ConnectionError, OSError):

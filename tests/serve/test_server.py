@@ -400,7 +400,8 @@ def test_one_site_spreads_over_every_shard(tmp_path):
 def test_site_reads_snapshot_no_nested_partition(all_profiles, tmp_path):
     """Only ``/rankings?table=nested`` reads the nested partition: the
     other tables, /summary and /metrics snapshot and merge the shards'
-    site tables alone, and still equal the batch analysis."""
+    site tables alone (one snapshot round serves all four reads while
+    nothing is fed), and still equal the batch analysis."""
     result = all_profiles["db"]
     log = write_v2_log(tmp_path / "db.dlog2", result.records, end_time=result.end_time)
     batch = DragAnalysis(result.records)
@@ -421,12 +422,160 @@ def test_site_reads_snapshot_no_nested_partition(all_profiles, tmp_path):
             assert served == rankings_payload(batch, top=None, table=table)
         assert fetch_json(handle.http_addr, "/summary")["objects"] == len(result.records)
         fetch_metrics_text(handle.http_addr)
-        assert len(snapped) == 4 * len(handle.server.shards)
+        assert len(snapped) == len(handle.server.shards)
         assert all(state.by_nested is None for state in snapped)
         snapped.clear()
         served = fetch_rankings(handle.http_addr, top=None, table="nested")
         assert served == rankings_payload(batch, top=None, table="nested")
         assert snapped and all(state.by_nested is not None for state in snapped)
+    finally:
+        handle.stop()
+
+
+def _two_logs(tmp_path):
+    """Two small logs over the same sites, half of each never used."""
+    logs = []
+    for part in range(2):
+        records = [
+            make_record(
+                handle=1000 * part + i, size=8 * (1 + i % 4), created=10 * i,
+                last_use=0 if i % 2 else 10 * i + 5, collected=10 * i + 400,
+                site_label=f"Merge.m:{i % 5}",
+                nested=(f"Merge.m:{i % 5}", f"Caller.c:{i % 2}"),
+            )
+            for i in range(1, 61)
+        ]
+        logs.append((write_v2_log(tmp_path / f"part{part}.dlog2", records), records))
+    return logs
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "process"])
+def test_reads_of_unchanged_shards_merge_once_per_part(inline, tmp_path):
+    """While no shard folds anything new, every read of a snapshot part
+    after the first reuses its merge; one more replay costs exactly one
+    merge per part, and that merge equals the batch analysis."""
+    from repro.obs.timeline import DEFAULT_BIN_BYTES, TimelineBuilder
+
+    (first_log, first), (second_log, second) = _two_logs(tmp_path)
+    handle = start(workers=2, inline=inline)
+    merges = handle.server._m_merges
+    try:
+        host, port = handle.ingest_addr
+        assert replay_log(first_log, host, port, mode="raw")["ok"]
+        before = merges.value
+        for _ in range(5):
+            fetch_rankings(handle.http_addr, top=None, table="site")
+            fetch_rankings(handle.http_addr, top=None, table="never_used")
+            fetch_json(handle.http_addr, "/summary")
+            fetch_metrics_text(handle.http_addr)
+        assert merges.value == before + 1
+        for _ in range(5):
+            fetch_rankings(handle.http_addr, top=None, table="nested")
+        assert merges.value == before + 2
+        for _ in range(5):
+            fetch_json(handle.http_addr, "/timeline?top=all")
+        assert merges.value == before + 3
+
+        assert replay_log(second_log, host, port, mode="raw")["ok"]
+        batch = DragAnalysis(first + second)
+        for table in ("site", "nested"):
+            served = fetch_rankings(handle.http_addr, top=None, table=table)
+            assert served == rankings_payload(batch, top=None, table=table)
+        timeline = fetch_json(handle.http_addr, "/timeline?top=all")
+        batch_timeline = TimelineBuilder(bin_bytes=DEFAULT_BIN_BYTES).consume(first + second)
+        batch_timeline.note_end(1000)
+        expected = batch_timeline.payload(top=None, include_samples=False)
+        expected["samples"] = []
+        assert timeline == json.loads(json.dumps(expected))
+        assert merges.value == before + 6
+    finally:
+        handle.stop()
+
+
+class _GatedShard:
+    """An in-process shard the daemon drives through its executor (it
+    is not an :class:`InlineShard`), whose ``feed_records`` waits for
+    :attr:`gate` before folding anything."""
+
+    def __init__(self, shard) -> None:
+        self._shard = shard
+        self.index = shard.index
+        self.feeding = threading.Event()
+        self.gate = threading.Event()
+        self.fed = threading.Event()
+
+    def feed_records(self, stream_id, payloads):
+        self.feeding.set()
+        assert self.gate.wait(timeout=30)
+        self._shard.feed_records(stream_id, payloads)
+        self.fed.set()
+
+    def __getattr__(self, name):
+        return getattr(self._shard, name)
+
+
+def test_read_beside_an_unfinished_feed_merges_and_keeps_nothing():
+    """A read while a feed is under way is a real merge that is not
+    kept, so once the feed finishes the next read sees its records.
+    (A rule that counted a feed only as it started would keep that
+    merge and serve it again, without the records.)"""
+    records = [
+        make_record(handle=i, site_label=f"Gate.m:{i % 3}", last_use=0)
+        for i in range(1, 41)
+    ]
+    handle = start(workers=1, inline=True)
+    server = handle.server
+    shard = server.shards[0] = _GatedShard(server.shards[0])
+    merges = server._m_merges
+    body = io.BytesIO()
+    encoder = V2FrameEncoder(body)
+    for record in records:
+        encoder.write_record(record)  # no END frame: the stream stays open
+    try:
+        host, port = handle.ingest_addr
+        with socket.create_connection((host, port), timeout=30) as sock, \
+                sock.makefile("rwb") as fp:
+            fp.write(encode_hello({"program": "gated"}))
+            fp.write(body.getvalue())
+            fp.flush()
+            assert read_json_frame_sync(fp)["ok"]  # ACK
+            assert shard.feeding.wait(timeout=30)
+
+            before = merges.value
+            assert fetch_rankings(handle.http_addr, top=None)["sites"] == []
+            assert merges.value == before + 1
+            assert "sites" not in server._merged
+
+            shard.gate.set()
+            assert shard.fed.wait(timeout=30)
+            served = fetch_rankings(handle.http_addr, top=None)
+            assert served == rankings_payload(DragAnalysis(records), top=None)
+            assert merges.value == before + 2
+            sock.shutdown(socket.SHUT_WR)
+            assert read_json_frame_sync(fp)["records"] == len(records)  # FIN
+    finally:
+        shard.gate.set()
+        handle.stop()
+
+
+def test_read_with_a_dead_shard_answers_503_naming_it():
+    """A snapshot round that finds a shard worker gone answers 503 with
+    a JSON ``error`` naming the shard; /healthz keeps answering."""
+    from urllib.error import HTTPError
+
+    handle = start(workers=2)
+    try:
+        dead = handle.server.shards[1]
+        dead._proc.terminate()
+        dead._proc.join(timeout=10)
+        for path in ("/rankings", "/rankings?table=nested", "/summary",
+                     "/timeline", "/metrics"):
+            with pytest.raises(HTTPError) as info:
+                fetch_json(handle.http_addr, path)
+            assert info.value.code == 503, path
+            body = json.loads(info.value.read().decode("utf-8"))
+            assert set(body) == {"error"} and "shard 1" in body["error"]
+        assert fetch_json(handle.http_addr, "/healthz")["ok"] is True
     finally:
         handle.stop()
 
