@@ -16,8 +16,8 @@ Worklists are seeded in reverse-postorder (forward) / postorder
 node is usually visited O(loop-nesting) times instead of O(n).
 ``order="linear"`` seeds in raw instruction order regardless of
 direction — the naive chaotic-iteration baseline that
-``benchmarks/bench_lint_overhead.py`` measures against (for backward
-analyses it is drastically worse; the previous hand-rolled reversed-pc
+``tests/analysis/test_dataflow.py`` counts against on every method of
+db, euler and jess (for backward analyses it is drastically worse; the previous hand-rolled reversed-pc
 seeding was a special case of postorder that the DFS now formalizes
 and keeps robust under irregular layouts). The fixpoint is unique
 either way — order only changes how fast it is reached.

@@ -16,7 +16,7 @@ one record decode), and answers HTTP on a second port:
   deep-GC snapshot markers decoded from SAMPLE frames. Shards maintain
   the record-derived series; the loop keeps the markers (SAMPLE frames
   are never routed) and splices them in at serve time.
-* ``GET /healthz`` — liveness + drain state.
+* ``GET /healthz`` — liveness + drain state, and each shard's liveness.
 * ``GET /metrics`` — Prometheus text from the
   :class:`~repro.obs.metrics.MetricsRegistry`; the record-byte,
   weighted and sample-rate gauges are set from the merged analysis at
@@ -28,7 +28,10 @@ Each read snapshots and merges only what it serves:
 without their nested partition, ``/timeline`` their timelines. A
 ``top`` or ``table`` the endpoint cannot serve is a ``400 Bad
 Request`` with a JSON ``error`` body; a read whose snapshot round finds
-a shard gone is a ``503 Service Unavailable`` naming the shard.
+a shard gone is a ``503 Service Unavailable`` naming the shard. A
+stream that finds a shard gone is ended on the other shards, read to
+its end without routing more, and answered with a FIN of ``ok: false,
+truncated: true`` whose ``error`` names the shard.
 
 A read reuses its part's last merge while no shard state has changed:
 the daemon counts the shard calls that change what a snapshot returns
@@ -90,8 +93,8 @@ class BadRequest(Exception):
 
 
 class ShardUnavailable(Exception):
-    """A shard did not answer a read's snapshot round (its worker is
-    gone); answered with ``503 Service Unavailable``."""
+    """A shard call failed because the shard's worker is gone. A read
+    answers ``503 Service Unavailable``; a stream ends truncated."""
 
     status = "503 Service Unavailable"
 
@@ -293,13 +296,19 @@ class DragServer:
 
     async def _call(self, shard, method: str, *args):
         """Invoke a shard op; inline shards run on the loop, process
-        shards on the blocking-IO pool (their pipes backpressure)."""
+        shards on the blocking-IO pool (their pipes backpressure). A
+        pipe that fails raises :class:`ShardUnavailable`."""
         fn = getattr(shard, method)
         if isinstance(shard, InlineShard):
             return fn(*args)
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, fn, *args
-        )
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._pool, fn, *args
+            )
+        except (EOFError, OSError) as exc:
+            raise ShardUnavailable(
+                f"shard {shard.index} is unavailable ({type(exc).__name__})"
+            ) from exc
 
     async def _change(self, shard, method: str, *args):
         """A shard call that changes what its snapshots return, counted
@@ -309,14 +318,6 @@ class DragServer:
             return await self._call(shard, method, *args)
         finally:
             self._changes_finished += 1
-
-    async def _snapshot(self, shard, part: str):
-        try:
-            return await self._call(shard, "snapshot", part)
-        except (EOFError, OSError) as exc:
-            raise ShardUnavailable(
-                f"shard {shard.index} is unavailable ({type(exc).__name__})"
-            ) from exc
 
     async def merged(self, part: str = "analysis"):
         """Snapshot ``part`` of every shard and merge associatively —
@@ -333,7 +334,7 @@ class DragServer:
             return kept[1]
         started = time.perf_counter()
         snaps = await asyncio.gather(
-            *(self._snapshot(shard, part) for shard in self.shards)
+            *(self._call(shard, "snapshot", part) for shard in self.shards)
         )
         into = None
         if part == "sites":
@@ -415,6 +416,7 @@ class DragServer:
         self._m_streams.inc()
         parser = FrameParser(source=f"stream-{info.stream_id}")
         corrupt = False
+        error: Optional[str] = None
         sent_strings = 0
         # Counted from here to the finally below, so no exit path can
         # leave a departed client holding up the drain.
@@ -439,14 +441,18 @@ class DragServer:
                 self._m_bytes.inc(len(chunk))
                 try:
                     frames = parser.feed_frames(chunk)
-                    sent_strings = await self._route_frames(
-                        info, parser, frames, sent_strings
-                    )
+                    if error is None:
+                        sent_strings = await self._route_frames(
+                            info, parser, frames, sent_strings
+                        )
                 except ProfileError:
                     # A poisoned stream kills this connection only; the
                     # shards never see the batch holding the bad frame.
                     corrupt = True
                     break
+                except ShardUnavailable as exc:
+                    # Read on to the client's END, so it gets its FIN.
+                    error = str(exc)
                 if parser.ended:
                     break
         except (ConnectionError, OSError):
@@ -454,13 +460,20 @@ class DragServer:
         finally:
             self._active -= 1
             self._m_active.set(self._active)
-        undecoded = await asyncio.gather(
+        ends = await asyncio.gather(
             *(
                 self._change(shard, "end_stream", info.stream_id, parser.end_time)
                 for shard in self.shards
-            )
+            ),
+            return_exceptions=True,
         )
-        info.corrupt_records = sum(undecoded)
+        for end in ends:
+            if isinstance(end, ShardUnavailable):
+                error = error or str(end)
+            elif isinstance(end, BaseException):
+                raise end
+            else:
+                info.corrupt_records += end
         if info.corrupt_records:
             # Payloads the shard could not decode: folded nowhere, so
             # not counted as records.
@@ -468,21 +481,28 @@ class DragServer:
             self._m_corrupt_records.inc(info.corrupt_records)
         info.ended = True
         info.end_time = parser.end_time
-        info.truncated = corrupt or parser.truncated or bool(info.corrupt_records)
+        info.truncated = (
+            corrupt or parser.truncated or bool(info.corrupt_records)
+            or error is not None
+        )
         if info.truncated:
             self._m_truncated.inc()
         self._log(
             f"stream {info.stream_id} finished: {info.records} records, "
             f"{info.bytes} bytes"
             + (" (truncated)" if info.truncated else "")
+            + (f": {error}" if error else "")
         )
+        fin = {
+            "ok": not info.truncated,
+            "stream_id": info.stream_id,
+            "records": info.records,
+            "truncated": info.truncated,
+        }
+        if error:
+            fin["error"] = error
         try:
-            writer.write(encode_json_frame({
-                "ok": not info.truncated,
-                "stream_id": info.stream_id,
-                "records": info.records,
-                "truncated": info.truncated,
-            }))
+            writer.write(encode_json_frame(fin))
             await writer.drain()
             writer.close()
         except (ConnectionError, OSError):
@@ -526,6 +546,7 @@ class DragServer:
                     "ok": True,
                     "draining": self._draining,
                     "shards": len(self.shards),
+                    "shards_alive": [shard.alive for shard in self.shards],
                     "active_clients": self._active,
                     "uptime_seconds": (
                         time.time() - self.started_at if self.started_at else 0.0

@@ -149,6 +149,8 @@ def _shard_main(index: int, conn, timeline_bin_bytes: Optional[int] = None) -> N
 class InlineShard:
     """In-process shard: the same interface, no pipe, no pickling."""
 
+    alive = True
+
     def __init__(self, index: int, timeline_bin_bytes: Optional[int] = None) -> None:
         self.index = index
         self._state = _ShardState(timeline_bin_bytes=timeline_bin_bytes)

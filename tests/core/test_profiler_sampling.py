@@ -75,6 +75,8 @@ def test_sampled_records_are_subset_with_exact_pairing(bench_programs, name):
     full = run(bench, program)
     samp = run(bench, program, sample_bytes=400, seed=0)
     assert 0 < len(samp.records) < len(full.records)
+    assert samp.run_result.stdout == full.run_result.stdout
+    assert samp.end_time == full.end_time
     by_handle = {r.handle: r for r in full.records}
     for record in samp.records:
         twin = by_handle.get(record.handle)

@@ -11,6 +11,7 @@ frame aggregated, poisoning nothing.
 
 import io
 import json
+import logging
 import socket
 import threading
 import time
@@ -135,6 +136,75 @@ def test_eight_concurrent_replay_clients_match_batch(all_profiles, tmp_path):
     final = handle.stop()
     assert not handle.thread.is_alive()
     assert rankings_payload(final, top=None) == rankings_payload(batch, top=None)
+
+
+def _tally_feeds(server, target):
+    """An event set once the server's shards have been fed ``target``
+    records between them."""
+    done = threading.Event()
+    lock = threading.Lock()
+    fed = [0]
+    for shard in server.shards:
+        def feed_records(stream_id, payloads, feed=shard.feed_records):
+            feed(stream_id, payloads)
+            with lock:
+                fed[0] += len(payloads)
+                if fed[0] >= target:
+                    done.set()
+        shard.feed_records = feed_records
+    return done
+
+
+def test_four_clients_stream_at_the_same_time(all_profiles):
+    """Four clients each send HELLO and half of db's records: /summary
+    shows all four active with every half folded before any client sends
+    the rest. A daemon serving one connection at a time would never
+    acknowledge the second HELLO."""
+    profile = all_profiles["db"]
+    records = profile.records
+    half = len(records) // 2
+    body = io.BytesIO()
+    encoder = V2FrameEncoder(body)
+    for record in records[:half]:
+        encoder.write_record(record)
+    split = body.tell()
+    for record in records[half:]:
+        encoder.write_record(record)
+    encoder.write_end(end_time=profile.end_time)
+    data = body.getvalue()
+    handle = start(workers=2)
+    folded = _tally_feeds(handle.server, 4 * half)
+    host, port = handle.ingest_addr
+    clients = []
+    try:
+        for index in range(4):
+            sock = socket.create_connection((host, port), timeout=30)
+            fp = sock.makefile("rwb")
+            clients.append((sock, fp))
+            fp.write(encode_hello({"program": f"client-{index}"}) + data[:split])
+            fp.flush()
+        for _, fp in clients:
+            assert read_json_frame_sync(fp)["ok"]  # ACK
+        assert folded.wait(timeout=60)
+        summary = fetch_json(handle.http_addr, "/summary")
+        assert summary["active_clients"] == 4
+        assert summary["objects"] == 4 * half
+
+        for sock, fp in clients:
+            fp.write(data[split:])
+            fp.flush()
+            sock.shutdown(socket.SHUT_WR)
+            fin = read_json_frame_sync(fp)
+            assert fin["ok"] and fin["records"] == len(records)
+        batch = DragAnalysis(list(records) * 4)
+        for table in ("site", "nested", "never_used"):
+            served = fetch_rankings(handle.http_addr, top=None, table=table)
+            assert served == rankings_payload(batch, top=None, table=table)
+    finally:
+        for sock, fp in clients:
+            fp.close()
+            sock.close()
+        handle.stop()
 
 
 def test_mid_frame_disconnect_counts_truncated_and_poisons_nothing(tmp_path):
@@ -576,6 +646,38 @@ def test_read_with_a_dead_shard_answers_503_naming_it():
             body = json.loads(info.value.read().decode("utf-8"))
             assert set(body) == {"error"} and "shard 1" in body["error"]
         assert fetch_json(handle.http_addr, "/healthz")["ok"] is True
+    finally:
+        handle.stop()
+
+
+def test_stream_into_a_dead_shard_ends_truncated_naming_it(all_profiles, tmp_path, caplog):
+    """A replay that finds shard 1's worker gone gets a FIN of ``ok:
+    false`` naming the shard; the stream is ended and truncated (reads
+    answer 503, as above), /healthz shows which shard is down, and
+    nothing escapes the ingest handler."""
+    from urllib.error import HTTPError
+
+    profile = all_profiles["db"]
+    log = write_v2_log(tmp_path / "db.dlog2", profile.records, end_time=profile.end_time)
+    handle = start(workers=2)
+    try:
+        dead = handle.server.shards[1]
+        dead._proc.terminate()
+        dead._proc.join(timeout=10)
+        host, port = handle.ingest_addr
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            fin = replay_log(log, host, port, mode="raw")
+            health = fetch_json(handle.http_addr, "/healthz")
+        assert fin["ok"] is False and fin["truncated"] is True
+        assert fin["error"].startswith("shard 1 is unavailable")
+        assert health["shards_alive"] == [True, False]
+        assert health["active_clients"] == 0
+        stream = handle.server.streams[fin["stream_id"]].to_dict()
+        assert stream["ended"] is True and stream["truncated"] is True
+        with pytest.raises(HTTPError) as info:
+            fetch_json(handle.http_addr, "/summary")
+        assert info.value.code == 503
+        assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
     finally:
         handle.stop()
 

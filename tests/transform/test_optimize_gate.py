@@ -2,7 +2,8 @@
 must (1) apply the same transformation set as the unverified pipeline —
 byte-identical revised source, since every planned patch passes
 differential verification — (2) verify every applied patch, and (3)
-strictly decrease total drag.
+strictly decrease total drag. The same invariants hold over the full
+three-cycle fixpoint loop.
 
 The test names keep the ids they had when the unverified side was the
 Advisor, which the unverified pipeline replaces."""
@@ -59,3 +60,18 @@ def test_pipeline_report_subsumes_advisor_report(both):
     # The verified cycle reports the same entries with the same details
     # (order and text): verification changed no outcome on these inputs.
     assert result.cycles[0].summary() == unverified.cycles[0].summary()
+
+
+@pytest.mark.parametrize("name", ["db", "euler"])
+def test_three_cycle_pipeline_verifies_every_patch_and_decreases_drag(name):
+    bench = get_benchmark(name)
+    result = OptimizationPipeline(
+        link(bench.original), bench.main_class, bench.primary_args,
+        interval_bytes=bench.interval_bytes, verify=True, max_cycles=3,
+    ).run()
+    assert result.applied()
+    for outcome in result.applied():
+        assert outcome.verification is not None and outcome.verification.ok, outcome.detail
+    assert not result.rolled_back()
+    assert result.drag_after is not None
+    assert result.drag_after < result.drag_before
