@@ -17,8 +17,9 @@ The profiler observes the interpreter/heap events:
 * ``take_sample`` — runs a *deep GC* every ``interval_bytes`` of
   allocation (default 100 KB) and records a heap sample. The
   interpreter's safepoint calls it (see ``Interpreter._safepoint``).
-* ``on_free`` / ``on_program_end`` — writes the object's log record;
-  at program end a final deep GC runs and survivors are logged with
+* ``on_free`` / ``on_program_end`` — writes the log records of one
+  sweep's dead objects, in one call (``Heap.reclaim``); at program end
+  a final deep GC runs and survivors are logged with
   ``collection_time`` equal to the end time.
 
 Events observe the byte clock; they never advance it, so a profiled
@@ -32,11 +33,11 @@ object is logged iff its allocation was sampled, with the same weight.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.sampler import ByteSampler
 from repro.core.trailer import AllocContext, HeapSample, ObjectRecord, Trailer
-from repro.runtime.objects import HeapObject
+from repro.runtime.objects import HeapObject, Instance
 
 
 class _FrameLabels(dict):
@@ -119,10 +120,10 @@ class HeapProfiler:
         if sample_bytes is not None and sample_bytes > 1:
             self.sampler = ByteSampler(sample_bytes, seed=seed)
         self._labels = _FrameLabels()
-        # The allocation-context table: (site, type name, then method
-        # and pc of each frame of the nested allocation site, outermost
-        # first) -> its AllocContext. Bounded by the run's distinct
-        # allocation contexts.
+        # The allocation-context table: (site, object class, class name
+        # or array element type, then method and pc of each frame of the
+        # nested allocation site, outermost first) -> its AllocContext.
+        # Bounded by the run's distinct allocation contexts.
         self._contexts: Dict[tuple, AllocContext] = {}
         self._alloc_chain = (
             slice(-nesting_depth, None) if nesting_depth > 0 else slice(0, 0)
@@ -177,7 +178,14 @@ class HeapProfiler:
         weight = 1.0 if sampler is None else sampler.sample(obj.size)
         if not weight:
             return
-        key = [self.interp.alloc_site, obj.type_name()]
+        # Keyed on the name the object already holds; its type name is
+        # formatted only when the context is new.
+        cls = obj.__class__
+        key = [
+            self.interp.alloc_site,
+            cls,
+            obj.class_name if cls is Instance else obj.elem_repr,
+        ]
         for frame in self.frames[self._alloc_chain]:
             key.append(frame.method)
             key.append(frame.pc)
@@ -194,10 +202,10 @@ class HeapProfiler:
             # innermost frame first, matching "the call chain leading to
             # the allocation" read bottom-up.
             nested = tuple([
-                labels[key[i], key[i + 1] - 1] for i in range(len(key) - 2, 1, -2)
+                labels[key[i], key[i + 1] - 1] for i in range(len(key) - 2, 2, -2)
             ])
             context = self._contexts[key] = AllocContext(
-                site, key[1], label, kind, is_lib, nested
+                site, obj.type_name(), label, kind, is_lib, nested
             )
         obj.trailer = Trailer(clock, context, weight)
 
@@ -217,29 +225,33 @@ class HeapProfiler:
             if self.last_use_depth > 1:
                 trailer.last_use_chain = self._nested_frames(self.last_use_depth)
 
-    def on_free(self, obj: HeapObject, survived: bool = False) -> None:
-        """Log ``obj``'s record, collected now: reclaimed by the GC, or
-        (``survived``) still in the heap at program end."""
-        if obj.excluded:
-            return
-        trailer = obj.trailer
-        if trailer is None:
-            return
-        context = trailer.context
+    def on_free(self, objs: Iterable[HeapObject], survived: bool = False) -> None:
+        """Log the records of ``objs``, in order, collected now: reclaimed
+        by one GC sweep, or (``survived``) still in the heap at program
+        end."""
         labels = self._labels
-        use_frame = trailer.last_use_frame
-        use_chain = trailer.last_use_chain
-        record = ObjectRecord(
-            obj.handle, context.type_name, obj.size,
-            trailer.creation_time, trailer.last_use_time, self.heap.clock,
-            context.site, context.label, context.kind, context.is_library,
-            context.nested,
-            None if use_frame is None else labels[use_frame],
-            None if use_chain is None else tuple([labels[f] for f in use_chain]),
-            False, survived, trailer.first_use_time, trailer.weight,
-        )
-        self.record_count += 1
-        self._on_record(record)
+        clock = self.heap.clock
+        emit = self._on_record
+        for obj in objs:
+            if obj.excluded:
+                continue
+            trailer = obj.trailer
+            if trailer is None:
+                continue
+            context = trailer.context
+            use_frame = trailer.last_use_frame
+            use_chain = trailer.last_use_chain
+            record = ObjectRecord(
+                obj.handle, context.type_name, obj.size,
+                trailer.creation_time, trailer.last_use_time, clock,
+                context.site, context.label, context.kind, context.is_library,
+                context.nested,
+                None if use_frame is None else labels[use_frame],
+                None if use_chain is None else tuple([labels[f] for f in use_chain]),
+                False, survived, trailer.first_use_time, trailer.weight,
+            )
+            self.record_count += 1
+            emit(record)
 
     # -- sampling ---------------------------------------------------------------
 
@@ -279,8 +291,7 @@ class HeapProfiler:
             HeapSample(end_time, interp.heap.live_bytes, interp.heap.object_count())
         )
         # Nothing allocates from here on, so the clock stays end_time.
-        for obj in list(interp.heap.iter_objects()):
-            self.on_free(obj, survived=True)
+        self.on_free(list(interp.heap.iter_objects()), survived=True)
         self.finalizer_errors = interp.finalizer_errors
         if self.sink is not None:
             self.sink.on_end(end_time, finalizer_errors=self.finalizer_errors)

@@ -16,11 +16,16 @@ changes is in the handlers: without a profiler they were compiled with
 no profiler code at all, and with one the use handlers stamp the
 object's trailer inline, the same stamp ``HeapProfiler.on_use`` makes.
 
-The loop keeps the baseline's per-instruction discipline — ``pc``
-pre-incremented, safepoints at every boundary, MJThrow/OOM unwound per
-instruction — which is what makes the two engines bit-identical
-(stdout, instruction counts, byte clock, profile logs);
-``tests/runtime/test_engine_equivalence.py`` holds them to it.
+One dispatch runs one instruction, or one fused straight-line run of
+them (see :mod:`repro.runtime.dispatch`). The loop keeps the baseline's
+per-instruction discipline — ``pc`` one past each instruction before it
+runs, safepoints at every boundary an allocation can flag, MJThrow/OOM
+unwound at the instruction that threw — and its count: a run returns
+the instructions it ran past its first, and when a run throws, the
+thrower's ``frame.pc`` says how many of its parts ran. That is what
+makes the two engines bit-identical (stdout, instruction counts, byte
+clock, profile logs); ``tests/runtime/test_engine_equivalence.py`` and
+``tests/runtime/test_exception_equivalence.py`` hold them to it.
 """
 
 from __future__ import annotations
@@ -85,14 +90,20 @@ class CompiledInterpreter(Interpreter):
                     handlers = cache.get(frame.method)
                     if handlers is None:
                         handlers = self.handlers_for(frame.method)
-                handler = handlers[frame.pc]
-                frame.pc += 1
+                pc = frame.pc
+                frame.pc = pc + 1
                 count += 1
                 try:
-                    handler(frame)
+                    fused = handlers[pc](frame)
+                    if fused:
+                        count += fused
                 except MJThrow as signal:
+                    # A fused run stopped at the part that threw: the
+                    # parts past the first that ran are frame.pc - pc - 1.
+                    count += frame.pc - pc - 1
                     self._unwind(signal.obj, floor)
                 except OutOfMemory:
+                    count += frame.pc - pc - 1
                     oom = self.make_throwable("OutOfMemoryError", "heap exhausted")
                     self._unwind(oom, floor)
         finally:

@@ -7,6 +7,22 @@ frame stack, statics) bound as cell variables, so the dispatch loop in
 :mod:`repro.runtime.compiled` does no opcode comparison and no operand
 decoding — it indexes ``handlers[frame.pc]`` and calls.
 
+**Fused runs.** Most instructions cannot allocate, call, return or
+switch frames (:data:`FUSABLE`: locals, constants, stack shuffles,
+fields, statics, array access, arithmetic, comparisons, casts). A
+straight-line run of two or more of them, optionally closed by one
+``JUMP``/``JIF``/``JIT``, is dispatched once: the handler at the run's
+start is replaced by one closure that calls the run's own handlers in
+order, setting ``frame.pc`` one past each part's index before it runs,
+exactly as the loop would. A run never continues into a jump target or
+catch handler, so every pc reached other than by falling through starts
+its own run; the other pcs of a run keep their single handler. Nothing
+here generates code: each opcode's semantics stays in its one factory,
+and a fused closure exposes its handlers as ``parts``. The run returns
+how many instructions it ran past its first, for the loop's count; an
+exception thrown mid-run leaves ``frame.pc`` one past the part that
+threw, from which the loop corrects the count.
+
 Both engines report the same runtime events to an attached
 :class:`~repro.core.profiler.HeapProfiler`: an allocation (the heap
 calls ``on_alloc``), a §2.1.1 *object use* (getfield, putfield,
@@ -20,8 +36,11 @@ Three properties the rest of the system depends on:
 * **Bit-identical semantics.** Every handler replays the baseline
   interpreter's arm for its opcode exactly — same event order, same
   exception messages, same allocation-site updates, same pc discipline
-  (``pc`` is incremented *before* the handler runs, so profiler frames
-  and jump targets match the baseline). The differential suite in
+  (``pc`` is one past the instruction *before* its handler runs, fused
+  or not, so profiler frames, exception pcs and jump targets match the
+  baseline). Fused parts need no safepoint between them: only an
+  allocation raises the safepoint flag, and the only allocation a part
+  can make is the throwable that ends its run. The differential suite in
   ``tests/runtime/test_engine_equivalence.py`` enforces this.
 * **Hook specialization.** Use-event opcodes come in two variants. When
   no profiler is attached (``ctx.profiler is None``) the emitted
@@ -1060,15 +1079,77 @@ def _c_unknown(instr, ctx):
     return op_unknown
 
 
+# Opcodes whose handlers cannot allocate (except the throwable of an
+# exception, which ends the run), call, return or switch frames: a run
+# of them needs no safepoint and no frame lookup between instructions.
+FUSABLE = frozenset({
+    Op.LOAD, Op.STORE, Op.CONST, Op.CONST_NULL, Op.DUP, Op.POP,
+    Op.GETFIELD, Op.PUTFIELD, Op.GETSTATIC, Op.PUTSTATIC,
+    Op.ALOAD, Op.ASTORE, Op.ARRAYLEN,
+    Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.NEG,
+    Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE,
+    Op.NOT, Op.CAST_CHAR, Op.REFEQ, Op.REFNE, Op.CHECKCAST, Op.INSTANCEOF,
+})
+BRANCHES = frozenset({Op.JUMP, Op.JIF, Op.JIT})
+
+
+def _fuse(start: int, parts: List[Handler]) -> Handler:
+    """One handler for the run ``parts`` at ``start``: each part runs
+    with ``frame.pc`` one past its own index, as if dispatched alone
+    (the loop has already set it for the first). Returns the number of
+    instructions beyond the first, which the loop adds to its count."""
+    first = parts[0]
+    rest = tuple(zip(range(start + 2, start + 1 + len(parts)), parts[1:]))
+    extra = len(rest)
+
+    def op_run(frame):
+        first(frame)
+        for pc, part in rest:
+            frame.pc = pc
+            part(frame)
+        return extra
+
+    op_run.parts = tuple(parts)
+    return op_run
+
+
+def _runs(method: CompiledMethod):
+    """``(start, end)`` of each straight-line run of two or more
+    instructions: fusable opcodes, optionally closed by one branch. A
+    run never continues into a jump target or a catch handler, so
+    every pc reached other than by falling through starts its own."""
+    code = method.code
+    targets = {instr.args[0] for instr in code if instr.op in BRANCHES}
+    targets.update(entry.handler for entry in method.exception_table)
+    start = 0
+    while start < len(code):
+        end = start
+        while end < len(code) and (end == start or end not in targets):
+            op = code[end].op
+            if op in FUSABLE:
+                end += 1
+                continue
+            if op in BRANCHES:
+                end += 1
+            break
+        if end - start >= 2:
+            yield start, end
+        start = max(end, start + 1)
+
+
 def compile_method(
     method: CompiledMethod, ctx: DispatchContext
 ) -> List[Handler]:
-    """Translate one method's bytecode into handler closures."""
+    """Translate one method's bytecode into handler closures, then
+    replace the handler at the start of each straight-line run of two
+    or more instructions with one closure over the run's handlers."""
     handlers: List[Handler] = []
     for index, instr in enumerate(method.code):
         factory = OP_COMPILERS.get(instr.op, _c_unknown)
         ctx.where = (method, index)
         handlers.append(factory(instr, ctx))
+    for start, end in _runs(method):
+        handlers[start] = _fuse(start, handlers[start:end])
     stats = ctx.stats
     if stats is not None:
         stats.methods_translated += 1

@@ -83,19 +83,22 @@ class MarkSweepCollector:
         # Finalize-queue members must survive until their finalizer runs.
         marked = self.mark(list(roots) + list(self.finalize_queue) + heap.temp_roots)
         heap.stats.objects_marked += marked
-        reclaimed = 0
         dead = [obj for obj in heap.objects.values() if not obj.marked]
         # Resurrect finalizable objects first so that anything they keep
         # alive is excluded from this cycle's sweep.
+        finalizable = self._finalizable
         for obj in dead:
-            if not obj.marked and self.has_finalizer(obj) and not obj.finalize_scheduled:
+            if obj.marked or obj.finalize_scheduled or obj.__class__ is not Instance:
+                continue
+            known = finalizable.get(obj.class_name)
+            if known or (known is None and self.has_finalizer(obj)):
                 obj.finalize_scheduled = True
                 self.finalize_queue.append(obj)
                 self.mark([obj])
-        for obj in dead:
-            if not obj.marked:
-                heap.reclaim(obj)
-                reclaimed += obj.size
+        reclaimed = heap.reclaim([obj for obj in dead if not obj.marked])
+        # Marks are cleared after the sweep, not during the dead scan: a
+        # resurrected object's mark walk above must still see this
+        # cycle's live objects as marked.
         for obj in heap.objects.values():
             obj.marked = False
         pause = perf_counter() - started

@@ -27,7 +27,7 @@ from typing import Iterable, List
 from repro.bytecode.program import CompiledProgram
 from repro.runtime.gc import MarkSweepCollector
 from repro.runtime.heap import Heap
-from repro.runtime.objects import HeapObject
+from repro.runtime.objects import HeapObject, Instance
 
 
 class GenerationalCollector(MarkSweepCollector):
@@ -117,8 +117,16 @@ class GenerationalCollector(MarkSweepCollector):
             heap.objects[h] for h in list(young) if h not in marked and h in heap.objects
         ]
         # Finalizable young objects are resurrected, like the full GC.
+        finalizable = self._finalizable
         for obj in dead:
-            if obj.handle not in marked and self.has_finalizer(obj) and not obj.finalize_scheduled:
+            if (
+                obj.finalize_scheduled
+                or obj.handle in marked
+                or obj.__class__ is not Instance
+            ):
+                continue
+            known = finalizable.get(obj.class_name)
+            if known or (known is None and self.has_finalizer(obj)):
                 obj.finalize_scheduled = True
                 self.finalize_queue.append(obj)
                 marked.add(obj.handle)
@@ -127,13 +135,11 @@ class GenerationalCollector(MarkSweepCollector):
                     keep = stack.pop()
                     for ref in keep.iter_references():
                         visit(ref)
-        reclaimed = 0
+        dead = [obj for obj in dead if obj.handle not in marked]
         for obj in dead:
-            if obj.handle not in marked:
-                self.young_bytes -= obj.size
-                del young[obj.handle]
-                heap.reclaim(obj)
-                reclaimed += obj.size
+            del young[obj.handle]
+        reclaimed = heap.reclaim(dead)
+        self.young_bytes -= reclaimed
         # Age and promote survivors.
         promoted: List[HeapObject] = []
         for handle in list(young):

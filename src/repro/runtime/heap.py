@@ -150,13 +150,20 @@ class Heap:
 
     # -- reclamation (called by the collector) ----------------------------------
 
-    def reclaim(self, obj: HeapObject) -> None:
-        del self.objects[obj.handle]
-        self.live_bytes -= obj.size
-        self.stats.objects_swept += 1
-        self.stats.bytes_reclaimed += obj.size
+    def reclaim(self, dead: List[HeapObject]) -> int:
+        """Remove one sweep's ``dead`` objects, in order, and hand them
+        to the profiler in one call; returns the bytes freed."""
+        objects = self.objects
+        freed = 0
+        for obj in dead:
+            del objects[obj.handle]
+            freed += obj.size
+        self.live_bytes -= freed
+        self.stats.objects_swept += len(dead)
+        self.stats.bytes_reclaimed += freed
         if self.profiler is not None:
-            self.profiler.on_free(obj)
+            self.profiler.on_free(dead)
+        return freed
 
     # -- queries ---------------------------------------------------------------
 

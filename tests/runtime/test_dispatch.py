@@ -5,7 +5,9 @@ handlers contain *zero* profiler call sites — not disabled hooks, none.
 That is verifiable by introspection: no handler closes over ``on_use``
 and none references profiler machinery by name. With a profiler
 attached, the use handlers still make no hook call: they stamp the
-trailer inline with a last-use frame bound at translation time.
+trailer inline with a last-use frame bound at translation time. Every
+inspection also walks the ``parts`` of each fused run, so fusing a
+handler into a run cannot hide it.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro.bytecode.opcodes import Op
 from repro.core.profiler import HeapProfiler
 from repro.mjava.compiler import compile_program
 from repro.runtime.compiled import CompiledInterpreter
+from repro.runtime.dispatch import BRANCHES, FUSABLE
 from repro.runtime.engine import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -73,9 +76,27 @@ def _build(profiler=None, telemetry=None):
     return vm, result
 
 
+def _instruction_handlers(handlers):
+    """Each instruction's own handler, by index: the first part of a
+    fused run stands for its start, whose list entry is the run."""
+    for index, handler in enumerate(handlers):
+        parts = getattr(handler, "parts", None)
+        if parts is None:
+            yield index, handler
+            continue
+        assert len(parts) >= 2, handler
+        for offset, part in enumerate(parts[1:], start=1):
+            assert part is handlers[index + offset], (handler, offset)
+        yield index, parts[0]
+
+
 def _all_handlers(vm):
+    """Every closure a dispatch may call: fused runs and, inside them,
+    each part."""
     for handlers in vm._code_cache.values():
-        yield from handlers
+        for handler in handlers:
+            yield handler
+            yield from getattr(handler, "parts", ())
 
 
 class TestHookSpecialization:
@@ -123,7 +144,7 @@ class TestHookSpecialization:
         assert result.stdout == ["total=7"]
         stamped = set()
         for method, handlers in vm._code_cache.items():
-            for index, handler in enumerate(handlers):
+            for index, handler in _instruction_handlers(handlers):
                 code = handler.__code__
                 assert "on_use" not in code.co_names, handler
                 assert "on_use" not in code.co_freevars, handler
@@ -166,6 +187,30 @@ class TestTranslation:
         assert main in vm._code_cache
         assert vm.handlers_for(main) is vm._code_cache[main]
         assert len(vm._code_cache[main]) == len(main.code)
+
+    def test_straight_line_runs_fuse_into_one_handler(self):
+        """A run's handler sits at its start and exposes its parts, the
+        instructions' own handlers in order; the run holds only fusable
+        opcodes, maybe closed by one branch, and no jump target or catch
+        handler lies past its start."""
+        vm, result = _build()
+        assert result.stdout == ["total=7"]
+        fused = 0
+        for method, handlers in vm._code_cache.items():
+            assert len(list(_instruction_handlers(handlers))) == len(handlers)
+            code = method.code
+            targets = {i.args[0] for i in code if i.op in BRANCHES}
+            targets |= {e.handler for e in method.exception_table}
+            for start, handler in enumerate(handlers):
+                parts = getattr(handler, "parts", None)
+                if parts is None:
+                    continue
+                fused += 1
+                ops = [instr.op for instr in code[start:start + len(parts)]]
+                assert set(ops[:-1]) <= FUSABLE, ops
+                assert ops[-1] in FUSABLE | BRANCHES, ops
+                assert not targets & set(range(start + 1, start + len(parts)))
+        assert fused > 0
 
 
 class TestEngineFacade:

@@ -7,7 +7,10 @@ do not depend on the host, so each bound holds exactly where a
 one-shot wall-time ratio measured noise:
 
 * the compiled engine executes at least 1.3x fewer Python opcodes per
-  VM instruction than the baseline engine;
+  VM instruction than the baseline engine, and no more than its
+  committed per-version budget;
+* a profiled db run makes at most 3.7 calls per logged record more
+  than a plain one;
 * an attached :class:`~repro.obs.Telemetry` adds no call outside
   ``repro.obs``, and the same few calls into it whatever the program;
 * ``--sample-bytes 4096`` makes fewer calls into ``repro.core`` and
@@ -16,9 +19,10 @@ one-shot wall-time ratio measured noise:
 * the heap rules DRAG006/DRAG007 at most double the lint's calls.
 
 Opcode counts differ between Python versions; the ratios hold on 3.9,
-3.11 and 3.12.
+3.11 and 3.12, and the opcode budget is kept per minor version.
 """
 
+import gc
 import os
 import sys
 from collections import Counter
@@ -38,6 +42,17 @@ from repro.snapshot import SnapshotRecorder
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 ARGS = {"db": ["30", "60"], "euler": ["6", "10"]}
 BASELINE_RULES = ["DRAG001", "DRAG002", "DRAG003", "DRAG004", "DRAG005"]
+# Compiled-engine Python opcodes per VM instruction at ARGS, measured
+# after one warm-up run. A change that lowers a count lowers its budget.
+OPCODE_BUDGET = {
+    (3, 9): {"db": 61.37, "euler": 32.58},
+    (3, 11): {"db": 65.16, "euler": 35.73},
+    (3, 12): {"db": 59.04, "euler": 32.04},
+}
+# Calls a profiled db run makes per logged record beyond a plain run's:
+# on_alloc, its trailer, the record and its write (3.67 on 3.9 and 3.11,
+# 3.60 on 3.12).
+PROFILE_CALLS_PER_RECORD = 3.7
 
 
 def calls_per_layer(prepare):
@@ -87,11 +102,17 @@ def opcodes_per_instruction(prepare):
     # Python 3.12 turns opcode events on at settrace() only once some
     # frame has asked for them.
     sys._getframe().f_trace_opcodes = True
+    # A cyclic collection inside the run would trace the clean-up of
+    # garbage that earlier work left, so the count would depend on
+    # what ran before in this process.
+    gc.collect()
+    gc.disable()
     sys.settrace(per_frame)
     try:
         result = run()
     finally:
         sys.settrace(None)
+        gc.enable()
     return executed / result.instructions
 
 
@@ -127,6 +148,30 @@ def test_compiled_engine_runs_fewer_opcodes_per_instruction(name):
     baseline = opcodes_per_instruction(vm_run(name, engine="baseline"))
     compiled = opcodes_per_instruction(vm_run(name, engine="compiled"))
     assert baseline >= 1.3 * compiled, (baseline, compiled)
+
+
+@pytest.mark.parametrize("name", ["db", "euler"])
+def test_compiled_engine_stays_within_its_opcode_budget(name):
+    budget = OPCODE_BUDGET.get(sys.version_info[:2])
+    if budget is None:
+        pytest.skip("no opcode budget measured for this Python version")
+    compiled = opcodes_per_instruction(vm_run(name, engine="compiled"))
+    assert compiled <= budget[name], (compiled, budget[name])
+
+
+def test_profiling_adds_a_few_calls_per_record():
+    plain = sum(calls_per_layer(vm_run("db")).values())
+    prepare = profiled_run("db")
+    results = []
+
+    def keep():
+        run = prepare()
+        return lambda: results.append(run())
+
+    profiled = sum(calls_per_layer(keep).values())
+    records = results[-1].profiler.record_count
+    assert (profiled - plain) / records <= PROFILE_CALLS_PER_RECORD, (
+        profiled, plain, records)
 
 
 def test_telemetry_adds_calls_into_obs_only_and_a_constant_few():
