@@ -40,9 +40,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
-from repro.errors import MiniJavaException, ProfileError, ReproError
+from repro.errors import MiniJavaException, OutOfMemory, ProfileError, ReproError
 
 
 def _load_program(path: str, library_overrides=None):
@@ -109,6 +110,19 @@ def _gc_summary(stats) -> str:
     )
 
 
+@contextmanager
+def _program_output_kept():
+    """Print what the program printed before an uncaught mini-Java
+    exception or a host OutOfMemory ended its run; :func:`main` then
+    reports the error."""
+    try:
+        yield
+    except (MiniJavaException, OutOfMemory) as exc:
+        for line in exc.stdout:
+            print(line)
+        raise
+
+
 def cmd_run(args) -> int:
     from repro.mjava.compiler import compile_program
     from repro.runtime.engine import Engine
@@ -125,14 +139,15 @@ def cmd_run(args) -> int:
     engine = Engine(
         program, engine=args.engine, max_heap=args.max_heap, telemetry=telemetry
     )
-    if telemetry is None:
-        result = engine.run(args.args)
-        root = None
-    else:
-        with telemetry.span(
-            "run", category="cli", file=args.file, engine=engine.config.engine
-        ) as root:
+    with _program_output_kept():
+        if telemetry is None:
             result = engine.run(args.args)
+            root = None
+        else:
+            with telemetry.span(
+                "run", category="cli", file=args.file, engine=engine.config.engine
+            ) as root:
+                result = engine.run(args.args)
     for line in result.stdout:
         print(line)
     if args.stats:
@@ -199,19 +214,20 @@ def cmd_profile(args) -> int:
             out=args.snapshot, metadata=dict(metadata, program=args.file),
             telemetry=telemetry,
         )
-    result = profile_program(
-        program,
-        args.args,
-        interval_bytes=args.interval,
-        nesting_depth=args.nesting,
-        last_use_depth=args.last_use_depth,
-        sink=sink,
-        engine=args.engine,
-        telemetry=telemetry,
-        sample_bytes=args.sample_bytes,
-        seed=args.seed,
-        snapshotter=snapshotter,
-    )
+    with _program_output_kept():
+        result = profile_program(
+            program,
+            args.args,
+            interval_bytes=args.interval,
+            nesting_depth=args.nesting,
+            last_use_depth=args.last_use_depth,
+            sink=sink,
+            engine=args.engine,
+            telemetry=telemetry,
+            sample_bytes=args.sample_bytes,
+            seed=args.seed,
+            snapshotter=snapshotter,
+        )
     for line in result.run_result.stdout:
         print(line)
     print(

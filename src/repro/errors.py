@@ -74,8 +74,11 @@ class MiniJavaException(ReproError):
     """An uncaught mini-Java exception escaped to the host.
 
     ``class_name`` is the mini-Java class of the thrown object and
-    ``message`` its message string, if any.
+    ``message`` its message string, if any. ``stdout`` holds the lines
+    the program printed before the exception ended its run.
     """
+
+    stdout = ()
 
     def __init__(self, class_name: str, message: str = "", backtrace=None) -> None:
         text = f"uncaught {class_name}" + (f": {message}" if message else "")
@@ -86,7 +89,11 @@ class MiniJavaException(ReproError):
 
 
 class OutOfMemory(VMError):
-    """Internal signal that the simulated heap limit was exhausted."""
+    """Internal signal that the simulated heap limit was exhausted.
+    When not even the OutOfMemoryError fits and this ends the run,
+    ``stdout`` holds the lines the program printed before."""
+
+    stdout = ()
 
 
 class AnalysisError(ReproError):

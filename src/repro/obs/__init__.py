@@ -169,12 +169,17 @@ class Telemetry:
             "Methods translated to handler closures",
         ).inc(stats.methods_translated)
         registry.counter(
+            "repro_dispatch_runs_compiled_total",
+            "Fused runs compiled into one function",
+        ).inc(stats.runs_compiled)
+        registry.counter(
             "repro_dispatch_handlers_total", "Handler closures emitted"
         ).inc(stats.handlers_emitted)
         # The run consumed the per-run counters; zero them so a second
         # VM under the same telemetry doesn't double-report.
         stats.methods_translated = 0
         stats.handlers_emitted = 0
+        stats.runs_compiled = 0
 
     # -- profiler ----------------------------------------------------------
 

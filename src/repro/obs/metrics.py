@@ -299,12 +299,14 @@ class MetricsRegistry:
 
 
 class DispatchStats:
-    """Translation counters the closure compiler bumps once per method
-    when telemetry is enabled (see :mod:`repro.runtime.dispatch`). No
+    """Translation counters the closure compiler bumps once per method,
+    and once per fused run it compiles into one function, when
+    telemetry is enabled (see :mod:`repro.runtime.dispatch`). No
     handler binds them, so dispatch itself pays nothing."""
 
-    __slots__ = ("methods_translated", "handlers_emitted")
+    __slots__ = ("methods_translated", "handlers_emitted", "runs_compiled")
 
     def __init__(self) -> None:
         self.methods_translated = 0
         self.handlers_emitted = 0
+        self.runs_compiled = 0

@@ -17,7 +17,8 @@ no profiler code at all, and with one the use handlers stamp the
 object's trailer inline, the same stamp ``HeapProfiler.on_use`` makes.
 
 One dispatch runs one instruction, or one fused straight-line run of
-them (see :mod:`repro.runtime.dispatch`). The loop keeps the baseline's
+them (see :mod:`repro.runtime.dispatch`), as the one function the run
+is compiled into at its first dispatch. The loop keeps the baseline's
 per-instruction discipline — ``pc`` one past each instruction before it
 runs, safepoints at every boundary an allocation can flag, MJThrow/OOM
 unwound at the instruction that threw — and its count: a run returns
@@ -34,7 +35,7 @@ from typing import Dict, List
 
 from repro.errors import OutOfMemory
 from repro.bytecode.program import CompiledMethod
-from repro.runtime.dispatch import DispatchContext, Handler, compile_method
+from repro.runtime.dispatch import DispatchContext, Handler, compile_method, compile_run
 from repro.runtime.interpreter import Interpreter, MJThrow
 
 
@@ -66,6 +67,15 @@ class CompiledInterpreter(Interpreter):
                 method, self._ctx
             )
         return handlers
+
+    def compile_run(self, method: CompiledMethod, start: int) -> Handler:
+        """The fused run at ``start`` compiled into one function, put in
+        place of the stub that asks for it at the run's first dispatch."""
+        handlers = self._code_cache[method]
+        run = handlers[start] = compile_run(
+            self._ctx, method, start, handlers[start].parts
+        )
+        return run
 
     # ------------------------------------------------------------------
     # the dispatch loop

@@ -11,17 +11,31 @@ decoding — it indexes ``handlers[frame.pc]`` and calls.
 switch frames (:data:`FUSABLE`: locals, constants, stack shuffles,
 fields, statics, array access, arithmetic, comparisons, casts). A
 straight-line run of two or more of them, optionally closed by one
-``JUMP``/``JIF``/``JIT``, is dispatched once: the handler at the run's
-start is replaced by one closure that calls the run's own handlers in
-order, setting ``frame.pc`` one past each part's index before it runs,
-exactly as the loop would. A run never continues into a jump target or
-catch handler, so every pc reached other than by falling through starts
-its own run; the other pcs of a run keep their single handler. Nothing
-here generates code: each opcode's semantics stays in its one factory,
-and a fused closure exposes its handlers as ``parts``. The run returns
-how many instructions it ran past its first, for the loop's count; an
-exception thrown mid-run leaves ``frame.pc`` one past the part that
-threw, from which the loop corrects the count.
+``JUMP``/``JIF``/``JIT``, is dispatched once, as one function compiled
+from the run's instructions (:func:`compile_run`) that stores
+``frame.pc`` one past each part's index before it runs, exactly as the
+loop would. The run is compiled at its first dispatch: until then the
+handler at its start is a stub that has the VM compile the run and put
+the function in its place. A run never continues into a jump target or
+catch handler, so every pc reached other than by falling through
+starts its own run; the other pcs of a run keep their single handler.
+The stub and the function expose the run's handlers as ``parts``. The
+run returns how many instructions it ran past its first, for the
+loop's count; an exception thrown mid-run leaves ``frame.pc`` one past
+the part that threw, from which the loop corrects the count.
+
+**Source templates.** Each fusable opcode and branch has its semantics
+written once, as a source template (:data:`TEMPLATES`), in an
+unprofiled and an inline-stamp profiled variant. On first use in a
+process a template is compiled into a factory, which makes the
+opcode's lone handler closures; those are also a run's parts. A
+compiled run is the run's template bodies concatenated: it binds the
+stack and locals once and reads each part's operands from that part's
+closure. Operands, last-use frames and VM plumbing reach generated
+code only as names in its namespace; its source holds template text,
+generated names (``field_3`` is part 3's field) and translator-made
+integers (local slots, jump targets, pcs), never program text. The
+other opcodes keep their closure factories.
 
 Both engines report the same runtime events to an attached
 :class:`~repro.core.profiler.HeapProfiler`: an allocation (the heap
@@ -44,9 +58,9 @@ Three properties the rest of the system depends on:
   ``tests/runtime/test_engine_equivalence.py`` enforces this.
 * **Hook specialization.** Use-event opcodes come in two variants. When
   no profiler is attached (``ctx.profiler is None``) the emitted
-  closure contains *no profiler code at all* — not a disabled hook,
-  none. ``tests/runtime/test_dispatch.py`` asserts this by inspecting
-  the handlers' code objects.
+  closure or compiled run contains *no profiler code at all* — not a
+  disabled hook, none. ``tests/runtime/test_dispatch.py`` asserts this
+  by inspecting the handlers' code objects and namespaces.
 * **Inline use stamping.** When a profiler is attached, the use-op
   handlers stamp the object's trailer themselves instead of calling
   :meth:`HeapProfiler.on_use`, which stays the reference semantics
@@ -60,12 +74,15 @@ Three properties the rest of the system depends on:
 
 Compilation is per (method, VM) because closures bind VM-instance state
 (the heap, the frame list, the profiler); the cache lives on the
-:class:`~repro.runtime.compiled.CompiledInterpreter`.
+:class:`~repro.runtime.compiled.CompiledInterpreter`. Only the template
+factories, which bind nothing, are kept per process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+import os
+import re
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import VMError
 from repro.bytecode.opcodes import Op
@@ -82,7 +99,10 @@ class DispatchContext:
 
     __slots__ = (
         "vm", "heap", "frames", "program", "statics", "profiler", "stats", "where",
+        "chain", "nested_frames",
     )
+    # The attributes a source template may name: the VM plumbing.
+    PLUMBING = ("vm", "heap", "program", "chain", "nested_frames")
 
     def __init__(self, vm, profiler=None, stats=None) -> None:
         self.vm = vm
@@ -94,287 +114,32 @@ class DispatchContext:
         # trailers the use handlers stamp inline.
         self.profiler = profiler
         # None => count nothing; else a repro.obs.DispatchStats that
-        # compile_method bumps per translated method. No handler binds
-        # it, so telemetry never costs a dispatched instruction.
+        # compile_method bumps per translated method and compile_run
+        # per compiled run. No handler binds it, so telemetry never
+        # costs a dispatched instruction.
         self.stats = stats
         # (method, index) of the instruction being translated: the
         # last-use frame its handler stamps. Set by compile_method.
         self.where = None
+        # A profiled use handler's last-use chain depth (0 when
+        # last_use_depth <= 1: no chain) and its capture.
+        self.chain = self.nested_frames = None
+        if profiler is not None:
+            depth = profiler.last_use_depth
+            self.chain = depth if depth > 1 else 0
+            self.nested_frames = profiler._nested_frames
 
 
 def _use_stamp(ctx):
     """What a profiled use handler binds to stamp a trailer inline:
     its last-use frame, the last-use chain depth (0 when
     ``last_use_depth <= 1``, i.e. no chain), and the chain capture."""
-    profiler = ctx.profiler
-    depth = profiler.last_use_depth
-    return ctx.where, (depth if depth > 1 else 0), profiler._nested_frames
+    return ctx.where, ctx.chain, ctx.nested_frames
 
 
 # ---------------------------------------------------------------------------
 # per-opcode closure factories: factory(instr, ctx) -> handler
 # ---------------------------------------------------------------------------
-
-
-def _c_load(instr, ctx):
-    slot = instr.args[0]
-
-    def op_load(frame):
-        frame.stack.append(frame.locals[slot])
-
-    return op_load
-
-
-def _c_store(instr, ctx):
-    slot = instr.args[0]
-
-    def op_store(frame):
-        frame.locals[slot] = frame.stack.pop()
-
-    return op_store
-
-
-def _c_const(instr, ctx):
-    value = instr.args[0]
-
-    def op_const(frame):
-        frame.stack.append(value)
-
-    return op_const
-
-
-def _c_const_null(instr, ctx):
-    def op_const_null(frame):
-        frame.stack.append(None)
-
-    return op_const_null
-
-
-def _c_getfield(instr, ctx):
-    field = instr.args[0]
-    npe = f"getfield {field}"
-    vm = ctx.vm
-    if ctx.profiler is None:
-
-        def op_getfield(frame):
-            stack = frame.stack
-            obj = stack.pop()
-            if obj is None:
-                vm.throw("NullPointerException", npe)
-            stack.append(obj.fields[field])
-
-        return op_getfield
-
-    heap = ctx.heap
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_getfield_profiled(frame):
-        stack = frame.stack
-        obj = stack.pop()
-        if obj is None:
-            vm.throw("NullPointerException", npe)
-        trailer = obj.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        stack.append(obj.fields[field])
-
-    return op_getfield_profiled
-
-
-def _c_putfield(instr, ctx):
-    field = instr.args[0]
-    npe = f"putfield {field}"
-    vm = ctx.vm
-    heap = ctx.heap
-    if ctx.profiler is None:
-
-        def op_putfield(frame):
-            stack = frame.stack
-            value = stack.pop()
-            obj = stack.pop()
-            if obj is None:
-                vm.throw("NullPointerException", npe)
-            obj.fields[field] = value
-            if heap.barrier is not None:
-                heap.barrier(obj, value)
-
-        return op_putfield
-
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_putfield_profiled(frame):
-        stack = frame.stack
-        value = stack.pop()
-        obj = stack.pop()
-        if obj is None:
-            vm.throw("NullPointerException", npe)
-        trailer = obj.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        obj.fields[field] = value
-        if heap.barrier is not None:
-            heap.barrier(obj, value)
-
-    return op_putfield_profiled
-
-
-def _c_getstatic(instr, ctx):
-    cls_name, field = instr.args
-    values = ctx.statics[cls_name]
-
-    def op_getstatic(frame):
-        frame.stack.append(values[field])
-
-    return op_getstatic
-
-
-def _c_putstatic(instr, ctx):
-    cls_name, field = instr.args
-    values = ctx.statics[cls_name]
-
-    def op_putstatic(frame):
-        values[field] = frame.stack.pop()
-
-    return op_putstatic
-
-
-def _c_aload(instr, ctx):
-    vm = ctx.vm
-    if ctx.profiler is None:
-
-        def op_aload(frame):
-            stack = frame.stack
-            index = stack.pop()
-            arr = stack.pop()
-            if arr is None:
-                vm.throw("NullPointerException", "array load")
-            data = arr.data
-            if index < 0 or index >= len(data):
-                vm.throw("IndexOutOfBoundsException", f"{index} of {len(data)}")
-            stack.append(data[index])
-
-        return op_aload
-
-    heap = ctx.heap
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_aload_profiled(frame):
-        stack = frame.stack
-        index = stack.pop()
-        arr = stack.pop()
-        if arr is None:
-            vm.throw("NullPointerException", "array load")
-        trailer = arr.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        data = arr.data
-        if index < 0 or index >= len(data):
-            vm.throw("IndexOutOfBoundsException", f"{index} of {len(data)}")
-        stack.append(data[index])
-
-    return op_aload_profiled
-
-
-def _c_astore(instr, ctx):
-    vm = ctx.vm
-    heap = ctx.heap
-    if ctx.profiler is None:
-
-        def op_astore(frame):
-            stack = frame.stack
-            value = stack.pop()
-            index = stack.pop()
-            arr = stack.pop()
-            if arr is None:
-                vm.throw("NullPointerException", "array store")
-            data = arr.data
-            if index < 0 or index >= len(data):
-                vm.throw("IndexOutOfBoundsException", f"{index} of {len(data)}")
-            data[index] = value
-            if heap.barrier is not None:
-                heap.barrier(arr, value)
-
-        return op_astore
-
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_astore_profiled(frame):
-        stack = frame.stack
-        value = stack.pop()
-        index = stack.pop()
-        arr = stack.pop()
-        if arr is None:
-            vm.throw("NullPointerException", "array store")
-        trailer = arr.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        data = arr.data
-        if index < 0 or index >= len(data):
-            vm.throw("IndexOutOfBoundsException", f"{index} of {len(data)}")
-        data[index] = value
-        if heap.barrier is not None:
-            heap.barrier(arr, value)
-
-    return op_astore_profiled
-
-
-def _c_arraylen(instr, ctx):
-    vm = ctx.vm
-    if ctx.profiler is None:
-
-        def op_arraylen(frame):
-            stack = frame.stack
-            arr = stack.pop()
-            if arr is None:
-                vm.throw("NullPointerException", "array length")
-            stack.append(len(arr.data))
-
-        return op_arraylen
-
-    heap = ctx.heap
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_arraylen_profiled(frame):
-        stack = frame.stack
-        arr = stack.pop()
-        if arr is None:
-            vm.throw("NullPointerException", "array length")
-        trailer = arr.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        stack.append(len(arr.data))
-
-    return op_arraylen_profiled
 
 
 def _c_invokev(instr, ctx):
@@ -658,204 +423,6 @@ def _c_retv(instr, ctx):
     return op_retv
 
 
-def _c_jump(instr, ctx):
-    target = instr.args[0]
-
-    def op_jump(frame):
-        frame.pc = target
-
-    return op_jump
-
-
-def _c_jif(instr, ctx):
-    target = instr.args[0]
-
-    def op_jif(frame):
-        if not frame.stack.pop():
-            frame.pc = target
-
-    return op_jif
-
-
-def _c_jit(instr, ctx):
-    target = instr.args[0]
-
-    def op_jit(frame):
-        if frame.stack.pop():
-            frame.pc = target
-
-    return op_jit
-
-
-def _c_add(instr, ctx):
-    def op_add(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] + b
-
-    return op_add
-
-
-def _c_sub(instr, ctx):
-    def op_sub(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] - b
-
-    return op_sub
-
-
-def _c_mul(instr, ctx):
-    def op_mul(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] * b
-
-    return op_mul
-
-
-def _c_div(instr, ctx):
-    vm = ctx.vm
-
-    def op_div(frame):
-        stack = frame.stack
-        b = stack.pop()
-        a = stack.pop()
-        if b == 0:
-            vm.throw("ArithmeticException", "/ by zero")
-        q = abs(a) // abs(b)
-        stack.append(q if (a >= 0) == (b >= 0) else -q)
-
-    return op_div
-
-
-def _c_mod(instr, ctx):
-    vm = ctx.vm
-
-    def op_mod(frame):
-        stack = frame.stack
-        b = stack.pop()
-        a = stack.pop()
-        if b == 0:
-            vm.throw("ArithmeticException", "% by zero")
-        q = abs(a) // abs(b)
-        q = q if (a >= 0) == (b >= 0) else -q
-        stack.append(a - q * b)
-
-    return op_mod
-
-
-def _c_neg(instr, ctx):
-    def op_neg(frame):
-        stack = frame.stack
-        stack[-1] = -stack[-1]
-
-    return op_neg
-
-
-def _c_eq(instr, ctx):
-    def op_eq(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] == b
-
-    return op_eq
-
-
-def _c_ne(instr, ctx):
-    def op_ne(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] != b
-
-    return op_ne
-
-
-def _c_lt(instr, ctx):
-    def op_lt(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] < b
-
-    return op_lt
-
-
-def _c_le(instr, ctx):
-    def op_le(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] <= b
-
-    return op_le
-
-
-def _c_gt(instr, ctx):
-    def op_gt(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] > b
-
-    return op_gt
-
-
-def _c_ge(instr, ctx):
-    def op_ge(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] >= b
-
-    return op_ge
-
-
-def _c_refeq(instr, ctx):
-    def op_refeq(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] is b
-
-    return op_refeq
-
-
-def _c_refne(instr, ctx):
-    def op_refne(frame):
-        stack = frame.stack
-        b = stack.pop()
-        stack[-1] = stack[-1] is not b
-
-    return op_refne
-
-
-def _c_not(instr, ctx):
-    def op_not(frame):
-        stack = frame.stack
-        stack[-1] = not stack[-1]
-
-    return op_not
-
-
-def _c_cast_char(instr, ctx):
-    def op_cast_char(frame):
-        stack = frame.stack
-        stack[-1] = stack[-1] & 0xFFFF
-
-    return op_cast_char
-
-
-def _c_pop(instr, ctx):
-    def op_pop(frame):
-        frame.stack.pop()
-
-    return op_pop
-
-
-def _c_dup(instr, ctx):
-    def op_dup(frame):
-        stack = frame.stack
-        stack.append(stack[-1])
-
-    return op_dup
-
-
 def _c_const_string(instr, ctx):
     text = instr.args[0]
     site = instr.site
@@ -906,36 +473,6 @@ def _c_concat(instr, ctx):
         stack.append(vm.new_string(text))
 
     return op_concat
-
-
-def _c_checkcast(instr, ctx):
-    type_repr = instr.args[0]
-    vm = ctx.vm
-
-    def op_checkcast(frame):
-        obj = frame.stack[-1]
-        if obj is not None and not vm.value_conforms(obj, type_repr):
-            vm.throw("ClassCastException", f"{obj.type_name()} to {type_repr}")
-
-    return op_checkcast
-
-
-def _c_instanceof(instr, ctx):
-    target = instr.args[0]
-    is_object = target == "Object"
-    program = ctx.program
-
-    def op_instanceof(frame):
-        stack = frame.stack
-        obj = stack.pop()
-        if obj is None:
-            stack.append(False)
-        elif isinstance(obj, ArrayObject):
-            stack.append(is_object)
-        else:
-            stack.append(program.is_subclass(obj.class_name, target))
-
-    return op_instanceof
 
 
 def _c_monenter(instr, ctx):
@@ -1017,17 +554,6 @@ def _c_throw(instr, ctx):
 
 
 OP_COMPILERS = {
-    Op.LOAD: _c_load,
-    Op.STORE: _c_store,
-    Op.CONST: _c_const,
-    Op.CONST_NULL: _c_const_null,
-    Op.GETFIELD: _c_getfield,
-    Op.PUTFIELD: _c_putfield,
-    Op.GETSTATIC: _c_getstatic,
-    Op.PUTSTATIC: _c_putstatic,
-    Op.ALOAD: _c_aload,
-    Op.ASTORE: _c_astore,
-    Op.ARRAYLEN: _c_arraylen,
     Op.INVOKEV: _c_invokev,
     Op.INVOKESTATIC: _c_invokestatic,
     Op.INVOKESUPER: _c_invokesuper,
@@ -1036,32 +562,9 @@ OP_COMPILERS = {
     Op.NEWARRAY: _c_newarray,
     Op.RET: _c_ret,
     Op.RETV: _c_retv,
-    Op.JUMP: _c_jump,
-    Op.JIF: _c_jif,
-    Op.JIT: _c_jit,
-    Op.ADD: _c_add,
-    Op.SUB: _c_sub,
-    Op.MUL: _c_mul,
-    Op.DIV: _c_div,
-    Op.MOD: _c_mod,
-    Op.NEG: _c_neg,
-    Op.EQ: _c_eq,
-    Op.NE: _c_ne,
-    Op.LT: _c_lt,
-    Op.LE: _c_le,
-    Op.GT: _c_gt,
-    Op.GE: _c_ge,
-    Op.REFEQ: _c_refeq,
-    Op.REFNE: _c_refne,
-    Op.NOT: _c_not,
-    Op.CAST_CHAR: _c_cast_char,
-    Op.POP: _c_pop,
-    Op.DUP: _c_dup,
     Op.CONST_STRING: _c_const_string,
     Op.TOSTR: _c_tostr,
     Op.CONCAT: _c_concat,
-    Op.CHECKCAST: _c_checkcast,
-    Op.INSTANCEOF: _c_instanceof,
     Op.MONENTER: _c_monenter,
     Op.MONEXIT: _c_monexit,
     Op.THROW: _c_throw,
@@ -1079,6 +582,10 @@ def _c_unknown(instr, ctx):
     return op_unknown
 
 
+# ---------------------------------------------------------------------------
+# source templates: the fusable opcodes and the branches that close a run
+# ---------------------------------------------------------------------------
+
 # Opcodes whose handlers cannot allocate (except the throwable of an
 # exception, which ends the run), call, return or switch frames: a run
 # of them needs no safepoint and no frame lookup between instructions.
@@ -1092,24 +599,335 @@ FUSABLE = frozenset({
 })
 BRANCHES = frozenset({Op.JUMP, Op.JIF, Op.JIT})
 
+# The statements a profiled use handler runs on the object it uses: the
+# stamp HeapProfiler.on_use makes, with its last-use frame bound, and
+# the chain capture, which a run leaves out when the VM keeps no chain.
+_STAMP = """\
+trailer = {obj}.trailer
+if trailer is not None:
+    clock = heap.clock
+    if trailer.first_use_time == 0:
+        trailer.first_use_time = clock
+    trailer.last_use_time = clock
+    trailer.last_use_frame = where"""
+_CHAIN_STAMP = """\
+    if chain:
+        trailer.last_use_chain = nested_frames(chain)"""
 
-def _fuse(start: int, parts: List[Handler]) -> Handler:
-    """One handler for the run ``parts`` at ``start``: each part runs
-    with ``frame.pc`` one past its own index, as if dispatched alone
-    (the loop has already set it for the first). Returns the number of
-    instructions beyond the first, which the loop adds to its count."""
-    first = parts[0]
-    rest = tuple(zip(range(start + 2, start + 1 + len(parts)), parts[1:]))
-    extra = len(rest)
+# Operand fields a compiled run may write as a literal, when the
+# translator made them ints: local slots and jump targets.
+_LITERAL_FIELDS = frozenset({"slot", "target"})
+
+
+def _bounds_message(index, data):
+    return f"{index} of {len(data)}"
+
+
+def _cast_message(obj, type_repr):
+    return f"{obj.type_name()} to {type_repr}"
+
+
+# Names a template body may read besides its operands, the frame's
+# stack and locals, and DispatchContext.PLUMBING: what no VM owns.
+_CONSTANTS = {
+    "ArrayObject": ArrayObject,
+    "NPE": "NullPointerException",
+    "ARITHMETIC": "ArithmeticException",
+    "OUT_OF_BOUNDS": "IndexOutOfBoundsException",
+    "CLASS_CAST": "ClassCastException",
+    "DIV_ZERO": "/ by zero",
+    "MOD_ZERO": "% by zero",
+    "bounds_message": _bounds_message,
+    "cast_message": _cast_message,
+}
+
+
+class _Template:
+    """One opcode's semantics as source text.
+
+    ``operands`` are statements that compute, from ``instr`` and
+    ``ctx``, each name in ``fields``; they run once per instruction, at
+    translation. ``body`` runs per dispatch: it reads the operand stack
+    and locals as ``stack`` and ``locals_``, its fields, and otherwise
+    only names of ``_CONSTANTS`` and ``DispatchContext.PLUMBING``. A
+    line ``@use NAME`` marks where a profiled handler stamps the object
+    ``NAME`` holds; without a profiler it is dropped."""
+
+    __slots__ = ("name", "fields", "operands", "body", "uses")
+
+    def __init__(self, name, fields="", operands="", body="") -> None:
+        self.name = name
+        self.fields = tuple(fields.split())
+        self.operands = operands
+        self.body = body
+        self.uses = "@use " in body
+
+    def lines(self, profiled: bool, chain: bool = True) -> List[str]:
+        """The body, its ``@use`` line the stamp (profiled) or nothing."""
+        lines = []
+        for line in self.body.splitlines():
+            if not line.startswith("@use "):
+                lines.append(line)
+            elif profiled:
+                lines += _STAMP.format(obj=line[5:]).splitlines()
+                if chain:
+                    lines += _CHAIN_STAMP.splitlines()
+        return lines
+
+
+def _binary(name, operator):
+    return _Template(name, body=f"b = stack.pop()\nstack[-1] = stack[-1] {operator} b")
+
+
+_ARG = "{} = instr.args[0]"
+
+TEMPLATES = {
+    Op.LOAD: _Template("load", "slot", _ARG.format("slot"), "stack.append(locals_[slot])"),
+    Op.STORE: _Template("store", "slot", _ARG.format("slot"), "locals_[slot] = stack.pop()"),
+    Op.CONST: _Template("const", "value", _ARG.format("value"), "stack.append(value)"),
+    Op.CONST_NULL: _Template("const_null", body="stack.append(None)"),
+    Op.DUP: _Template("dup", body="stack.append(stack[-1])"),
+    Op.POP: _Template("pop", body="stack.pop()"),
+    Op.GETFIELD: _Template("getfield", "field npe", """\
+field = instr.args[0]
+npe = f"getfield {field}\"""", """\
+obj = stack.pop()
+if obj is None:
+    vm.throw(NPE, npe)
+@use obj
+stack.append(obj.fields[field])"""),
+    Op.PUTFIELD: _Template("putfield", "field npe", """\
+field = instr.args[0]
+npe = f"putfield {field}\"""", """\
+value = stack.pop()
+obj = stack.pop()
+if obj is None:
+    vm.throw(NPE, npe)
+@use obj
+obj.fields[field] = value
+if heap.barrier is not None:
+    heap.barrier(obj, value)"""),
+    Op.GETSTATIC: _Template("getstatic", "values field", """\
+values = ctx.statics[instr.args[0]]
+field = instr.args[1]""", "stack.append(values[field])"),
+    Op.PUTSTATIC: _Template("putstatic", "values field", """\
+values = ctx.statics[instr.args[0]]
+field = instr.args[1]""", "values[field] = stack.pop()"),
+    Op.ALOAD: _Template("aload", "npe", 'npe = "array load"', """\
+index = stack.pop()
+arr = stack.pop()
+if arr is None:
+    vm.throw(NPE, npe)
+@use arr
+data = arr.data
+if index < 0 or index >= len(data):
+    vm.throw(OUT_OF_BOUNDS, bounds_message(index, data))
+stack.append(data[index])"""),
+    Op.ASTORE: _Template("astore", "npe", 'npe = "array store"', """\
+value = stack.pop()
+index = stack.pop()
+arr = stack.pop()
+if arr is None:
+    vm.throw(NPE, npe)
+@use arr
+data = arr.data
+if index < 0 or index >= len(data):
+    vm.throw(OUT_OF_BOUNDS, bounds_message(index, data))
+data[index] = value
+if heap.barrier is not None:
+    heap.barrier(arr, value)"""),
+    Op.ARRAYLEN: _Template("arraylen", "npe", 'npe = "array length"', """\
+arr = stack.pop()
+if arr is None:
+    vm.throw(NPE, npe)
+@use arr
+stack.append(len(arr.data))"""),
+    Op.ADD: _binary("add", "+"),
+    Op.SUB: _binary("sub", "-"),
+    Op.MUL: _binary("mul", "*"),
+    Op.DIV: _Template("div", body="""\
+b = stack.pop()
+a = stack.pop()
+if b == 0:
+    vm.throw(ARITHMETIC, DIV_ZERO)
+q = abs(a) // abs(b)
+stack.append(q if (a >= 0) == (b >= 0) else -q)"""),
+    Op.MOD: _Template("mod", body="""\
+b = stack.pop()
+a = stack.pop()
+if b == 0:
+    vm.throw(ARITHMETIC, MOD_ZERO)
+q = abs(a) // abs(b)
+q = q if (a >= 0) == (b >= 0) else -q
+stack.append(a - q * b)"""),
+    Op.NEG: _Template("neg", body="stack[-1] = -stack[-1]"),
+    Op.EQ: _binary("eq", "=="),
+    Op.NE: _binary("ne", "!="),
+    Op.LT: _binary("lt", "<"),
+    Op.LE: _binary("le", "<="),
+    Op.GT: _binary("gt", ">"),
+    Op.GE: _binary("ge", ">="),
+    Op.REFEQ: _binary("refeq", "is"),
+    Op.REFNE: _binary("refne", "is not"),
+    Op.NOT: _Template("not", body="stack[-1] = not stack[-1]"),
+    Op.CAST_CHAR: _Template("cast_char", body="stack[-1] = stack[-1] & 0xFFFF"),
+    Op.CHECKCAST: _Template("checkcast", "type_repr", _ARG.format("type_repr"), """\
+obj = stack[-1]
+if obj is not None and not vm.value_conforms(obj, type_repr):
+    vm.throw(CLASS_CAST, cast_message(obj, type_repr))"""),
+    Op.INSTANCEOF: _Template("instanceof", "cls_name is_object", """\
+cls_name = instr.args[0]
+is_object = cls_name == "Object\"""", """\
+obj = stack.pop()
+if obj is None:
+    stack.append(False)
+elif isinstance(obj, ArrayObject):
+    stack.append(is_object)
+else:
+    stack.append(program.is_subclass(obj.class_name, cls_name))"""),
+    Op.JUMP: _Template("jump", "target", _ARG.format("target"), "frame.pc = target"),
+    Op.JIF: _Template("jif", "target", _ARG.format("target"), """\
+if not stack.pop():
+    frame.pc = target"""),
+    Op.JIT: _Template("jit", "target", _ARG.format("target"), """\
+if stack.pop():
+    frame.pc = target"""),
+}
+
+_WORD = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
+
+def _bind_frame(lines: List[str]) -> List[str]:
+    """``lines`` after binding the frame's operand stack and locals to
+    ``stack`` and ``locals_``, each only if ``lines`` name it."""
+    text = "\n".join(lines)
+    words = set(_WORD.findall(text))
+    return [
+        f"{name} = frame.{attr}"
+        for name, attr in (("stack", "stack"), ("locals_", "locals"))
+        if name in words
+    ] + text.splitlines()
+
+
+def _filename(what: str) -> str:
+    """Where generated code says it comes from: beside this module, so
+    tracebacks and per-package call counts file it under the runtime."""
+    return os.path.join(os.path.dirname(__file__), f"<{what}>")
+
+
+def _indent(lines: List[str], depth: int) -> str:
+    pad = " " * depth
+    return "".join([f"{pad}{line}\n" for line in lines])
+
+
+class _Compiled:
+    """A template variant compiled for this process: the factory that
+    makes its lone handlers, and its body as it goes into a run, with
+    ``{field}`` for each operand, with and without the chain capture."""
+
+    __slots__ = ("fields", "factory", "run_body")
+
+    def __init__(self, template: _Template, profiled: bool) -> None:
+        self.fields = template.fields + (("where",) if profiled else ())
+
+        def run_body(chain):
+            text = "\n".join(template.lines(profiled, chain))
+            return _WORD.sub(
+                lambda m: f"{{{m[0]}}}" if m[0] in self.fields else m[0], text)
+
+        self.run_body = {chain: run_body(chain) for chain in (False, True)}
+        body = template.lines(profiled)
+        words = set(_WORD.findall("\n".join(body)))
+        setup = [
+            f"{name} = ctx.{name}"
+            for name in DispatchContext.PLUMBING if name in words
+        ] + template.operands.splitlines() + (["where = ctx.where"] if profiled else [])
+        name = f"op_{template.name}" + ("_profiled" if profiled else "")
+        source = (
+            f"def make(instr, ctx):\n{_indent(setup, 4)}"
+            f"    def {name}(frame):\n{_indent(_bind_frame(body), 8)}"
+            f"    return {name}\n"
+        )
+        namespace = dict(_CONSTANTS)
+        exec(compile(source, _filename(f"{name} template"), "exec"), namespace)
+        self.factory = namespace["make"]
+
+
+# Every opcode's handler factory, without and with a profiler: the
+# closure factories, and each template's once compiled in this process.
+_FACTORIES = {False: dict(OP_COMPILERS), True: dict(OP_COMPILERS)}
+_COMPILED: Dict[Tuple[Op, bool], _Compiled] = {}
+
+
+def _compiled(op: Op, profiled: bool) -> _Compiled:
+    template = TEMPLATES[op]
+    key = op, profiled and template.uses
+    compiled = _COMPILED.get(key)
+    if compiled is None:
+        compiled = _COMPILED[key] = _Compiled(template, key[1])
+    return compiled
+
+
+def _factory(op: Op, profiled: bool):
+    if op not in TEMPLATES:
+        return _c_unknown
+    factory = _FACTORIES[profiled][op] = _compiled(op, profiled).factory
+    return factory
+
+
+def compile_run(ctx, method: CompiledMethod, start: int, parts) -> Handler:
+    """One function for the run at ``start``: its instructions' template
+    bodies in order, with ``frame.pc`` stored one past each part's index
+    before it runs, as the dispatch loop would. Each part's operands are
+    read from its own handler's closure and reach the code only as names
+    in its namespace (``field_3`` is part 3's field), or as literals
+    where the translator made them ints; so the source holds template
+    text, generated names and integers, never program text."""
+    profiled = ctx.profiler is not None
+    chain = bool(ctx.chain)
+    # Unprofiled, nothing of the profiler's is in reach.
+    namespace = dict(_CONSTANTS)
+    for name in DispatchContext.PLUMBING:
+        value = getattr(ctx, name)
+        if value is not None:
+            namespace[name] = value
+    lines = []
+    code = method.code[start:start + len(parts)]
+    for k, (instr, part) in enumerate(zip(code, parts)):
+        if k:
+            lines.append(f"frame.pc = {start + k + 1}")
+        compiled = _compiled(instr.op, profiled)
+        cells = dict(zip(part.__code__.co_freevars, part.__closure__ or ()))
+        names = {}
+        for field in compiled.fields:
+            value = cells[field].cell_contents
+            if field in _LITERAL_FIELDS and type(value) is int:
+                names[field] = str(value)
+            else:
+                names[field] = name = f"{field}_{k}"
+                namespace[name] = value
+        lines.append(compiled.run_body[chain].format_map(names))
+    lines.append(f"return {len(parts) - 1}")
+    source = f"def fused_run(frame):\n{_indent(_bind_frame(lines), 4)}"
+    exec(compile(source, _filename("fused run"), "exec"), namespace)
+    run = namespace.pop("fused_run")
+    run.parts = parts
+    run.source = source
+    stats = ctx.stats
+    if stats is not None:
+        stats.runs_compiled += 1
+    return run
+
+
+def _first_dispatch(vm, method: CompiledMethod, start: int, parts) -> Handler:
+    """The handler at a run's start until the run is first dispatched:
+    it has the VM compile the run into one function, put in its place,
+    and runs that function instead."""
 
     def op_run(frame):
-        first(frame)
-        for pc, part in rest:
-            frame.pc = pc
-            part(frame)
-        return extra
+        return vm.compile_run(method, start)(frame)
 
-    op_run.parts = tuple(parts)
+    op_run.parts = parts
     return op_run
 
 
@@ -1142,14 +960,17 @@ def compile_method(
 ) -> List[Handler]:
     """Translate one method's bytecode into handler closures, then
     replace the handler at the start of each straight-line run of two
-    or more instructions with one closure over the run's handlers."""
+    or more instructions with a stub that compiles the run into one
+    function at its first dispatch."""
+    profiled = ctx.profiler is not None
+    factories = _FACTORIES[profiled]
     handlers: List[Handler] = []
     for index, instr in enumerate(method.code):
-        factory = OP_COMPILERS.get(instr.op, _c_unknown)
         ctx.where = (method, index)
+        factory = factories.get(instr.op) or _factory(instr.op, profiled)
         handlers.append(factory(instr, ctx))
     for start, end in _runs(method):
-        handlers[start] = _fuse(start, handlers[start:end])
+        handlers[start] = _first_dispatch(ctx.vm, method, start, tuple(handlers[start:end]))
     stats = ctx.stats
     if stats is not None:
         stats.methods_translated += 1

@@ -249,10 +249,19 @@ class Interpreter:
 
     def run(self, args: Optional[List[str]] = None) -> ProgramResult:
         """Run <clinit> of every class, then main(String[]); finish the
-        profile (final deep GC + survivor logging) if one is attached."""
+        profile (final deep GC + survivor logging) if one is attached.
+        An uncaught mini-Java exception or a host OutOfMemory that ends
+        the run leaves with the lines printed so far as its ``stdout``."""
         main_class = self.program.main_class
         if main_class is None:
             raise VMError("program has no main class")
+        try:
+            return self._run_main(main_class, args)
+        except (MiniJavaException, OutOfMemory) as exc:
+            exc.stdout = self.stdout
+            raise
+
+    def _run_main(self, main_class: str, args: Optional[List[str]]) -> ProgramResult:
         for name in self.program.clinit_order:
             clinit = self.program.classes[name].clinit
             if clinit is not None:

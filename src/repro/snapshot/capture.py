@@ -69,12 +69,6 @@ def _iter_labeled_roots(interp) -> Iterator[Tuple[str, HeapObject]]:
 
 def capture_snapshot(interp, reason: str = "deep-gc") -> HeapSnapshot:
     """Walk the heap of ``interp`` into a :class:`HeapSnapshot`."""
-    def site_of(obj: HeapObject) -> Optional[str]:
-        trailer = obj.trailer
-        if trailer is None or trailer.context.site is None:
-            return None
-        return trailer.context.label
-
     snapshot = HeapSnapshot(interp.heap.clock, reason)
     root = SnapshotNode(ROOT_TYPE, None, 0, FLAG_SYNTHETIC)
     snapshot.nodes.append(root)
@@ -85,10 +79,17 @@ def capture_snapshot(interp, reason: str = "deep-gc") -> HeapSnapshot:
         node_index = index.get(obj.handle)
         if node_index is None:
             node_index = index[obj.handle] = len(snapshot.nodes)
+            trailer = obj.trailer
+            # The allocation site's label, if the profiler saw one.
+            site = None
+            if trailer is not None and trailer.context.site is not None:
+                site = trailer.context.label
             snapshot.nodes.append(
                 SnapshotNode(
-                    obj.type_name(),
-                    site_of(obj),
+                    # Instance.type_name() is its class name: read it
+                    # without the call, one per captured instance.
+                    obj.class_name if isinstance(obj, Instance) else obj.type_name(),
+                    site,
                     obj.size,
                     FLAG_EXCLUDED if obj.excluded else 0,
                 )

@@ -113,7 +113,7 @@ class HeapSnapshot:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(n.edges) for n in self.nodes)
+        return sum([len(n.edges) for n in self.nodes])
 
     @property
     def total_bytes(self) -> int:

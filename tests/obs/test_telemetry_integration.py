@@ -70,6 +70,23 @@ class TestInstrumentsFire:
         assert telemetry.dispatch_stats.methods_translated == 0
         assert telemetry.dispatch_stats.handlers_emitted == 0
 
+    def test_euler_counts_its_compiled_runs(self):
+        """Each fused run compiled into one function counts once."""
+        bench = all_benchmarks()["euler"]
+        telemetry = Telemetry()
+        vm = create_vm(
+            compile_benchmark(bench, revised=False), engine="compiled",
+            max_heap=bench.max_heap, telemetry=telemetry,
+        )
+        vm.run(list(bench.args_for("primary")))
+        compiled = sum(
+            hasattr(handler, "source")
+            for handlers in vm._code_cache.values() for handler in handlers
+        )
+        snap = telemetry.registry.snapshot()
+        assert snap["repro_dispatch_runs_compiled_total"] == compiled > 0
+        assert telemetry.dispatch_stats.runs_compiled == 0
+
     def test_profiled_run_emits_gc_spans_and_profiler_counters(self):
         from repro.core.profiler import profile_program
 

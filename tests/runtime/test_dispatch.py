@@ -7,7 +7,10 @@ and none references profiler machinery by name. With a profiler
 attached, the use handlers still make no hook call: they stamp the
 trailer inline with a last-use frame bound at translation time. Every
 inspection also walks the ``parts`` of each fused run, so fusing a
-handler into a run cannot hide it.
+handler into a run cannot hide it. Each run is compiled into one
+function at its first dispatch, so the hook and telemetry inspections
+also inspect the function of every run the program dispatched, with
+the namespace that function reads its names from.
 """
 
 import pytest
@@ -28,6 +31,8 @@ from repro.runtime.engine import (
 )
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.library import link
+from repro.stream.codec import V2LogWriter
+from repro.stream.sinks import LogWriterSink
 
 # Exercises every hooked use-op: getfield/putfield, array load/store,
 # arraylength, invokevirtual, invokesuper, monitorenter/exit — plus
@@ -69,6 +74,10 @@ USE_OPS = {
 TELEMETRY_NAMES = {"stats", "telemetry", "ic_hits", "ic_misses", "registry", "tracer"}
 
 
+# The names a use stamp reads that only a profiled run may hold.
+PROFILED_NAMES = {"chain", "nested_frames"}
+
+
 def _build(profiler=None, telemetry=None):
     program = compile_program(link(SOURCE), main_class="Main")
     vm = CompiledInterpreter(program, profiler=profiler, telemetry=telemetry)
@@ -99,6 +108,19 @@ def _all_handlers(vm):
             yield from getattr(handler, "parts", ())
 
 
+def _compiled_runs(vm):
+    """``(method, start, function)`` of every run compiled into one
+    function, which sits at the run's start in place of its stub."""
+    runs = [
+        (method, start, handler)
+        for method, handlers in vm._code_cache.items()
+        for start, handler in enumerate(handlers)
+        if hasattr(handler, "source")
+    ]
+    assert runs, "no run was compiled"
+    return runs
+
+
 class TestHookSpecialization:
     def test_unprofiled_handlers_have_zero_hook_sites(self):
         vm, result = _build()
@@ -108,6 +130,13 @@ class TestHookSpecialization:
             code = handler.__code__
             assert "on_use" not in code.co_freevars, handler
             assert not HOOK_NAMES & set(code.co_names), handler
+        for method, start, run in _compiled_runs(vm):
+            namespace = set(run.__globals__)
+            assert not HOOK_NAMES & namespace, (method, start)
+            assert not PROFILED_NAMES & namespace, (method, start)
+            assert not PROFILED_NAMES & set(run.__code__.co_names), (method, start)
+            assert not any(name.startswith("where") for name in namespace)
+            assert "trailer" not in run.__code__.co_varnames, (method, start)
 
     def test_untraced_handlers_have_zero_telemetry_sites(self):
         """Telemetry off (the default) must leave handlers exactly as
@@ -119,6 +148,8 @@ class TestHookSpecialization:
             assert "stats" not in code.co_freevars, handler
             assert not TELEMETRY_NAMES & set(code.co_names), handler
             assert not TELEMETRY_NAMES & set(code.co_freevars), handler
+        for method, start, run in _compiled_runs(vm):
+            assert not TELEMETRY_NAMES & set(run.__globals__), (method, start)
 
     def test_telemetry_never_reaches_a_handler_closure(self):
         """Telemetry counts translation, not dispatch: with it attached,
@@ -135,6 +166,12 @@ class TestHookSpecialization:
                 code = handler.__code__
                 assert not TELEMETRY_NAMES & set(code.co_freevars), handler
                 assert not TELEMETRY_NAMES & set(code.co_names), handler
+            stats = telemetry.dispatch_stats
+            for method, start, run in _compiled_runs(vm):
+                namespace = run.__globals__
+                assert not TELEMETRY_NAMES & set(namespace), (method, start)
+                assert all(value is not stats for value in namespace.values())
+            assert snap["repro_dispatch_runs_compiled_total"] == len(_compiled_runs(vm))
 
     def test_profiled_use_handlers_stamp_inline(self):
         """Profiled use handlers call no hook: ``on_use`` is in neither
@@ -157,6 +194,31 @@ class TestHookSpecialization:
                 assert where[0] is method
                 stamped.add(method.code[index].op)
         assert stamped == USE_OPS, stamped
+
+    def test_profiled_compiled_runs_stamp_inline(self):
+        """A compiled run stamps inline too: ``on_use`` is in neither its
+        names nor its namespace, and each use part ``k`` reads its own
+        last-use frame ``where_k == (method, start + k)``."""
+        vm, result = _build(profiler=HeapProfiler(interval_bytes=1 << 20))
+        assert result.stdout == ["total=7"]
+        stamped = set()
+        for method, start, run in _compiled_runs(vm):
+            namespace = run.__globals__
+            assert "on_use" not in run.__code__.co_names, (method, start)
+            assert not HOOK_NAMES & set(namespace), (method, start)
+            assert PROFILED_NAMES <= set(namespace), (method, start)
+            wheres = {name for name in namespace if name.startswith("where_")}
+            for k, instr in enumerate(method.code[start:start + len(run.parts)]):
+                where = namespace.get(f"where_{k}")
+                if instr.op not in USE_OPS:
+                    assert where is None, (method, start, k)
+                    continue
+                assert where == (method, start + k), (method, start, k)
+                assert where[0] is method
+                wheres.discard(f"where_{k}")
+                stamped.add(instr.op)
+            assert not wheres, wheres
+        assert stamped == USE_OPS & FUSABLE, stamped
 
 
 class TestDispatchLoop:
@@ -211,6 +273,59 @@ class TestTranslation:
                 assert ops[-1] in FUSABLE | BRANCHES, ops
                 assert not targets & set(range(start + 1, start + len(parts)))
         assert fused > 0
+
+
+SPIN_SOURCE = """
+class Cell { int v; }
+class Main {
+    static int spin(Cell c, int n) {
+        int total = 0;
+        for (int i = 0; i < n; i = i + 1) { total = total + c.v * i; }
+        return total;
+    }
+    public static void main(String[] args) {
+        Cell c = new Cell();
+        c.v = 3;
+        System.println("total " + spin(c, Integer.parseInt(args[0])));
+    }
+}
+"""
+
+
+class TestFirstDispatch:
+    def _run(self, engine, iterations, log_path):
+        program = compile_program(link(SPIN_SOURCE), main_class="Main")
+        sink = LogWriterSink(V2LogWriter(log_path))
+        profiler = HeapProfiler(interval_bytes=64, sink=sink)
+        vm = create_vm(program, engine=engine, profiler=profiler)
+        result = vm.run([str(iterations)])
+        sink.close()
+        return vm, result
+
+    @pytest.mark.parametrize("iterations", [0, 1, 2])
+    def test_a_run_is_compiled_exactly_at_its_first_dispatch(self, tmp_path, iterations):
+        """``spin``'s loop test runs ``iterations + 1`` times and its body
+        ``iterations`` times: each is compiled iff it was dispatched,
+        and the program's stdout, instruction count and log bytes are
+        the baseline's either way."""
+        base_vm, base = self._run("baseline", iterations, tmp_path / "base.dlog2")
+        vm, comp = self._run("compiled", iterations, tmp_path / "comp.dlog2")
+        assert comp.stdout == base.stdout == [f"total {3 * sum(range(iterations))}"]
+        assert comp.instructions == base.instructions
+        assert (tmp_path / "comp.dlog2").read_bytes() == (tmp_path / "base.dlog2").read_bytes()
+        spin = vm.program.lookup_method("Main", "spin")
+        dispatched = {Op.JIF: iterations + 1, Op.JUMP: iterations}
+        seen = set()
+        for start, handler in enumerate(vm._code_cache[spin]):
+            parts = getattr(handler, "parts", None)
+            if parts is None:
+                continue
+            last = spin.code[start + len(parts) - 1].op
+            if last not in dispatched:
+                continue
+            seen.add(last)
+            assert hasattr(handler, "source") == (dispatched[last] > 0), (last, iterations)
+        assert seen == set(dispatched)
 
 
 class TestEngineFacade:

@@ -5,7 +5,9 @@ bytes and the v1 record lines — on every registered benchmark and example prog
 
 This suite is the gate for the layered execution engine: any dispatch
 optimization that shifts a safepoint, reorders a use event, or changes
-an exception message fails here.
+an exception message fails here. Every fused run a program dispatches
+is compiled into one function at its first dispatch, so the proofs
+cover the generated code.
 """
 
 import json

@@ -1,6 +1,7 @@
 """The command-line tool: run / profile / report / optimize / disasm."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -429,3 +430,39 @@ def test_serve_views_report_an_unreachable_daemon(capsys, command):
     assert main([command, "--serve", hostport]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot reach serve daemon at {hostport}: ")
+
+
+NULL_CALL = """
+class Box { int v; int get() { return v; } }
+class Main {
+    public static void main(String[] args) {
+        System.println("before");
+        Box b = null;
+        System.println("value " + b.get());
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["baseline", "compiled"])
+@pytest.mark.parametrize("command", ["run", "profile"])
+def test_uncaught_exception_keeps_the_lines_printed_before(tmp_path, capsys, command, engine):
+    path = tmp_path / "null.mj"
+    path.write_text(NULL_CALL)
+    assert main([command, str(path), "--main", "Main", "--engine", engine]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["before"]
+    assert "uncaught mini-Java exception: uncaught NullPointerException: invoke get" in captured.err
+
+
+@pytest.mark.parametrize("engine", ["baseline", "compiled"])
+def test_host_out_of_memory_keeps_the_lines_printed_before(capsys, engine):
+    """The OutOfMemoryError itself does not fit the heap: the run ends
+    with exit 2, after what the program printed."""
+    fixture = Path(__file__).resolve().parent / "fixtures" / "exceptions.mj"
+    argv = ["run", str(fixture), "--main", "Main",
+            "--max-heap", "12288", "--engine", engine, "12", "4748"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-2:] == ["caught 747332 total 3478", "exhausted here 9495"]
+    assert "error: live 12288B + 16B exceeds 12288B" in captured.err

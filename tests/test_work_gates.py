@@ -45,9 +45,9 @@ BASELINE_RULES = ["DRAG001", "DRAG002", "DRAG003", "DRAG004", "DRAG005"]
 # Compiled-engine Python opcodes per VM instruction at ARGS, measured
 # after one warm-up run. A change that lowers a count lowers its budget.
 OPCODE_BUDGET = {
-    (3, 9): {"db": 61.37, "euler": 32.58},
-    (3, 11): {"db": 65.16, "euler": 35.73},
-    (3, 12): {"db": 59.04, "euler": 32.04},
+    (3, 9): {"db": 54.04, "euler": 21.22},
+    (3, 11): {"db": 56.33, "euler": 22.46},
+    (3, 12): {"db": 51.55, "euler": 20.60},
 }
 # Calls a profiled db run makes per logged record beyond a plain run's:
 # on_alloc, its trailer, the record and its write (3.67 on 3.9 and 3.11,
