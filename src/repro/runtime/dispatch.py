@@ -1,4 +1,4 @@
-"""The per-method closure compiler behind the ``compiled`` engine.
+"""The per-method handler compiler behind the ``compiled`` engine.
 
 At first execution of a method, :func:`compile_method` translates its
 bytecode into a list of *handler closures*, one per instruction. Each
@@ -6,6 +6,18 @@ closure has its operands, resolved callees, and VM plumbing (heap,
 frame stack, statics) bound as cell variables, so the dispatch loop in
 :mod:`repro.runtime.compiled` does no opcode comparison and no operand
 decoding — it indexes ``handlers[frame.pc]`` and calls.
+
+**Source templates.** Every opcode has its semantics written once, as
+a source template (:data:`TEMPLATES`), in an unprofiled and an
+inline-stamp profiled variant. Three opcodes have a second template,
+picked per instruction at translation (:data:`PICKS`): ``INVOKESTATIC``
+and ``INVOKESUPER`` by whether the callee is native, ``TOSTR`` by
+whether it converts a ``char``. On first use in a process a template
+is compiled into a factory, which makes the opcode's handler closures.
+When translating an instruction raises ``KeyError`` or ``VMError`` (a
+class or method the program does not define, an opcode with no
+template), its handler raises that error when it runs, as the baseline
+does: failure happens at execution, never at translation.
 
 **Fused runs.** Most instructions cannot allocate, call, return or
 switch frames (:data:`FUSABLE`: locals, constants, stack shuffles,
@@ -16,26 +28,20 @@ from the run's instructions (:func:`compile_run`) that stores
 ``frame.pc`` one past each part's index before it runs, exactly as the
 loop would. The run is compiled at its first dispatch: until then the
 handler at its start is a stub that has the VM compile the run and put
-the function in its place. A run never continues into a jump target or
-catch handler, so every pc reached other than by falling through
-starts its own run; the other pcs of a run keep their single handler.
-The stub and the function expose the run's handlers as ``parts``. The
-run returns how many instructions it ran past its first, for the
-loop's count; an exception thrown mid-run leaves ``frame.pc`` one past
-the part that threw, from which the loop corrects the count.
-
-**Source templates.** Each fusable opcode and branch has its semantics
-written once, as a source template (:data:`TEMPLATES`), in an
-unprofiled and an inline-stamp profiled variant. On first use in a
-process a template is compiled into a factory, which makes the
-opcode's lone handler closures; those are also a run's parts. A
-compiled run is the run's template bodies concatenated: it binds the
-stack and locals once and reads each part's operands from that part's
-closure. Operands, last-use frames and VM plumbing reach generated
-code only as names in its namespace; its source holds template text,
-generated names (``field_3`` is part 3's field) and translator-made
-integers (local slots, jump targets, pcs), never program text. The
-other opcodes keep their closure factories.
+the function in its place. A run never continues into a jump target,
+a catch handler or an instruction whose translation failed, so every
+pc reached other than by falling through starts its own run; the other
+pcs of a run keep their single handler. The stub and the function
+expose the run's handlers as ``parts``. The run returns how many
+instructions it ran past its first, for the loop's count; an exception
+thrown mid-run leaves ``frame.pc`` one past the part that threw, from
+which the loop corrects the count. A compiled run is the run's
+template bodies concatenated: it binds the stack and locals once and
+reads each part's operands from that part's closure. Operands,
+last-use frames and VM plumbing reach generated code only as names in
+its namespace; its source holds template text, generated names
+(``field_3`` is part 3's field) and translator-made integers (local
+slots, jump targets, pcs), never program text.
 
 Both engines report the same runtime events to an attached
 :class:`~repro.core.profiler.HeapProfiler`: an allocation (the heap
@@ -61,8 +67,9 @@ Three properties the rest of the system depends on:
   closure or compiled run contains *no profiler code at all* — not a
   disabled hook, none. ``tests/runtime/test_dispatch.py`` asserts this
   by inspecting the handlers' code objects and namespaces.
-* **Inline use stamping.** When a profiler is attached, the use-op
-  handlers stamp the object's trailer themselves instead of calling
+* **Inline use stamping.** When a profiler is attached, every use-op
+  handler stamps the object's trailer itself with the one stamp
+  template, :data:`_STAMP`, instead of calling
   :meth:`HeapProfiler.on_use`, which stays the reference semantics
   (the baseline interpreter and natives call it). A handler only runs
   while its frame is the top frame, one instruction past its own
@@ -102,7 +109,7 @@ class DispatchContext:
         "chain", "nested_frames",
     )
     # The attributes a source template may name: the VM plumbing.
-    PLUMBING = ("vm", "heap", "program", "chain", "nested_frames")
+    PLUMBING = ("vm", "heap", "frames", "program", "chain", "nested_frames")
 
     def __init__(self, vm, profiler=None, stats=None) -> None:
         self.vm = vm
@@ -130,460 +137,8 @@ class DispatchContext:
             self.nested_frames = profiler._nested_frames
 
 
-def _use_stamp(ctx):
-    """What a profiled use handler binds to stamp a trailer inline:
-    its last-use frame, the last-use chain depth (0 when
-    ``last_use_depth <= 1``, i.e. no chain), and the chain capture."""
-    return ctx.where, ctx.chain, ctx.nested_frames
-
-
 # ---------------------------------------------------------------------------
-# per-opcode closure factories: factory(instr, ctx) -> handler
-# ---------------------------------------------------------------------------
-
-
-def _c_invokev(instr, ctx):
-    name, argc = instr.args
-    npe = f"invoke {name}"
-    vm = ctx.vm
-    frames = ctx.frames
-    program = ctx.program
-    # Per-call-site inline cache: receiver class name -> resolved
-    # method. lookup_method is deterministic over an immutable class
-    # graph, so memoizing it cannot change behaviour.
-    cache = {}
-    if ctx.profiler is None:
-
-        def op_invokev(frame):
-            stack = frame.stack
-            args = stack[len(stack) - argc:]
-            del stack[len(stack) - argc:]
-            recv = stack.pop()
-            if recv is None:
-                vm.throw("NullPointerException", npe)
-            cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
-            method = cache.get(cls_name)
-            if method is None:
-                method = program.lookup_method(cls_name, name)
-                if method is None:
-                    raise VMError(f"no method {cls_name}.{name}")
-                cache[cls_name] = method
-            if method.is_native:
-                result = vm._call_native(method, recv, args)
-                if method.return_descriptor != "void":
-                    stack.append(result)
-            else:
-                frames.append(Frame(method, make_locals(method, args, recv)))
-
-        return op_invokev
-
-    heap = ctx.heap
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_invokev_profiled(frame):
-        stack = frame.stack
-        args = stack[len(stack) - argc:]
-        del stack[len(stack) - argc:]
-        recv = stack.pop()
-        if recv is None:
-            vm.throw("NullPointerException", npe)
-        trailer = recv.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
-        method = cache.get(cls_name)
-        if method is None:
-            method = program.lookup_method(cls_name, name)
-            if method is None:
-                raise VMError(f"no method {cls_name}.{name}")
-            cache[cls_name] = method
-        if method.is_native:
-            result = vm._call_native(method, recv, args)
-            if method.return_descriptor != "void":
-                stack.append(result)
-        else:
-            frames.append(Frame(method, make_locals(method, args, recv)))
-
-    return op_invokev_profiled
-
-
-def _c_invokestatic(instr, ctx):
-    cls_name, name, argc = instr.args
-    vm = ctx.vm
-    frames = ctx.frames
-    # Static binding: resolvable at translation time.
-    method = ctx.program.lookup_method(cls_name, name)
-    if method is None:
-        message = f"no method {cls_name}.{name}"
-
-        def op_invokestatic_unbound(frame):
-            raise VMError(message)
-
-        return op_invokestatic_unbound
-    if method.is_native:
-        push_result = method.return_descriptor != "void"
-
-        def op_invokestatic_native(frame):
-            stack = frame.stack
-            args = stack[len(stack) - argc:]
-            del stack[len(stack) - argc:]
-            result = vm._call_native(method, None, args)
-            if push_result:
-                stack.append(result)
-
-        return op_invokestatic_native
-
-    def op_invokestatic(frame):
-        stack = frame.stack
-        args = stack[len(stack) - argc:]
-        del stack[len(stack) - argc:]
-        frames.append(Frame(method, make_locals(method, args, None)))
-
-    return op_invokestatic
-
-
-def _c_invokesuper(instr, ctx):
-    start_cls, name, argc = instr.args
-    vm = ctx.vm
-    frames = ctx.frames
-    profiled = ctx.profiler is not None
-    if profiled:
-        heap = ctx.heap
-        where, chain, nested_frames = _use_stamp(ctx)
-    method = ctx.program.lookup_method(start_cls, name)
-    if method is None:
-        message = f"no method {start_cls}.{name}"
-
-        def op_invokesuper_unbound(frame):
-            raise VMError(message)
-
-        return op_invokesuper_unbound
-    if method.is_native:
-        push_result = method.return_descriptor != "void"
-        if not profiled:
-
-            def op_invokesuper_native(frame):
-                stack = frame.stack
-                args = stack[len(stack) - argc:]
-                del stack[len(stack) - argc:]
-                recv = stack.pop()
-                result = vm._call_native(method, recv, args)
-                if push_result:
-                    stack.append(result)
-
-            return op_invokesuper_native
-
-        def op_invokesuper_native_profiled(frame):
-            stack = frame.stack
-            args = stack[len(stack) - argc:]
-            del stack[len(stack) - argc:]
-            recv = stack.pop()
-            trailer = recv.trailer
-            if trailer is not None:
-                clock = heap.clock
-                if trailer.first_use_time == 0:
-                    trailer.first_use_time = clock
-                trailer.last_use_time = clock
-                trailer.last_use_frame = where
-                if chain:
-                    trailer.last_use_chain = nested_frames(chain)
-            result = vm._call_native(method, recv, args)
-            if push_result:
-                stack.append(result)
-
-        return op_invokesuper_native_profiled
-    if not profiled:
-
-        def op_invokesuper(frame):
-            stack = frame.stack
-            args = stack[len(stack) - argc:]
-            del stack[len(stack) - argc:]
-            recv = stack.pop()
-            frames.append(Frame(method, make_locals(method, args, recv)))
-
-        return op_invokesuper
-
-    def op_invokesuper_profiled(frame):
-        stack = frame.stack
-        args = stack[len(stack) - argc:]
-        del stack[len(stack) - argc:]
-        recv = stack.pop()
-        trailer = recv.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        frames.append(Frame(method, make_locals(method, args, recv)))
-
-    return op_invokesuper_profiled
-
-
-def _c_missing_class(cls_name):
-    def op_missing_class(frame):
-        # Matches the baseline's failure mode (KeyError at execution,
-        # not at translation) for an unreachable reference to a class
-        # the program does not define.
-        raise KeyError(cls_name)
-
-    return op_missing_class
-
-
-def _c_newinit(instr, ctx):
-    cls_name, argc = instr.args
-    vm = ctx.vm
-    heap = ctx.heap
-    frames = ctx.frames
-    cls = ctx.program.classes.get(cls_name)
-    if cls is None:
-        return _c_missing_class(cls_name)
-    ctor = cls.ctor
-    site = instr.site
-
-    def op_newinit(frame):
-        stack = frame.stack
-        args = stack[len(stack) - argc:]
-        del stack[len(stack) - argc:]
-        vm.alloc_site = site
-        obj = heap.new_instance(cls)
-        stack.append(obj)  # rooted while the ctor runs
-        frames.append(Frame(ctor, make_locals(ctor, args, obj)))
-
-    return op_newinit
-
-
-def _c_superinit(instr, ctx):
-    cls_name, argc = instr.args
-    frames = ctx.frames
-    cls = ctx.program.classes.get(cls_name)
-    if cls is None:
-        return _c_missing_class(cls_name)
-    ctor = cls.ctor
-
-    def op_superinit(frame):
-        stack = frame.stack
-        args = stack[len(stack) - argc:]
-        del stack[len(stack) - argc:]
-        this = frame.locals[0]
-        frames.append(Frame(ctor, make_locals(ctor, args, this)))
-
-    return op_superinit
-
-
-def _c_newarray(instr, ctx):
-    elem_desc, elem_repr = instr.args
-    vm = ctx.vm
-    heap = ctx.heap
-    site = instr.site
-
-    def op_newarray(frame):
-        stack = frame.stack
-        length = stack.pop()
-        if length < 0:
-            vm.throw("IndexOutOfBoundsException", f"array size {length}")
-        vm.alloc_site = site
-        stack.append(heap.new_array(elem_desc, elem_repr, length))
-
-    return op_newarray
-
-
-def _c_ret(instr, ctx):
-    vm = ctx.vm
-    frames = ctx.frames
-
-    def op_ret(frame):
-        frames.pop()
-        if len(frames) == vm._floor:
-            vm._return_value = None
-
-    return op_ret
-
-
-def _c_retv(instr, ctx):
-    vm = ctx.vm
-    frames = ctx.frames
-
-    def op_retv(frame):
-        value = frame.stack.pop()
-        frames.pop()
-        if len(frames) == vm._floor:
-            vm._return_value = value
-        else:
-            frames[-1].stack.append(value)
-
-    return op_retv
-
-
-def _c_const_string(instr, ctx):
-    text = instr.args[0]
-    site = instr.site
-    vm = ctx.vm
-    interned_map = ctx.heap.interned
-
-    def op_const_string(frame):
-        interned = interned_map.get(text)
-        if interned is None:
-            vm.alloc_site = site
-            interned = vm.new_string(text, excluded=True)
-            interned_map[text] = interned
-        frame.stack.append(interned)
-
-    return op_const_string
-
-
-def _c_tostr(instr, ctx):
-    vm = ctx.vm
-    site = instr.site
-    if instr.args[0] == "char":
-
-        def op_tostr_char(frame):
-            stack = frame.stack
-            vm.alloc_site = site
-            stack.append(vm.new_string(chr(stack.pop())))
-
-        return op_tostr_char
-
-    def op_tostr(frame):
-        stack = frame.stack
-        vm.alloc_site = site
-        stack.append(vm.stringify(stack.pop()))
-
-    return op_tostr
-
-
-def _c_concat(instr, ctx):
-    vm = ctx.vm
-    site = instr.site
-
-    def op_concat(frame):
-        stack = frame.stack
-        b = stack.pop()
-        a = stack.pop()
-        text = vm.string_value(a) + vm.string_value(b)
-        vm.alloc_site = site
-        stack.append(vm.new_string(text))
-
-    return op_concat
-
-
-def _c_monenter(instr, ctx):
-    vm = ctx.vm
-    if ctx.profiler is None:
-
-        def op_monenter(frame):
-            obj = frame.stack.pop()
-            if obj is None:
-                vm.throw("NullPointerException", "monitorenter")
-            obj.monitor_depth += 1
-
-        return op_monenter
-
-    heap = ctx.heap
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_monenter_profiled(frame):
-        obj = frame.stack.pop()
-        if obj is None:
-            vm.throw("NullPointerException", "monitorenter")
-        trailer = obj.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        obj.monitor_depth += 1
-
-    return op_monenter_profiled
-
-
-def _c_monexit(instr, ctx):
-    vm = ctx.vm
-    if ctx.profiler is None:
-
-        def op_monexit(frame):
-            obj = frame.stack.pop()
-            if obj is None:
-                vm.throw("NullPointerException", "monitorexit")
-            obj.monitor_depth -= 1
-
-        return op_monexit
-
-    heap = ctx.heap
-    where, chain, nested_frames = _use_stamp(ctx)
-
-    def op_monexit_profiled(frame):
-        obj = frame.stack.pop()
-        if obj is None:
-            vm.throw("NullPointerException", "monitorexit")
-        trailer = obj.trailer
-        if trailer is not None:
-            clock = heap.clock
-            if trailer.first_use_time == 0:
-                trailer.first_use_time = clock
-            trailer.last_use_time = clock
-            trailer.last_use_frame = where
-            if chain:
-                trailer.last_use_chain = nested_frames(chain)
-        obj.monitor_depth -= 1
-
-    return op_monexit_profiled
-
-
-def _c_throw(instr, ctx):
-    vm = ctx.vm
-
-    def op_throw(frame):
-        obj = frame.stack.pop()
-        if obj is None:
-            vm.throw("NullPointerException", "throw null")
-        raise MJThrow(obj)
-
-    return op_throw
-
-
-OP_COMPILERS = {
-    Op.INVOKEV: _c_invokev,
-    Op.INVOKESTATIC: _c_invokestatic,
-    Op.INVOKESUPER: _c_invokesuper,
-    Op.NEWINIT: _c_newinit,
-    Op.SUPERINIT: _c_superinit,
-    Op.NEWARRAY: _c_newarray,
-    Op.RET: _c_ret,
-    Op.RETV: _c_retv,
-    Op.CONST_STRING: _c_const_string,
-    Op.TOSTR: _c_tostr,
-    Op.CONCAT: _c_concat,
-    Op.MONENTER: _c_monenter,
-    Op.MONEXIT: _c_monexit,
-    Op.THROW: _c_throw,
-}
-
-
-def _c_unknown(instr, ctx):
-    op = instr.op
-
-    def op_unknown(frame):
-        # Matches the baseline: unknown opcodes fail at execution time,
-        # not at translation time.
-        raise VMError(f"unknown opcode {op}")
-
-    return op_unknown
-
-
-# ---------------------------------------------------------------------------
-# source templates: the fusable opcodes and the branches that close a run
+# source templates: one per opcode, and a second for the opcodes in PICKS
 # ---------------------------------------------------------------------------
 
 # Opcodes whose handlers cannot allocate (except the throwable of an
@@ -631,6 +186,11 @@ def _cast_message(obj, type_repr):
 # stack and locals, and DispatchContext.PLUMBING: what no VM owns.
 _CONSTANTS = {
     "ArrayObject": ArrayObject,
+    "Instance": Instance,
+    "Frame": Frame,
+    "make_locals": make_locals,
+    "MJThrow": MJThrow,
+    "VMError": VMError,
     "NPE": "NullPointerException",
     "ARITHMETIC": "ArithmeticException",
     "OUT_OF_BOUNDS": "IndexOutOfBoundsException",
@@ -647,7 +207,8 @@ class _Template:
 
     ``operands`` are statements that compute, from ``instr`` and
     ``ctx``, each name in ``fields``; they run once per instruction, at
-    translation. ``body`` runs per dispatch: it reads the operand stack
+    translation, and may raise ``KeyError`` or ``VMError`` for a name
+    the program does not define. ``body`` runs per dispatch: it reads the operand stack
     and locals as ``stack`` and ``locals_``, its fields, and otherwise
     only names of ``_CONSTANTS`` and ``DispatchContext.PLUMBING``. A
     line ``@use NAME`` marks where a profiled handler stamps the object
@@ -680,6 +241,24 @@ def _binary(name, operator):
 
 
 _ARG = "{} = instr.args[0]"
+_SITE = "site = instr.site"
+# A call's arguments, popped off the operand stack.
+_ARGS = """\
+args = stack[len(stack) - argc:]
+del stack[len(stack) - argc:]"""
+# A static or super call's callee, resolved at translation.
+_CALLEE = """\
+cls_name, name, argc = instr.args
+method = ctx.program.lookup_method(cls_name, name)
+if method is None:
+    raise VMError(f"no method {cls_name}.{name}")"""
+_NATIVE_CALLEE = _CALLEE + """
+push_result = method.return_descriptor != "void\""""
+# A constructor call's class and constructor.
+_CTOR = """\
+cls = ctx.program.classes[instr.args[0]]
+ctor = cls.ctor
+argc = instr.args[1]"""
 
 TEMPLATES = {
     Op.LOAD: _Template("load", "slot", _ARG.format("slot"), "stack.append(locals_[slot])"),
@@ -792,6 +371,134 @@ if not stack.pop():
     Op.JIT: _Template("jit", "target", _ARG.format("target"), """\
 if stack.pop():
     frame.pc = target"""),
+    # The opcodes below never join a fused run.
+    Op.INVOKEV: _Template("invokev", "name argc npe cache", """\
+name, argc = instr.args
+npe = f"invoke {name}"
+cache = {}""", f"""\
+{_ARGS}
+recv = stack.pop()
+if recv is None:
+    vm.throw(NPE, npe)
+@use recv
+cls_name = recv.class_name if isinstance(recv, Instance) else "Object"
+method = cache.get(cls_name)
+if method is None:
+    method = program.lookup_method(cls_name, name)
+    if method is None:
+        raise VMError(f"no method {{cls_name}}.{{name}}")
+    cache[cls_name] = method
+if method.is_native:
+    result = vm._call_native(method, recv, args)
+    if method.return_descriptor != "void":
+        stack.append(result)
+else:
+    frames.append(Frame(method, make_locals(method, args, recv)))"""),
+    Op.INVOKESTATIC: _Template("invokestatic", "method argc", _CALLEE, f"""\
+{_ARGS}
+frames.append(Frame(method, make_locals(method, args, None)))"""),
+    Op.INVOKESUPER: _Template("invokesuper", "method argc", _CALLEE, f"""\
+{_ARGS}
+recv = stack.pop()
+@use recv
+frames.append(Frame(method, make_locals(method, args, recv)))"""),
+    # The new object is on the stack, so rooted, while its ctor runs.
+    Op.NEWINIT: _Template("newinit", "cls ctor argc site", f"""\
+{_CTOR}
+site = instr.site""", f"""\
+{_ARGS}
+vm.alloc_site = site
+obj = heap.new_instance(cls)
+stack.append(obj)
+frames.append(Frame(ctor, make_locals(ctor, args, obj)))"""),
+    Op.SUPERINIT: _Template("superinit", "ctor argc", _CTOR, f"""\
+{_ARGS}
+this = frame.locals[0]
+frames.append(Frame(ctor, make_locals(ctor, args, this)))"""),
+    Op.NEWARRAY: _Template("newarray", "elem_desc elem_repr site", """\
+elem_desc, elem_repr = instr.args
+site = instr.site""", """\
+length = stack.pop()
+if length < 0:
+    vm.throw(OUT_OF_BOUNDS, f"array size {length}")
+vm.alloc_site = site
+stack.append(heap.new_array(elem_desc, elem_repr, length))"""),
+    Op.RET: _Template("ret", body="""\
+frames.pop()
+if len(frames) == vm._floor:
+    vm._return_value = None"""),
+    Op.RETV: _Template("retv", body="""\
+value = frame.stack.pop()
+frames.pop()
+if len(frames) == vm._floor:
+    vm._return_value = value
+else:
+    frames[-1].stack.append(value)"""),
+    Op.CONST_STRING: _Template("const_string", "text site interned_map", """\
+text = instr.args[0]
+site = instr.site
+interned_map = ctx.heap.interned""", """\
+interned = interned_map.get(text)
+if interned is None:
+    vm.alloc_site = site
+    interned = vm.new_string(text, excluded=True)
+    interned_map[text] = interned
+frame.stack.append(interned)"""),
+    Op.TOSTR: _Template("tostr", "site", _SITE, """\
+vm.alloc_site = site
+stack.append(vm.stringify(stack.pop()))"""),
+    Op.CONCAT: _Template("concat", "site", _SITE, """\
+b = stack.pop()
+a = stack.pop()
+text = vm.string_value(a) + vm.string_value(b)
+vm.alloc_site = site
+stack.append(vm.new_string(text))"""),
+    Op.MONENTER: _Template("monenter", body="""\
+obj = frame.stack.pop()
+if obj is None:
+    vm.throw(NPE, "monitorenter")
+@use obj
+obj.monitor_depth += 1"""),
+    Op.MONEXIT: _Template("monexit", body="""\
+obj = frame.stack.pop()
+if obj is None:
+    vm.throw(NPE, "monitorexit")
+@use obj
+obj.monitor_depth -= 1"""),
+    Op.THROW: _Template("throw", body="""\
+obj = frame.stack.pop()
+if obj is None:
+    vm.throw(NPE, "throw null")
+raise MJThrow(obj)"""),
+}
+
+
+def _native_callee(instr, ctx) -> bool:
+    method = ctx.program.lookup_method(instr.args[0], instr.args[1])
+    return method is not None and method.is_native
+
+
+# The opcodes with a second template, and what picks it for an
+# instruction at translation: a native callee, a char to convert.
+PICKS = {
+    Op.INVOKESTATIC: (_native_callee, _Template(
+        "invokestatic_native", "method argc push_result", _NATIVE_CALLEE, f"""\
+{_ARGS}
+result = vm._call_native(method, None, args)
+if push_result:
+    stack.append(result)""")),
+    Op.INVOKESUPER: (_native_callee, _Template(
+        "invokesuper_native", "method argc push_result", _NATIVE_CALLEE, f"""\
+{_ARGS}
+recv = stack.pop()
+@use recv
+result = vm._call_native(method, recv, args)
+if push_result:
+    stack.append(result)""")),
+    Op.TOSTR: (lambda instr, ctx: instr.args[0] == "char", _Template(
+        "tostr_char", "site", _SITE, """\
+vm.alloc_site = site
+stack.append(vm.new_string(chr(stack.pop())))""")),
 }
 
 _WORD = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
@@ -809,10 +516,10 @@ def _bind_frame(lines: List[str]) -> List[str]:
     ] + text.splitlines()
 
 
-def _filename(what: str) -> str:
-    """Where generated code says it comes from: beside this module, so
-    tracebacks and per-package call counts file it under the runtime."""
-    return os.path.join(os.path.dirname(__file__), f"<{what}>")
+# Where generated code says it comes from: beside this module, so
+# tracebacks and per-package call counts file it under the runtime.
+_TEMPLATE_FILE = os.path.join(os.path.dirname(__file__), "<template>")
+_RUN_FILE = os.path.join(os.path.dirname(__file__), "<fused run>")
 
 
 def _indent(lines: List[str], depth: int) -> str:
@@ -849,19 +556,18 @@ class _Compiled:
             f"    return {name}\n"
         )
         namespace = dict(_CONSTANTS)
-        exec(compile(source, _filename(f"{name} template"), "exec"), namespace)
+        exec(compile(source, _TEMPLATE_FILE, "exec"), namespace)
         self.factory = namespace["make"]
 
 
-# Every opcode's handler factory, without and with a profiler: the
-# closure factories, and each template's once compiled in this process.
-_FACTORIES = {False: dict(OP_COMPILERS), True: dict(OP_COMPILERS)}
-_COMPILED: Dict[Tuple[Op, bool], _Compiled] = {}
+# Each template variant, and each opcode's handler factory without and
+# with a profiler, once made in this process.
+_COMPILED: Dict[Tuple[_Template, bool], _Compiled] = {}
+_FACTORIES: Dict[bool, Dict[Op, Callable]] = {False: {}, True: {}}
 
 
-def _compiled(op: Op, profiled: bool) -> _Compiled:
-    template = TEMPLATES[op]
-    key = op, profiled and template.uses
+def _compiled(template: _Template, profiled: bool) -> _Compiled:
+    key = template, profiled and template.uses
     compiled = _COMPILED.get(key)
     if compiled is None:
         compiled = _COMPILED[key] = _Compiled(template, key[1])
@@ -869,10 +575,30 @@ def _compiled(op: Op, profiled: bool) -> _Compiled:
 
 
 def _factory(op: Op, profiled: bool):
-    if op not in TEMPLATES:
-        return _c_unknown
-    factory = _FACTORIES[profiled][op] = _compiled(op, profiled).factory
+    template = TEMPLATES.get(op)
+    if template is None:
+        raise VMError(f"unknown opcode {op}")
+    factory = _compiled(template, profiled).factory
+    if op in PICKS:
+        pick, other = PICKS[op]
+        first, second = factory, _compiled(other, profiled).factory
+
+        def factory(instr, ctx):
+            return (second if pick(instr, ctx) else first)(instr, ctx)
+
+    _FACTORIES[profiled][op] = factory
     return factory
+
+
+def _deferred(error: Exception) -> Handler:
+    """The handler of an instruction whose translation raised ``error``:
+    it raises the same error when it runs, and only then, as the
+    baseline does."""
+
+    def op_raise(frame):
+        raise error.with_traceback(None)
+
+    return op_raise
 
 
 def compile_run(ctx, method: CompiledMethod, start: int, parts) -> Handler:
@@ -896,7 +622,7 @@ def compile_run(ctx, method: CompiledMethod, start: int, parts) -> Handler:
     for k, (instr, part) in enumerate(zip(code, parts)):
         if k:
             lines.append(f"frame.pc = {start + k + 1}")
-        compiled = _compiled(instr.op, profiled)
+        compiled = _compiled(TEMPLATES[instr.op], profiled)
         cells = dict(zip(part.__code__.co_freevars, part.__closure__ or ()))
         names = {}
         for field in compiled.fields:
@@ -909,7 +635,7 @@ def compile_run(ctx, method: CompiledMethod, start: int, parts) -> Handler:
         lines.append(compiled.run_body[chain].format_map(names))
     lines.append(f"return {len(parts) - 1}")
     source = f"def fused_run(frame):\n{_indent(_bind_frame(lines), 4)}"
-    exec(compile(source, _filename("fused run"), "exec"), namespace)
+    exec(compile(source, _RUN_FILE, "exec"), namespace)
     run = namespace.pop("fused_run")
     run.parts = parts
     run.source = source
@@ -931,18 +657,21 @@ def _first_dispatch(vm, method: CompiledMethod, start: int, parts) -> Handler:
     return op_run
 
 
-def _runs(method: CompiledMethod):
+def _runs(method: CompiledMethod, failed: List[int]):
     """``(start, end)`` of each straight-line run of two or more
     instructions: fusable opcodes, optionally closed by one branch. A
     run never continues into a jump target or a catch handler, so
-    every pc reached other than by falling through starts its own."""
+    every pc reached other than by falling through starts its own. An
+    instruction whose translation ``failed`` is in no run."""
     code = method.code
-    targets = {instr.args[0] for instr in code if instr.op in BRANCHES}
-    targets.update(entry.handler for entry in method.exception_table)
+    starts = {instr.args[0] for instr in code if instr.op in BRANCHES}
+    starts.update(entry.handler for entry in method.exception_table)
+    for index in failed:
+        starts.update((index, index + 1))
     start = 0
     while start < len(code):
         end = start
-        while end < len(code) and (end == start or end not in targets):
+        while end < len(code) and (end == start or end not in starts):
             op = code[end].op
             if op in FUSABLE:
                 end += 1
@@ -961,15 +690,21 @@ def compile_method(
     """Translate one method's bytecode into handler closures, then
     replace the handler at the start of each straight-line run of two
     or more instructions with a stub that compiles the run into one
-    function at its first dispatch."""
+    function at its first dispatch. An instruction whose translation
+    raises ``KeyError`` or ``VMError`` gets a handler that raises it."""
     profiled = ctx.profiler is not None
     factories = _FACTORIES[profiled]
     handlers: List[Handler] = []
+    failed: List[int] = []
     for index, instr in enumerate(method.code):
         ctx.where = (method, index)
-        factory = factories.get(instr.op) or _factory(instr.op, profiled)
-        handlers.append(factory(instr, ctx))
-    for start, end in _runs(method):
+        try:
+            factory = factories.get(instr.op) or _factory(instr.op, profiled)
+            handlers.append(factory(instr, ctx))
+        except (KeyError, VMError) as error:
+            handlers.append(_deferred(error))
+            failed.append(index)
+    for start, end in _runs(method, failed):
         handlers[start] = _first_dispatch(ctx.vm, method, start, tuple(handlers[start:end]))
     stats = ctx.stats
     if stats is not None:

@@ -10,10 +10,17 @@ inspection also walks the ``parts`` of each fused run, so fusing a
 handler into a run cannot hide it. Each run is compiled into one
 function at its first dispatch, so the hook and telemetry inspections
 also inspect the function of every run the program dispatched, with
-the namespace that function reads its names from.
+the namespace that function reads its names from. Every walk also
+checks that each code object it meets says it comes from the runtime
+package, where the per-package call gates of
+``tests/test_work_gates.py`` count its calls.
 """
 
+import os
+
 import pytest
+
+import repro.runtime
 
 from repro.errors import VMError
 from repro.bytecode.opcodes import Op
@@ -63,6 +70,8 @@ class Main {
 
 HOOK_NAMES = {"profiler", "note_use", "on_alloc", "on_use"}
 
+RUNTIME = os.path.dirname(repro.runtime.__file__) + os.sep
+
 # The §2.1.1 use events the compiled engine stamps inline.
 USE_OPS = {
     Op.GETFIELD, Op.PUTFIELD, Op.ALOAD, Op.ASTORE, Op.ARRAYLEN,
@@ -85,18 +94,26 @@ def _build(profiler=None, telemetry=None):
     return vm, result
 
 
+def _counted(handler):
+    """``handler``, once its code is filed under the runtime package."""
+    assert handler.__code__.co_filename.startswith(RUNTIME), (
+        handler, handler.__code__.co_filename)
+    return handler
+
+
 def _instruction_handlers(handlers):
     """Each instruction's own handler, by index: the first part of a
     fused run stands for its start, whose list entry is the run."""
     for index, handler in enumerate(handlers):
         parts = getattr(handler, "parts", None)
         if parts is None:
-            yield index, handler
+            yield index, _counted(handler)
             continue
+        _counted(handler)
         assert len(parts) >= 2, handler
         for offset, part in enumerate(parts[1:], start=1):
             assert part is handlers[index + offset], (handler, offset)
-        yield index, parts[0]
+        yield index, _counted(parts[0])
 
 
 def _all_handlers(vm):
@@ -104,8 +121,9 @@ def _all_handlers(vm):
     each part."""
     for handlers in vm._code_cache.values():
         for handler in handlers:
-            yield handler
-            yield from getattr(handler, "parts", ())
+            yield _counted(handler)
+            for part in getattr(handler, "parts", ()):
+                yield _counted(part)
 
 
 def _compiled_runs(vm):

@@ -16,7 +16,8 @@ one-shot wall-time ratio measured noise:
 * ``--sample-bytes 4096`` makes fewer calls into ``repro.core`` and
   ``repro.runtime`` than a full-rate run;
 * snapshot capture adds at most 10% to a profiled db run's calls;
-* the heap rules DRAG006/DRAG007 at most double the lint's calls.
+* the heap rules DRAG006/DRAG007 add at most a per-program share to
+  the lint's calls, below what a second heap analysis adds.
 
 Opcode counts differ between Python versions; the ratios hold on 3.9,
 3.11 and 3.12, and the opcode budget is kept per minor version.
@@ -45,14 +46,21 @@ BASELINE_RULES = ["DRAG001", "DRAG002", "DRAG003", "DRAG004", "DRAG005"]
 # Compiled-engine Python opcodes per VM instruction at ARGS, measured
 # after one warm-up run. A change that lowers a count lowers its budget.
 OPCODE_BUDGET = {
-    (3, 9): {"db": 54.04, "euler": 21.22},
-    (3, 11): {"db": 56.33, "euler": 22.46},
-    (3, 12): {"db": 51.55, "euler": 20.60},
+    (3, 9): {"db": 53.88, "euler": 21.13},
+    (3, 11): {"db": 56.14, "euler": 22.34},
+    (3, 12): {"db": 51.41, "euler": 20.51},
 }
 # Calls a profiled db run makes per logged record beyond a plain run's:
 # on_alloc, its trailer, the record and its write (3.67 on 3.9 and 3.11,
 # 3.60 on 3.12).
 PROFILE_CALLS_PER_RECORD = 3.7
+# Full lint calls over the five baseline rules' calls, per program. The
+# heap rules add a fixed number of calls; the baseline's count moves a
+# few percent with the hash seed. Measured on 3.9, 3.11 and 3.12: db
+# 1.45-1.49, euler 1.24-1.27, jess 1.41-1.45, cache 1.39-1.43. Building
+# the heap liveness analysis a second time reads 1.87-1.93, 1.43-1.47,
+# 1.77-1.84 and 1.73-1.79; each bound lies between the two.
+HEAP_RULE_RATIO = {"db": 1.65, "euler": 1.35, "jess": 1.6, "cache": 1.55}
 
 
 def calls_per_layer(prepare):
@@ -199,7 +207,7 @@ def test_snapshot_capture_adds_at_most_a_tenth_of_the_calls():
     assert sum(captured.values()) <= 1.10 * plain, (sum(captured.values()), plain)
 
 
-@pytest.mark.parametrize("name", ["db", "euler", "jess", "cache"])
+@pytest.mark.parametrize("name", sorted(HEAP_RULE_RATIO))
 def test_heap_rules_at_most_double_the_lint_calls(name):
     bench = get_benchmark(name)
 
@@ -211,4 +219,4 @@ def test_heap_rules_at_most_double_the_lint_calls(name):
 
     baseline = sum(calls_per_layer(lint(BASELINE_RULES)).values())
     full = sum(calls_per_layer(lint(BASELINE_RULES + ["DRAG006", "DRAG007"])).values())
-    assert full <= 2.0 * baseline, (full, baseline)
+    assert full <= HEAP_RULE_RATIO[name] * baseline, (full, baseline)
