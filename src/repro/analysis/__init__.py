@@ -14,8 +14,18 @@ automate its manual rewrites:
 * exception analysis — removed code must not throw exceptions the
   program could catch (§5.5),
 
-plus the class-hierarchy and call-graph information the authors got
-from JAN (§3.2).
+plus the call-graph information the authors got from JAN (§3.2).
+
+Each graph fact has one owner. :class:`~repro.analysis.callgraph.CallGraph`
+is the only call resolver (CHA families, exact targets, key → method)
+and resolves each call site once; the class table
+(:class:`repro.mjava.sema.ClassTable`) owns the class hierarchy;
+:func:`~repro.analysis.dataflow.solve` is the one intraprocedural
+solver (forward or backward, may or must);
+:func:`~repro.analysis.callgraph.call_graph_fixpoint` is the one
+interprocedural worklist, seeded callee-first or caller-first; and
+:mod:`repro.snapshot.dominators` holds the one DFS order and the one
+dominator routine, shared with the heap-snapshot analysis.
 """
 
 from repro._lazy import lazy_exports
@@ -26,10 +36,9 @@ from repro.analysis.liveness import LivenessResult, liveness
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.analysis.cfg": ("ControlFlowGraph", "build_cfg"),
-    "repro.analysis.dataflow": ("solve_backward", "solve_forward"),
+    "repro.analysis.dataflow": ("solve",),
     "repro.analysis.usage": ("FieldUsage", "field_usage"),
-    "repro.analysis.callgraph": ("CallGraph", "build_call_graph"),
-    "repro.analysis.hierarchy": ("ClassHierarchy",),
+    "repro.analysis.callgraph": ("CallGraph", "call_graph_fixpoint"),
     "repro.analysis.exceptions": ("ThrownExceptions",),
     "repro.analysis.purity": ("ctor_purity", "PurityResult"),
     "repro.analysis.array_liveness": ("logical_size_pairs", "removal_points"),
@@ -40,15 +49,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "ControlFlowGraph",
     "build_cfg",
-    "solve_backward",
-    "solve_forward",
+    "solve",
     "LivenessResult",
     "liveness",
     "FieldUsage",
     "field_usage",
     "CallGraph",
-    "build_call_graph",
-    "ClassHierarchy",
+    "call_graph_fixpoint",
     "ThrownExceptions",
     "ctor_purity",
     "PurityResult",

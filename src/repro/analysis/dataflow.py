@@ -1,15 +1,15 @@
 """A small worklist dataflow framework over instruction-level CFGs.
 
 Facts are frozensets; transfer functions are per-instruction gen/kill.
-Two merge operators are provided:
+One solver, :func:`solve`, runs in either direction with either merge:
 
-* **may** (union, BOTTOM = empty set) — :func:`solve_backward` /
-  :func:`solve_forward`; what the Section-5 analyses (liveness, usage)
-  need.
-* **must** (intersection, TOP = a caller-supplied universe) —
-  :func:`solve_backward_must` / :func:`solve_forward_must`; what the
-  interprocedural "definitely used on all paths" facts of
-  :mod:`repro.lint.interproc` need.
+* **may** (union, BOTTOM = empty set) — what the Section-5 analyses
+  (liveness, usage) need;
+* **must** (intersection, TOP = a caller-supplied ``universe``) — what
+  the interprocedural "definitely used on all paths" facts of
+  :mod:`repro.lint.interproc` need. Facts start at TOP and shrink
+  monotonically to the greatest fixpoint; unreachable pcs keep TOP,
+  the conventional (vacuous) verdict for code that never runs.
 
 Worklists are seeded in reverse-postorder (forward) / postorder
 (backward) so that facts flow in roughly topological order and each
@@ -17,10 +17,9 @@ node is usually visited O(loop-nesting) times instead of O(n).
 ``order="linear"`` seeds in raw instruction order regardless of
 direction — the naive chaotic-iteration baseline that
 ``tests/analysis/test_dataflow.py`` counts against on every method of
-db, euler and jess (for backward analyses it is drastically worse; the previous hand-rolled reversed-pc
-seeding was a special case of postorder that the DFS now formalizes
-and keeps robust under irregular layouts). The fixpoint is unique
-either way — order only changes how fast it is reached.
+db, euler and jess (for backward analyses it is drastically worse).
+The fixpoint is unique either way — order only changes how fast it is
+reached.
 
 :data:`stats` records the inner-loop iteration count of the most
 recent solve, for benchmarking.
@@ -32,6 +31,7 @@ from collections import deque
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph
+from repro.snapshot.dominators import reverse_postorder
 
 GenKill = Tuple[FrozenSet, FrozenSet]  # (gen, kill)
 
@@ -60,214 +60,85 @@ class SolverStats:
 stats = SolverStats()
 
 
-def _postorder(cfg: ControlFlowGraph) -> List[int]:
-    """DFS postorder over successor edges from the entry (pc 0);
-    unreachable pcs are appended afterwards so every node is seeded."""
+def _seed_order(cfg: ControlFlowGraph, forward: bool, order: str) -> List[int]:
+    """Reverse postorder (forward) or postorder (backward) from the
+    entry, children taken highest pc first; unreachable pcs are seeded
+    too, after the postorder. ``order="linear"`` is plain pc order."""
     n = len(cfg)
-    seen = [False] * n
-    order: List[int] = []
-    if n == 0:
-        return order
-    # Iterative DFS with an explicit stack of (node, child-iterator).
-    stack: List[Tuple[int, List[int]]] = [(0, sorted(cfg.succs[0]))]
-    seen[0] = True
-    while stack:
-        node, children = stack[-1]
-        advanced = False
-        while children:
-            child = children.pop()
-            if not seen[child]:
-                seen[child] = True
-                stack.append((child, sorted(cfg.succs[child])))
-                advanced = True
-                break
-        if not advanced and stack and stack[-1][0] == node and not children:
-            order.append(node)
-            stack.pop()
-    for pc in range(n):
-        if not seen[pc]:
-            order.append(pc)
-    return order
-
-
-def _seed_order(cfg: ControlFlowGraph, direction: str, order: str) -> List[int]:
-    n = len(cfg)
-    if order == "linear":
+    if order == "linear" or n == 0:
         return list(range(n))
-    post = _postorder(cfg)
-    if direction == "forward":
-        return list(reversed(post))  # reverse postorder
-    return post  # postorder: nodes near the exits first
+    rpo = reverse_postorder([sorted(s, reverse=True) for s in cfg.succs])
+    reached = set(rpo)
+    unreachable = [pc for pc in range(n) if pc not in reached]
+    if forward:
+        return unreachable[::-1] + rpo
+    return rpo[::-1] + unreachable
 
 
-def solve_backward(
+def solve(
     cfg: ControlFlowGraph,
     gen_kill: Callable[[int], GenKill],
+    direction: str,
     boundary: FrozenSet = EMPTY,
+    universe: Optional[FrozenSet] = None,
     order: str = "rpo",
 ) -> Tuple[List[FrozenSet], List[FrozenSet]]:
-    """Backward may-analysis: returns (in_facts, out_facts) per pc.
+    """Returns (in_facts, out_facts) per pc.
 
-    out[pc] = union of in[s] for s in succs(pc)   (boundary at exits)
-    in[pc]  = gen(pc) | (out[pc] - kill(pc))
+    ``direction="forward"``::
+
+        in[pc]  = meet of out[p] for p in preds(pc)   (meet with
+                  ``boundary`` at the entry, pc 0)
+        out[pc] = gen(pc) | (in[pc] - kill(pc))
+
+    ``direction="backward"``::
+
+        out[pc] = meet of in[s] for s in succs(pc)    (``boundary`` at
+                  exits)
+        in[pc]  = gen(pc) | (out[pc] - kill(pc))
+
+    The meet is union from the empty set (may) when ``universe`` is
+    None, else intersection from ``universe`` (must).
     """
     n = len(cfg)
-    ins: List[FrozenSet] = [EMPTY] * n
-    outs: List[FrozenSet] = [EMPTY] * n
-    worklist = deque(_seed_order(cfg, "backward", order))
-    queued = [True] * n
-    iterations = 0
-    while worklist:
-        pc = worklist.popleft()
-        queued[pc] = False
-        iterations += 1
-        out = boundary if not cfg.succs[pc] else EMPTY
-        for succ in cfg.succs[pc]:
-            out = out | ins[succ]
-        gen, kill = gen_kill(pc)
-        new_in = gen | (out - kill)
-        outs[pc] = out
-        if new_in != ins[pc]:
-            ins[pc] = new_in
-            for pred in cfg.preds[pc]:
-                if not queued[pred]:
-                    queued[pred] = True
-                    worklist.append(pred)
-    stats._record(iterations)
-    return ins, outs
-
-
-def solve_forward(
-    cfg: ControlFlowGraph,
-    gen_kill: Callable[[int], GenKill],
-    entry: FrozenSet = EMPTY,
-    order: str = "rpo",
-) -> Tuple[List[FrozenSet], List[FrozenSet]]:
-    """Forward may-analysis: returns (in_facts, out_facts) per pc."""
-    n = len(cfg)
-    ins: List[FrozenSet] = [EMPTY] * n
-    outs: List[FrozenSet] = [EMPTY] * n
+    must = universe is not None
+    identity = universe if must else EMPTY
+    ins: List[FrozenSet] = [identity] * n
+    outs: List[FrozenSet] = [identity] * n
     if n == 0:
         return ins, outs
-    worklist = deque(_seed_order(cfg, "forward", order))
+    forward = direction == "forward"
+    if forward:
+        before, after, meet_from, notify = ins, outs, cfg.preds, cfg.succs
+        at_boundary = [False] * n
+        at_boundary[0] = True
+    elif direction == "backward":
+        before, after, meet_from, notify = outs, ins, cfg.succs, cfg.preds
+        at_boundary = [not succs for succs in cfg.succs]
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    worklist = deque(_seed_order(cfg, forward, order))
     queued = [True] * n
     iterations = 0
     while worklist:
         pc = worklist.popleft()
         queued[pc] = False
         iterations += 1
-        in_fact = entry if pc == 0 else EMPTY
-        for pred in cfg.preds[pc]:
-            in_fact = in_fact | outs[pred]
-        gen, kill = gen_kill(pc)
-        new_out = gen | (in_fact - kill)
-        ins[pc] = in_fact
-        if new_out != outs[pc]:
-            outs[pc] = new_out
-            for succ in cfg.succs[pc]:
-                if not queued[succ]:
-                    queued[succ] = True
-                    worklist.append(succ)
-    stats._record(iterations)
-    return ins, outs
-
-
-def solve_forward_must(
-    cfg: ControlFlowGraph,
-    gen_kill: Callable[[int], GenKill],
-    universe: FrozenSet,
-    entry: FrozenSet = EMPTY,
-    order: str = "rpo",
-) -> Tuple[List[FrozenSet], List[FrozenSet]]:
-    """Forward must-analysis (intersection merge, TOP initialization).
-
-    in[0]  = entry ∩ (∩ out[p] for p in preds(0))    (back edges into
-             the entry still constrain it)
-    in[pc] = ∩ out[p] for p in preds(pc)             (TOP if no preds)
-    out[pc] = gen(pc) | (in[pc] - kill(pc))
-
-    Facts start at TOP (``universe``) and shrink monotonically, so the
-    solver converges to the greatest fixpoint — "definitely holds on
-    every path reaching pc". Unreachable pcs keep TOP, which is the
-    conventional (vacuous) verdict for code that never runs.
-    """
-    n = len(cfg)
-    ins: List[FrozenSet] = [universe] * n
-    outs: List[FrozenSet] = [universe] * n
-    if n == 0:
-        return ins, outs
-    worklist = deque(_seed_order(cfg, "forward", order))
-    queued = [True] * n
-    iterations = 0
-    while worklist:
-        pc = worklist.popleft()
-        queued[pc] = False
-        iterations += 1
-        if pc == 0:
-            in_fact = entry
-            for pred in cfg.preds[pc]:
-                in_fact = in_fact & outs[pred]
-        elif cfg.preds[pc]:
-            in_fact = universe
-            for pred in cfg.preds[pc]:
-                in_fact = in_fact & outs[pred]
+        fact = boundary if at_boundary[pc] else identity
+        if must:
+            for other in meet_from[pc]:
+                fact = fact & after[other]
         else:
-            in_fact = universe  # unreachable: stays TOP
+            for other in meet_from[pc]:
+                fact = fact | after[other]
         gen, kill = gen_kill(pc)
-        new_out = gen | (in_fact - kill)
-        ins[pc] = in_fact
-        if new_out != outs[pc]:
-            outs[pc] = new_out
-            for succ in cfg.succs[pc]:
-                if not queued[succ]:
-                    queued[succ] = True
-                    worklist.append(succ)
-    stats._record(iterations)
-    return ins, outs
-
-
-def solve_backward_must(
-    cfg: ControlFlowGraph,
-    gen_kill: Callable[[int], GenKill],
-    universe: FrozenSet,
-    boundary: FrozenSet = EMPTY,
-    order: str = "rpo",
-) -> Tuple[List[FrozenSet], List[FrozenSet]]:
-    """Backward must-analysis (intersection merge, TOP initialization).
-
-    out[pc] = ∩ in[s] for s in succs(pc)   (``boundary`` at exits)
-    in[pc]  = gen(pc) | (out[pc] - kill(pc))
-
-    The backward dual of :func:`solve_forward_must`: "definitely holds
-    on every path from pc to an exit" — e.g. a reference that is
-    overwritten on all paths before any further use.
-    """
-    n = len(cfg)
-    ins: List[FrozenSet] = [universe] * n
-    outs: List[FrozenSet] = [universe] * n
-    if n == 0:
-        return ins, outs
-    worklist = deque(_seed_order(cfg, "backward", order))
-    queued = [True] * n
-    iterations = 0
-    while worklist:
-        pc = worklist.popleft()
-        queued[pc] = False
-        iterations += 1
-        if not cfg.succs[pc]:
-            out = boundary
-        else:
-            out = universe
-            for succ in cfg.succs[pc]:
-                out = out & ins[succ]
-        gen, kill = gen_kill(pc)
-        new_in = gen | (out - kill)
-        outs[pc] = out
-        if new_in != ins[pc]:
-            ins[pc] = new_in
-            for pred in cfg.preds[pc]:
-                if not queued[pred]:
-                    queued[pred] = True
-                    worklist.append(pred)
+        new = gen | (fact - kill)
+        before[pc] = fact
+        if new != after[pc]:
+            after[pc] = new
+            for other in notify[pc]:
+                if not queued[other]:
+                    queued[other] = True
+                    worklist.append(other)
     stats._record(iterations)
     return ins, outs

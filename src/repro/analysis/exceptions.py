@@ -17,10 +17,9 @@ be bounded.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Optional, Set
 
-from repro.analysis.callgraph import CallGraph, MethodKey
+from repro.analysis.callgraph import CallGraph, MethodKey, call_graph_fixpoint
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import CompiledMethod, CompiledProgram
 
@@ -44,8 +43,6 @@ _IMPLICIT = {
     Op.CONST_STRING: ("OutOfMemoryError",),
 }
 
-_CALL_OPS = (Op.INVOKEV, Op.INVOKESTATIC, Op.INVOKESUPER, Op.NEWINIT, Op.SUPERINIT)
-
 
 class ThrownExceptions:
     """May-throw sets per method over a call graph."""
@@ -53,8 +50,11 @@ class ThrownExceptions:
     def __init__(self, program: CompiledProgram, callgraph: Optional[CallGraph] = None) -> None:
         self.program = program
         self.callgraph = callgraph or CallGraph(program)
-        self.may_throw: Dict[MethodKey, FrozenSet[str]] = {}
-        self._solve()
+        self.may_throw: Dict[MethodKey, FrozenSet[str]] = dict.fromkeys(
+            self.callgraph.reachable, frozenset()
+        )
+        call_graph_fixpoint(self.callgraph.reachable, self.callgraph.edges,
+                            self.may_throw, self._compute, bottom_up=True)
 
     # -- local facts -----------------------------------------------------------
 
@@ -90,60 +90,22 @@ class ThrownExceptions:
             }
         return remaining
 
-    def _method_of(self, key: MethodKey) -> Optional[CompiledMethod]:
-        cls = self.program.classes.get(key[0])
-        if cls is None:
-            return None
-        if key[1] == "<init>":
-            return cls.ctor
-        if key[1] == "<clinit>":
-            return cls.clinit
-        return cls.methods.get(key[1])
-
     def _compute(self, key: MethodKey) -> FrozenSet[str]:
-        method = self._method_of(key)
+        method = self.callgraph.method(key)
         if method is None or method.is_native:
             # Natives can raise the usual VM exceptions.
             return frozenset({"NullPointerException", "IndexOutOfBoundsException"})
         explicit = self._explicit_throw_types(method)
+        sites = self.callgraph.sites[key]
         out: Set[str] = set()
         for pc, instr in enumerate(method.code):
             raised: Set[str] = set(_IMPLICIT.get(instr.op, ()))
             if instr.op == Op.THROW:
                 raised |= explicit
-            if instr.op in _CALL_OPS:
-                if instr.op == Op.INVOKEV:
-                    name, argc = instr.args
-                    targets = [
-                        t for t in self.callgraph._virtual_targets(name, argc)
-                    ]
-                elif instr.op in (Op.NEWINIT, Op.SUPERINIT):
-                    targets = [(instr.args[0], "<init>")]
-                else:
-                    cls_name, name, _ = instr.args
-                    target = self.callgraph._static_target(cls_name, name)
-                    targets = [target] if target else []
-                for target in targets:
-                    raised |= self.may_throw.get(target, frozenset())
+            for target in sites.get(pc, ()):
+                raised |= self.may_throw[target]
             out |= self._escapes(method, pc, raised)
         return frozenset(out)
-
-    def _solve(self) -> None:
-        keys = list(self.callgraph.reachable)
-        for key in keys:
-            self.may_throw[key] = frozenset()
-        worklist = deque(keys)
-        in_list = set(keys)
-        while worklist:
-            key = worklist.popleft()
-            in_list.discard(key)
-            new = self._compute(key)
-            if new != self.may_throw.get(key):
-                self.may_throw[key] = new
-                for caller in self.callgraph.callers_of(*key):
-                    if caller not in in_list:
-                        in_list.add(caller)
-                        worklist.append(caller)
 
     # -- queries ------------------------------------------------------------------
 

@@ -12,10 +12,12 @@ module proves deadness *through* the heap:
    abstract stacks plus global field contents / parameter / return
    summaries to a fixpoint. Virtual dispatch is **type-refined**: a
    receiver's atoms resolve calls to the classes actually flowing
-   there, falling back to CHA (class-hierarchy analysis over name and
-   arity) only when a receiver is statically unknown — that fallback
-   and the recursion-tolerant monotone summaries are the sound
-   widening at megamorphic/recursive sites.
+   there, falling back to the CHA family of the program's
+   :class:`~repro.analysis.callgraph.CallGraph` (name and arity) only
+   when a receiver is statically unknown — that fallback and the
+   recursion-tolerant monotone summaries are the sound widening at
+   megamorphic/recursive sites. Exact calls (constructors, static and
+   super invokes) and method keys resolve through the same call graph.
 2. **Tier A (DRAG006)**: a heap token (field ``f``, static ``C.f`` or
    array-element region ``t[]``) is *observably live* iff a value read
    out of it reaches a real use (receiver dereference, identity
@@ -23,11 +25,15 @@ module proves deadness *through* the heap:
    copies into other live tokens. Tokens written but never observably
    live are dead heap paths: their stores can be nulled.
 3. **Tier B (DRAG007)**: a backward may-analysis per method (gen =
-   direct token reads plus callee ``may_read`` summaries) joined with
-   a call-graph ``future-after-return`` fixpoint yields, per program
-   point, which tokens still have a future use. A container field
-   whose access paths all die before the container does gets an
-   ``owner.field = null`` insertion point after its last use.
+   direct token reads plus callee ``may_read`` summaries, solved
+   callee-first) joined with a ``future-after-return`` fixpoint
+   (caller-first) over the refined call graph yields, per program
+   point, which tokens still have a future use; both fixpoints run on
+   :func:`~repro.analysis.callgraph.call_graph_fixpoint`. A container
+   field whose access paths all die before the container does gets an
+   ``owner.field = null`` insertion point after its last use, provided
+   the store that fills the owner local dominates it
+   (:func:`~repro.snapshot.dominators.immediate_dominators`).
 
 Soundness escape hatch: anything the interpreter cannot summarize — an
 unknown native, an array load from a statically unknown reference, an
@@ -44,11 +50,11 @@ from collections import deque
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.analysis.access_graph import AccessGraph
-from repro.analysis.dataflow import solve_backward
+from repro.analysis.callgraph import CallGraph, MethodKey, call_graph_fixpoint
+from repro.analysis.dataflow import solve
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import CompiledMethod, CompiledProgram
-
-MethodKey = Tuple[str, str]  # (declaring class, method name)
+from repro.snapshot.dominators import dominates, immediate_dominators
 
 EMPTY: FrozenSet = frozenset()
 
@@ -152,12 +158,15 @@ class HeapLivenessAnalysis:
     """Whole-program heap liveness over a compiled program.
 
     ``cfg_for`` is a callable mapping :class:`CompiledMethod` to its
-    CFG (the lint :class:`AnalysisContext` provides a cached one).
+    CFG, and ``callgraph`` the program's CHA :class:`CallGraph`, which
+    resolves keys, exact calls and the widened virtual families (the
+    lint :class:`AnalysisContext` provides both, built once).
     """
 
-    def __init__(self, compiled: CompiledProgram, cfg_for) -> None:
+    def __init__(self, compiled: CompiledProgram, cfg_for, callgraph: CallGraph) -> None:
         self.compiled = compiled
         self._cfg_for = cfg_for
+        self.callgraph = callgraph
         self.notes: List[str] = []
         self._note_set: Set[str] = set()
         self.degraded = False
@@ -171,7 +180,6 @@ class HeapLivenessAnalysis:
         self._methods: Dict[MethodKey, CompiledMethod] = {}
         self._order: List[MethodKey] = []
         self._changed = False
-        self._cha: Dict[Tuple[str, int], Tuple[MethodKey, ...]] = {}
 
         # -- recorded events (final sweep) --------------------------------
         self.method_info: Dict[MethodKey, _MethodInfo] = {}
@@ -184,7 +192,7 @@ class HeapLivenessAnalysis:
         self.live_tokens: Set[str] = set()
         self.contents_of: Dict[str, FrozenSet] = {}
         self._region_names: Dict[tuple, str] = {}
-        self.may_read: Dict[MethodKey, Optional[FrozenSet[str]]] = {}
+        self.may_read: Dict[MethodKey, FrozenSet[str]] = {}
         self._future_after: Dict[MethodKey, FrozenSet[str]] = {}
         self._local_flows: Dict[MethodKey, Tuple[List[FrozenSet], List[FrozenSet]]] = {}
 
@@ -268,15 +276,12 @@ class HeapLivenessAnalysis:
 
     # -- method resolution --------------------------------------------------
 
-    def _method(self, class_name: str, name: str) -> Optional[CompiledMethod]:
-        cls = self.compiled.classes.get(class_name)
-        if cls is None:
-            return None
-        if name == "<init>":
-            return cls.ctor
-        if name == "<clinit>":
-            return cls.clinit
-        return self.compiled.lookup_method(class_name, name)
+    def _exact_targets(self, instr) -> List[CompiledMethod]:
+        """The method a static or super invoke calls, if it resolves."""
+        targets = []
+        for key in self.callgraph.targets(instr):
+            targets.append(self.callgraph.method(key))
+        return targets
 
     def _reach(self, method: CompiledMethod) -> MethodKey:
         key = (method.class_name, method.name)
@@ -286,19 +291,7 @@ class HeapLivenessAnalysis:
             self._changed = True
         return key
 
-    def _cha_family(self, name: str, argc: int) -> Tuple[MethodKey, ...]:
-        fam = self._cha.get((name, argc))
-        if fam is None:
-            out = []
-            for cls in self.compiled.classes.values():
-                m = cls.methods.get(name)
-                if m is not None and not m.is_static and m.param_count == argc:
-                    out.append((m.class_name, m.name))
-            fam = tuple(sorted(set(out)))
-            self._cha[(name, argc)] = fam
-        return fam
-
-    def _virtual_targets(
+    def _dispatch(
         self, name: str, argc: int, receiver: FrozenSet
     ) -> Tuple[List[CompiledMethod], bool]:
         """Type-refined dispatch; returns (targets, used_cha_widening)."""
@@ -316,7 +309,7 @@ class HeapLivenessAnalysis:
             # Receiver statically unknown (or only provenance atoms):
             # widen to the full CHA family — the sound TOP of dispatch.
             widen = True
-            keys = self._cha_family(name, argc)
+            keys = self.callgraph.family(name, argc)
         else:
             keys = []
             for cls_name in sorted(classes):
@@ -325,8 +318,8 @@ class HeapLivenessAnalysis:
                     keys.append((m.class_name, m.name))
             keys = tuple(sorted(set(keys)))
         targets = []
-        for cls_name, mname in keys:
-            m = self._method(cls_name, mname)
+        for key in keys:
+            m = self.callgraph.method(key)
             if m is not None:
                 targets.append(m)
         if len(targets) > MEGAMORPHIC_LIMIT:
@@ -343,7 +336,7 @@ class HeapLivenessAnalysis:
         main_cls = program.main_class
         roots: List[MethodKey] = []
         if main_cls:
-            main = self._method(main_cls, "main")
+            main = self.callgraph.method((main_cls, "main"))
             if main is not None:
                 key = self._reach(main)
                 # argv: an extern array whose elements are Strings.
@@ -561,7 +554,7 @@ class HeapLivenessAnalysis:
             cls_name, argc = instr.args
             args = pop(argc)
             this = frozenset([("site", instr.site)])
-            ctor = self._method(cls_name, "<init>")
+            ctor = self.callgraph.method((cls_name, "<init>"))
             if ctor is not None:
                 self._call(ctor, this, args, pc, record)
             fin = self.compiled.lookup_method(cls_name, "finalize")
@@ -573,7 +566,7 @@ class HeapLivenessAnalysis:
         elif op == Op.SUPERINIT:
             cls_name, argc = instr.args
             args = pop(argc)
-            ctor = self._method(cls_name, "<init>")
+            ctor = self.callgraph.method((cls_name, "<init>"))
             if ctor is not None:
                 self._call(ctor, L[0], args, pc, record)
         elif op == Op.NEWARRAY:
@@ -665,7 +658,7 @@ class HeapLivenessAnalysis:
             args = pop(argc)
             (receiver,) = pop()
             self._mark_used(receiver, record)
-            targets, _ = self._virtual_targets(name, argc, receiver)
+            targets, _ = self._dispatch(name, argc, receiver)
             pushed = self._invoke(mkey, method, pc, line, receiver, args,
                                   targets, name, argc, record)
             if pushed is not None:
@@ -675,22 +668,21 @@ class HeapLivenessAnalysis:
             args = pop(argc)
             if (cls_name, name) == ("System", "arraycopy"):
                 self._arraycopy(args, record)
-                target = None
             else:
-                target = self.compiled.lookup_method(cls_name, name)
-            if target is not None:
-                pushed = self._invoke(mkey, method, pc, line, None, args,
-                                      [target], name, argc, record)
-                if pushed is not None:
-                    S.append(pushed)
+                targets = self._exact_targets(instr)
+                if targets:
+                    pushed = self._invoke(mkey, method, pc, line, None, args,
+                                          targets, name, argc, record)
+                    if pushed is not None:
+                        S.append(pushed)
         elif op == Op.INVOKESUPER:
             cls_name, name, argc = instr.args
             args = pop(argc)
             receiver = L[0] if L else EMPTY
-            target = self.compiled.lookup_method(cls_name, name)
-            if target is not None:
+            targets = self._exact_targets(instr)
+            if targets:
                 pushed = self._invoke(mkey, method, pc, line, receiver, args,
-                                      [target], name, argc, record)
+                                      targets, name, argc, record)
                 if pushed is not None:
                     S.append(pushed)
         elif op == Op.RET:
@@ -715,7 +707,7 @@ class HeapLivenessAnalysis:
             out = frozenset([("site", instr.site)])
             if instr.args[0] == "ref":
                 self._mark_used(v, record)
-                targets, _ = self._virtual_targets("toString", 0, v)
+                targets, _ = self._dispatch("toString", 0, v)
                 user = [t for t in targets if not t.is_native]
                 if user:
                     ret = self._invoke(mkey, method, pc, line, v, (), user,
@@ -775,10 +767,10 @@ class HeapLivenessAnalysis:
             # A call with no resolvable target cannot execute (receiver
             # is null on every path) — but the stack shape must still
             # follow the declared family.
-            fam = self._cha_family(name, argc)
+            fam = self.callgraph.family(name, argc)
             if not fam:
                 return EMPTY  # assume a value; merge degrades if wrong
-            m = self._method(*fam[0])
+            m = self.callgraph.method(fam[0])
             return EMPTY if (m and m.return_descriptor != "void") else None
         returns = {t.return_descriptor != "void" for t in targets}
         if len(returns) > 1:
@@ -905,11 +897,7 @@ class HeapLivenessAnalysis:
         for pc in range(len(info.reads)):
             gen = info.reads[pc]
             for tkey in info.targets[pc]:
-                summary = self.may_read.get(tkey, EMPTY)
-                if summary is None:
-                    gen = gen | frozenset([ANY])
-                else:
-                    gen = gen | summary
+                gen = gen | self.may_read[tkey]
             gens.append(gen)
         return gens
 
@@ -918,75 +906,57 @@ class HeapLivenessAnalysis:
         future-after-return fixpoint over the refined call graph."""
         if self.degraded:
             return
-        # may_read: monotone fixpoint (recursion-safe on the finite
-        # token lattice; a recursive cycle just iterates to its join).
-        for key in self._order:
-            info = self.method_info.get(key)
-            reads = EMPTY
-            if info is not None:
-                for r in info.reads:
-                    reads = reads | r
-            self.may_read[key] = reads
-        changed = True
-        while changed:
-            changed = False
-            for key in self._order:
-                info = self.method_info.get(key)
-                if info is None:
-                    continue
-                cur = self.may_read[key]
-                if cur is None:
-                    continue
-                new = cur
-                for targets in info.targets:
-                    for tkey in targets:
-                        summary = self.may_read.get(tkey, EMPTY)
-                        if summary is None:
-                            new = new | frozenset([ANY])
-                        else:
-                            new = new | summary
-                if new != cur:
-                    self.may_read[key] = new
-                    changed = True
-        # Local backward flows (gen = reads + callee summaries).
+        callees: Dict[MethodKey, Tuple[MethodKey, ...]] = {}
         callers: Dict[MethodKey, List[Tuple[MethodKey, int]]] = {}
         for key in self._order:
+            reads = EMPTY
             info = self.method_info.get(key)
-            if info is None:
-                continue
-            method = self._methods[key]
-            cfg = self._cfg_for(method)
-            gens = self._gen_sets(key)
-            ins, outs = solve_backward(cfg, lambda pc: (gens[pc], EMPTY))
-            self._local_flows[key] = (ins, outs)
-            for pc, targets in enumerate(info.targets):
-                for tkey in targets:
-                    callers.setdefault(tkey, []).append((key, pc))
-        # future-after-return: what still runs once a method returns.
+            if info is not None:
+                called: Dict[MethodKey, None] = {}
+                for pc, targets in enumerate(info.targets):
+                    reads = reads | info.reads[pc]
+                    for tkey in targets:
+                        called[tkey] = None
+                        callers.setdefault(tkey, []).append((key, pc))
+                callees[key] = tuple(called)
+            self.may_read[key] = reads
+        # may_read: monotone, bottom-up (recursion-safe on the finite
+        # token lattice; a recursive cycle just iterates to its join).
+        own = dict(self.may_read)
+
+        def reads_through_calls(key: MethodKey) -> FrozenSet[str]:
+            new = own[key]
+            for tkey in callees[key]:
+                new = new | self.may_read[tkey]
+            return new
+
+        call_graph_fixpoint(callees, callees, self.may_read, reads_through_calls,
+                            bottom_up=True)
+        # Local backward flows (gen = reads + callee summaries).
+        for key in callees:
+            gen_kill = [(gen, EMPTY) for gen in self._gen_sets(key)]
+            self._local_flows[key] = solve(
+                self._cfg_for(self._methods[key]), gen_kill.__getitem__, "backward"
+            )
+        # future-after-return: what still runs once a method returns,
+        # top-down from each caller's flow after the call site.
         top = frozenset([ANY])
         future: Dict[MethodKey, FrozenSet[str]] = {}
         for key in self._order:
-            method = self._methods[key]
-            if method.name in ("<clinit>", "finalize"):
+            if self._methods[key].name in ("<clinit>", "finalize"):
                 future[key] = top  # runs before main / from the collector
             else:
                 future[key] = EMPTY
-        changed = True
-        while changed:
-            changed = False
-            for key in self._order:
-                cur = future[key]
-                new = cur
-                for caller, pc in callers.get(key, ()):
-                    flows = self._local_flows.get(caller)
-                    if flows is None:
-                        new = new | top
-                        continue
-                    new = new | flows[1][pc] | future[caller]
-                if new != cur:
-                    future[key] = new
-                    changed = True
-        self._future_after = future
+
+        def future_after(key: MethodKey) -> FrozenSet[str]:
+            new = future[key]
+            for caller, pc in callers.get(key, ()):
+                new = new | self._local_flows[caller][1][pc] | future[caller]
+            return new
+
+        self._future_after = call_graph_fixpoint(
+            self._order, callees, future, future_after, bottom_up=False
+        )
 
     def droppable_entries(self) -> List[DroppableEntry]:
         """DRAG007: ``var.field = null`` insertion points — container
@@ -1010,7 +980,7 @@ class HeapLivenessAnalysis:
                 continue
             code = method.code
             cfg = self._cfg_for(method)
-            doms = _dominators(cfg)
+            idom = immediate_dominators([list(succs) for succs in cfg.succs])
             nparams = method.param_count + (0 if method.is_static else 1)
             stores: Dict[int, List[int]] = {}
             for pc, instr in enumerate(code):
@@ -1036,14 +1006,14 @@ class HeapLivenessAnalysis:
                 )
                 for field in ref_fields:
                     entry = self._droppable_field(
-                        mkey, method, cfg, doms, info, ins, fut_ret,
+                        mkey, method, cfg, idom, info, ins, fut_ret,
                         s, var, owner, field,
                     )
                     if entry is not None:
                         out.append(entry)
         return out
 
-    def _droppable_field(self, mkey, method, cfg, doms, info, ins, fut_ret,
+    def _droppable_field(self, mkey, method, cfg, idom, info, ins, fut_ret,
                          store_pc, var, owner, field) -> Optional[DroppableEntry]:
         if field in fut_ret or ANY in fut_ret:
             return None  # some caller continuation may still read it
@@ -1063,7 +1033,7 @@ class HeapLivenessAnalysis:
             if line < store_line or line <= 0:
                 continue
             pcs = by_line[line]
-            if not all(store_pc in doms[pc] for pc in pcs):
+            if not all(dominates(idom, store_pc, pc) for pc in pcs):
                 continue  # the owner local may be unassigned here
             safe = True
             for pc in pcs:
@@ -1171,23 +1141,3 @@ class HeapLivenessAnalysis:
                         work.append(name)
         return out
 
-
-def _dominators(cfg) -> List[Set[int]]:
-    """Per-pc dominator sets (iterative may-intersection dataflow)."""
-    n = len(cfg)
-    full = set(range(n))
-    doms: List[Set[int]] = [{0}] + [set(full) for _ in range(max(0, n - 1))]
-    changed = True
-    while changed:
-        changed = False
-        for pc in range(1, n):
-            preds = cfg.preds[pc]
-            if preds:
-                new = set.intersection(*(doms[p] for p in preds))
-            else:
-                new = set(full)  # unreachable: vacuous
-            new.add(pc)
-            if new != doms[pc]:
-                doms[pc] = new
-                changed = True
-    return doms

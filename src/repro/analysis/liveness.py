@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph, build_cfg
-from repro.analysis.dataflow import solve_backward
+from repro.analysis.dataflow import solve
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import CompiledMethod
 
@@ -80,7 +80,7 @@ def liveness(
     worklist seeding (see :mod:`repro.analysis.dataflow`); the fixpoint
     is identical either way."""
     cfg = cfg or build_cfg(method)
-    live_in, live_out = solve_backward(cfg, _gen_kill_factory(method, cfg), order=order)
+    live_in, live_out = solve(cfg, _gen_kill_factory(method, cfg), "backward", order=order)
     # Note: a catch handler's exception slot is written via the
     # exception table (not a STORE), so its liveness leaks conservatively
     # into the protected region. That is safe for both consumers: the

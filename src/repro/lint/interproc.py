@@ -13,13 +13,18 @@ upgrades them to whole-program verdicts over the CHA call graph:
   design.
 
 * **must-used fields** — a forward must-analysis (intersection merge,
-  TOP initialization, :func:`repro.analysis.dataflow.solve_forward_must`)
-  computing per-method summaries "fields definitely read by the time
-  the method finishes", propagated top-down over the call graph to a
-  greatest fixpoint. Exception soundness: the per-method CFGs carry
-  exception edges (a protected call merges the pre-call fact into its
-  handler), and THROW exits participate in the summary intersection, so
-  a path that leaves a method exceptionally never inflates its summary.
+  TOP initialization, :func:`repro.analysis.dataflow.solve` with a
+  ``universe``) computing per-method summaries "fields definitely read
+  by the time the method finishes". A call site reads the summaries of
+  its targets, which :class:`~repro.analysis.callgraph.CallGraph`
+  resolved once when it was built, and
+  :func:`~repro.analysis.callgraph.call_graph_fixpoint` iterates the
+  summaries callee-first to the greatest fixpoint, so the work done
+  does not depend on the hash seed. Exception soundness: the
+  per-method CFGs carry exception edges (a protected call merges the
+  pre-call fact into its handler), and THROW exits participate in the
+  summary intersection, so a path that leaves a method exceptionally
+  never inflates its summary.
   The whole-program verdict unions main's summary with every
   ``<clinit>``'s (they always run). Instance fields are tracked by
   name (the bytecode's own resolution granularity) — good enough for
@@ -42,17 +47,17 @@ upgrades them to whole-program verdicts over the CHA call graph:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set
 
-from repro.analysis.dataflow import solve_forward_must
+from repro.analysis.callgraph import MethodKey, call_graph_fixpoint
+from repro.analysis.dataflow import EMPTY, solve
 from repro.analysis.lazy_points import lazy_allocation_gates
 from repro.analysis.liveness import null_insertion_candidates
 from repro.analysis.usage import DeadAllocationCandidates, dead_allocation_candidates
 from repro.bytecode.opcodes import Op
 from repro.bytecode.program import CompiledMethod
 from repro.mjava import ast
-
-MethodKey = Tuple[str, str]
 
 # Instructions whose result is a freshly allocated (or newly
 # materialized) heap reference.
@@ -121,55 +126,40 @@ class InterproceduralUseAnalysis:
 
     # -- must-used fields (forward must-analysis over the call graph) -----
 
-    def _field_token(self, instr) -> Optional[str]:
-        if instr.op == Op.GETFIELD:
-            return instr.args[0]
-        if instr.op == Op.GETSTATIC:
-            return f"{instr.args[0]}.{instr.args[1]}"
-        return None
-
-    def _call_targets(self, instr) -> List[MethodKey]:
-        callgraph = self.context.callgraph
-        if instr.op == Op.INVOKEV:
-            name, argc = instr.args
-            return callgraph._virtual_targets(name, argc)
-        if instr.op in (Op.NEWINIT, Op.SUPERINIT):
-            return [(instr.args[0], "<init>")]
-        if instr.op in (Op.INVOKESTATIC, Op.INVOKESUPER):
-            cls_name, name, _ = instr.args
-            target = callgraph._static_target(cls_name, name)
-            return [target] if target else []
-        return []
-
     def _method_must_use(
         self,
-        method: CompiledMethod,
+        key: MethodKey,
         summaries: Dict[MethodKey, FrozenSet[str]],
         universe: FrozenSet[str],
     ) -> FrozenSet[str]:
-        """Fields definitely read on every path through ``method``
+        """Fields definitely read on every path through the method
         (normal *or* exceptional exit), given current callee summaries."""
-        if method.is_native or not method.code:
-            return frozenset()
+        callgraph = self.context.callgraph
+        method = callgraph.method(key)
+        code = method.code
+        if not code:
+            return EMPTY
+        sites = callgraph.sites[key]
         cfg = self.context.cfg(method)
 
         def gen_kill(pc: int):
-            instr = method.code[pc]
-            token = self._field_token(instr)
-            if token is not None:
-                return frozenset((token,)), frozenset()
-            targets = self._call_targets(instr)
+            targets = sites.get(pc)
             if targets:
                 # A virtual call definitely reads only what *every* CHA
                 # target definitely reads.
                 gen: FrozenSet[str] = universe
                 for target in targets:
-                    gen = gen & summaries.get(target, frozenset())
-                return gen, frozenset()
-            return frozenset(), frozenset()
+                    gen = gen & summaries[target]
+                return gen, EMPTY
+            instr = code[pc]
+            if instr.op == Op.GETFIELD:
+                return frozenset((instr.args[0],)), EMPTY
+            if instr.op == Op.GETSTATIC:
+                return frozenset((f"{instr.args[0]}.{instr.args[1]}",)), EMPTY
+            return EMPTY, EMPTY
 
-        _, outs = solve_forward_must(cfg, gen_kill, universe)
-        exits = cfg.exits or [len(method.code) - 1]
+        _, outs = solve(cfg, gen_kill, "forward", universe=universe)
+        exits = cfg.exits or [len(code) - 1]
         summary = universe
         for pc in exits:
             summary = summary & outs[pc]
@@ -177,35 +167,29 @@ class InterproceduralUseAnalysis:
 
     def must_summaries(self) -> Dict[MethodKey, FrozenSet[str]]:
         """Greatest-fixpoint per-method must-use summaries over the
-        reachable portion of the call graph."""
+        reachable portion of the call graph, solved callee-first."""
         if self._must_summaries is not None:
             return self._must_summaries
         ctx = self.context
-        program = ctx.compiled
+        callgraph = ctx.callgraph
         universe: Set[str] = set()
-        for cls in program.classes.values():
+        for cls in ctx.compiled.classes.values():
             universe.update(cls.layout.descriptors)
             for field in cls.static_fields:
                 universe.add(f"{cls.name}.{field}")
         top = frozenset(universe)
 
         summaries: Dict[MethodKey, FrozenSet[str]] = {}
-        methods: Dict[MethodKey, CompiledMethod] = {}
-        for key in ctx.callgraph.reachable:
-            method = ctx.callgraph._method(key)
+        keys: List[MethodKey] = []
+        for key in callgraph.reachable:
+            method = callgraph.method(key)
             if method is None or method.is_native:
-                summaries[key] = frozenset()
+                summaries[key] = EMPTY
             else:
-                methods[key] = method
+                keys.append(key)
                 summaries[key] = top  # TOP init: shrink to the fixpoint
-        changed = True
-        while changed:
-            changed = False
-            for key, method in methods.items():
-                new = self._method_must_use(method, summaries, top)
-                if new != summaries[key]:
-                    summaries[key] = new
-                    changed = True
+        compute = partial(self._method_must_use, summaries=summaries, universe=top)
+        call_graph_fixpoint(keys, callgraph.edges, summaries, compute, bottom_up=True)
         self._must_summaries = summaries
         return summaries
 
@@ -286,6 +270,8 @@ class InterproceduralUseAnalysis:
         reference (the allocation may happen in the callee)? Plain
         copies (LOAD/GETFIELD) are aliases; nulling an alias saves
         nothing, so they do not qualify."""
+        callgraph = self.context.callgraph
+        sites = callgraph.sites[(method.class_name, method.name)]
         for pc in store_pcs:
             if pc == 0:
                 continue
@@ -293,8 +279,8 @@ class InterproceduralUseAnalysis:
             if prev.op in _FRESH_REF_OPS:
                 return True
             if prev.op in (Op.INVOKEV, Op.INVOKESTATIC, Op.INVOKESUPER):
-                for target in self._call_targets(prev):
-                    target_method = self.context.callgraph._method(target)
+                for target in sites.get(pc - 1, ()):
+                    target_method = callgraph.method(target)
                     if target_method is not None and target_method.return_descriptor == "ref":
                         return True
         return False

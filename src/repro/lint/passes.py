@@ -2,8 +2,8 @@
 
 :class:`AnalysisContext` owns every expensive artifact — the linked
 AST, the class table, the compiled bytecode, per-method CFGs, the CHA
-call graph, the class hierarchy, thrown-exception sets, and the
-interprocedural use analysis — each built lazily and exactly once.
+call graph, thrown-exception sets, the interprocedural use analysis
+and the heap liveness analysis — each built lazily and exactly once.
 Every registered pass receives the same context, so N rules cost one
 compilation and one run of each underlying analysis no matter how they
 overlap (the context counts builds; ``tests/lint/test_passes.py`` pins
@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.exceptions import ThrownExceptions
-from repro.analysis.hierarchy import ClassHierarchy
 from repro.bytecode.program import CompiledMethod, CompiledProgram
 from repro.errors import ReproError
 from repro.lint.diagnostics import Diagnostic, LintResult, SourceSpan
@@ -59,7 +58,6 @@ class AnalysisContext:
         self._table: Optional[ClassTable] = None
         self._compiled: Optional[CompiledProgram] = None
         self._callgraph: Optional[CallGraph] = None
-        self._hierarchy: Optional[ClassHierarchy] = None
         self._exceptions: Optional[ThrownExceptions] = None
         self._interproc: Optional[InterproceduralUseAnalysis] = None
         self._heap_liveness = None
@@ -101,13 +99,6 @@ class AnalysisContext:
         return self._callgraph
 
     @property
-    def hierarchy(self) -> ClassHierarchy:
-        if self._hierarchy is None:
-            self._count("hierarchy")
-            self._hierarchy = ClassHierarchy(self.table)
-        return self._hierarchy
-
-    @property
     def exceptions(self) -> ThrownExceptions:
         if self._exceptions is None:
             self._count("exceptions")
@@ -127,7 +118,9 @@ class AnalysisContext:
             from repro.analysis.heap_liveness import HeapLivenessAnalysis
 
             self._count("heap-liveness")
-            self._heap_liveness = HeapLivenessAnalysis(self.compiled, self.cfg)
+            self._heap_liveness = HeapLivenessAnalysis(
+                self.compiled, self.cfg, self.callgraph
+            )
         return self._heap_liveness
 
     def cfg(self, method: CompiledMethod) -> ControlFlowGraph:
@@ -388,18 +381,6 @@ def _local_decl_line(ctx: AnalysisContext, class_name: str, method_name: str, va
     return cls.line if cls is not None else 0
 
 
-def _instantiated_classes(ctx: AnalysisContext) -> Set[str]:
-    """Class names instantiated anywhere in reachable code."""
-    from repro.bytecode.opcodes import Op
-
-    out: Set[str] = set()
-    for method in ctx.callgraph.reachable_compiled_methods():
-        for instr in method.code or ():
-            if instr.op == Op.NEWINIT:
-                out.add(instr.args[0])
-    return out
-
-
 def _pass_drag002(ctx: AnalysisContext, result: LintResult):
     """Droppable references: liveness-safe early nulling points for
     heap-holding locals, and logical-size array slots."""
@@ -423,7 +404,7 @@ def _pass_drag002(ctx: AnalysisContext, result: LintResult):
     # Library classes participate too when the program actually
     # instantiates them — the paper's jess rewrite clears slots of the
     # JDK's own Vector, so "library" is no exemption here.
-    instantiated = _instantiated_classes(ctx)
+    instantiated = ctx.callgraph.instantiated
     for decl in ctx.program_ast.classes:
         compiled_cls = ctx.compiled.classes.get(decl.name)
         if compiled_cls is None:

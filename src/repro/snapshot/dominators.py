@@ -16,6 +16,12 @@ accumulates all retained sizes in O(N).
 ``tests/snapshot/test_dominators.py`` pins both against the definition
 directly: a naive remove-node-and-recount reachability oracle on
 randomized graphs.
+
+The static analyses share this module: :func:`reverse_postorder` is the
+one DFS order (dataflow worklist seeding, call-graph fixpoint seeding)
+and :func:`immediate_dominators` with :func:`dominates` the one
+dominator routine (heap liveness's DRAG007 placement). It imports
+nothing from ``repro.analysis``, so the log readers can load it alone.
 """
 
 from __future__ import annotations
@@ -86,6 +92,20 @@ def immediate_dominators(
                 idom[node] = new_idom
                 changed = True
     return idom
+
+
+def dominates(idom: Sequence[Optional[int]], a: int, b: int) -> bool:
+    """Does ``a`` dominate ``b``? Walks ``b``'s idom chain. A node
+    unreachable from the root is dominated by everything (vacuously:
+    no path reaches it)."""
+    if idom[b] is None:
+        return True
+    while b != a:
+        dom = idom[b]
+        if dom == b:
+            return False  # passed the root
+        b = dom  # type: ignore[assignment]
+    return True
 
 
 def retained_sizes(

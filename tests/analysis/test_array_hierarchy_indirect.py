@@ -1,7 +1,7 @@
 """Array-element liveness, class hierarchy, indirect usage."""
 
 from repro.analysis.array_liveness import logical_size_pairs, removal_points
-from repro.analysis.hierarchy import ClassHierarchy
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.indirect_usage import indirectly_unused_fields
 from repro.mjava.sema import ClassTable
 from repro.runtime.library import link
@@ -80,6 +80,8 @@ def test_no_decrement_means_no_pair():
 
 
 # -- hierarchy -------------------------------------------------------------------
+# The class table owns the hierarchy; the call graph owns CHA's
+# overrider families.
 
 
 def test_hierarchy_children_and_subtree():
@@ -91,31 +93,28 @@ def test_hierarchy_children_and_subtree():
         class D extends B { }
         """
     )
-    h = ClassHierarchy(table)
-    assert h.children["A"] == ["B", "C"]
-    assert h.subtree("A") == {"A", "B", "C", "D"}
-    assert h.parent("D") == "B"
-    assert h.ancestors("D") == ["B", "A", "Object"]
+    assert sorted(table.subclasses_of("A")) == ["B", "C", "D"]
+    assert table.get("D").super_name == "B"
+    assert table.superclass_chain("D")[1:] == ["B", "A", "Object"]
 
 
 def test_hierarchy_overriders():
-    table = table_of(
+    program = compile_app(
         """
         class A { int m() { return 1; } }
         class B extends A { int m() { return 2; } }
         class C extends A { }
+        class Main { public static void main(String[] args) { } }
         """
     )
-    h = ClassHierarchy(table)
-    assert h.overriders_of("A", "m") == ["B"]
-    assert h.defining_class("C", "m") == "A"
+    assert CallGraph(program).family("m", 0) == (("A", "m"), ("B", "m"))
+    assert program.lookup_method("C", "m").class_name == "A"
 
 
 def test_exception_classes_rooted_at_throwable():
     table = table_of("class Dummy { }")
-    h = ClassHierarchy(table)
-    assert "NullPointerException" in h.subtree("Throwable")
-    assert "OutOfMemoryError" in h.subtree("Throwable")
+    assert "NullPointerException" in table.subclasses_of("Throwable")
+    assert "OutOfMemoryError" in table.subclasses_of("Throwable")
 
 
 # -- indirect usage ---------------------------------------------------------------

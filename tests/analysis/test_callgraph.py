@@ -1,6 +1,6 @@
 """Call graph: reachability, virtual targets, unreachable methods."""
 
-from repro.analysis.callgraph import build_call_graph
+from repro.analysis.callgraph import CallGraph
 from tests.conftest import compile_app
 
 
@@ -12,7 +12,7 @@ def test_main_and_callees_reachable():
         static void orphan() { }
     }
     """
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     assert cg.is_reachable("Main", "main")
     assert cg.is_reachable("Main", "helper")
     assert not cg.is_reachable("Main", "orphan")
@@ -31,7 +31,7 @@ def test_virtual_call_reaches_all_overriders():
         }
     }
     """
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     assert cg.is_reachable("Shape", "area")
     assert cg.is_reachable("Circle", "area")
     # CHA over-approximates: Square.area is considered a target too.
@@ -46,7 +46,7 @@ def test_transitive_unreachability():
         static void deadB() { }
     }
     """
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     unreachable = cg.unreachable_methods()
     assert ("Main", "deadA") in unreachable
     assert ("Main", "deadB") in unreachable
@@ -59,7 +59,7 @@ def test_constructor_edges():
         public static void main(String[] args) { Widget w = new Widget(); }
     }
     """
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     assert cg.is_reachable("Widget", "<init>")
     assert cg.is_reachable("Widget", "setup")
 
@@ -69,7 +69,7 @@ def test_clinit_is_root():
     class Eager { static Object o = make(); static Object make() { return new Object(); } }
     class Main { public static void main(String[] args) { } }
     """
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     assert cg.is_reachable("Eager", "<clinit>")
     assert cg.is_reachable("Eager", "make")
 
@@ -79,7 +79,7 @@ def test_finalizer_reachable_when_class_instantiated():
     class Res { public void finalize() { this.cleanup(); } void cleanup() { } }
     class Main { public static void main(String[] args) { Res r = new Res(); } }
     """
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     assert cg.is_reachable("Res", "finalize")
     assert cg.is_reachable("Res", "cleanup")
 
@@ -93,12 +93,12 @@ def test_callers_of():
         static void shared() { }
     }
     """
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     callers = {c for c in cg.callers_of("Main", "shared")}
     assert ("Main", "a") in callers and ("Main", "b") in callers
 
 
 def test_unreachable_excludes_library_by_default():
     source = "class Main { public static void main(String[] args) { } }"
-    cg = build_call_graph(compile_app(source))
+    cg = CallGraph(compile_app(source))
     assert all(cls == "Main" for cls, _ in cg.unreachable_methods())

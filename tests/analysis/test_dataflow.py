@@ -1,8 +1,9 @@
-"""The generic dataflow solver: forward (reaching definitions) and
-backward (liveness core) on hand-built and compiled CFGs."""
+"""The one dataflow solver: forward (reaching definitions) and
+backward (liveness core), may and must, on hand-built and compiled
+CFGs."""
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import solve_backward, solve_forward
+from repro.analysis.dataflow import solve
 from repro.bytecode.opcodes import Op
 from tests.conftest import compile_app
 
@@ -28,7 +29,7 @@ def reaching_definitions(method):
             return frozenset({pc}), frozenset(stores_by_slot[slot] - {pc})
         return frozenset(), frozenset()
 
-    return cfg, solve_forward(cfg, gen_kill)
+    return cfg, solve(cfg, gen_kill, "forward")
 
 
 def test_reaching_definitions_straight_line():
@@ -100,7 +101,7 @@ def test_backward_boundary_applies_at_exits():
     def gen_kill(pc):
         return frozenset(), frozenset()
 
-    ins, outs = solve_backward(cfg, gen_kill, boundary=frozenset({"token"}))
+    ins, outs = solve(cfg, gen_kill, "backward", boundary=frozenset({"token"}))
     # with identity transfer, the boundary fact flows everywhere
     assert all("token" in s for s in ins)
 
@@ -112,15 +113,16 @@ def test_forward_entry_fact_flows_through():
     def gen_kill(pc):
         return frozenset(), frozenset()
 
-    ins, outs = solve_forward(cfg, gen_kill, entry=frozenset({"seed"}))
+    ins, outs = solve(cfg, gen_kill, "forward", boundary=frozenset({"seed"}))
     assert "seed" in outs[len(method.code) - 1] or "seed" in ins[len(method.code) - 1]
 
 
 def test_empty_method_handled():
     method = method_of("class C { native void f(); }", "C", "f")
     cfg = build_cfg(method)
-    ins, outs = solve_forward(cfg, lambda pc: (frozenset(), frozenset()))
-    assert ins == [] and outs == []
+    for direction in ("forward", "backward"):
+        ins, outs = solve(cfg, lambda pc: (frozenset(), frozenset()), direction)
+        assert ins == [] and outs == []
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,6 @@ def test_empty_method_handled():
 # ---------------------------------------------------------------------------
 
 from repro.analysis import dataflow
-from repro.analysis.dataflow import solve_backward_must, solve_forward_must
 from repro.analysis.liveness import liveness
 from repro.benchmarks import get_benchmark
 from repro.benchmarks.runner import compile_benchmark
@@ -174,8 +175,8 @@ def test_forward_must_intersects_at_join():
     slots = frozenset(range(method.nlocals))
     slot_x, slot_y = 0, 1
 
-    may_ins, may_outs = solve_forward(cfg, _definitely_stored(method))
-    must_ins, must_outs = solve_forward_must(cfg, _definitely_stored(method), slots)
+    may_ins, may_outs = solve(cfg, _definitely_stored(method), "forward")
+    must_ins, must_outs = solve(cfg, _definitely_stored(method), "forward", universe=slots)
 
     exit_pc = cfg.exits[0]
     # y is stored on both branches: definitely stored at the exit
@@ -192,7 +193,7 @@ def test_forward_must_top_initialization_shrinks_only():
     method = method_of(BRANCHY, "C", "f")
     cfg = build_cfg(method)
     universe = frozenset(range(method.nlocals)) | {"sentinel"}
-    _, outs = solve_forward_must(cfg, _definitely_stored(method), universe)
+    _, outs = solve(cfg, _definitely_stored(method), "forward", universe=universe)
     # nothing ever gens the sentinel, so the greatest fixpoint drops it
     # from every reachable pc; unreachable code keeps TOP (vacuous)
     reachable = _reachable_pcs(cfg)
@@ -209,21 +210,25 @@ def test_backward_must_requires_all_paths_to_exit():
     slots = frozenset(range(method.nlocals))
     slot_x, slot_y = 0, 1
 
-    may_ins, _ = solve_backward(cfg, _definitely_stored(method))
-    must_ins, _ = solve_backward_must(cfg, _definitely_stored(method), slots)
+    may_ins, _ = solve(cfg, _definitely_stored(method), "backward")
+    must_ins, _ = solve(cfg, _definitely_stored(method), "backward", universe=slots)
 
     # from the entry, every path stores y but only the then-path stores x
     assert slot_y in must_ins[0]
     assert slot_x in may_ins[0]
     assert slot_x not in must_ins[0]
+    # must refines may here too: every pc reaches the exit
+    for pc in range(len(method.code)):
+        assert must_ins[pc] <= may_ins[pc]
 
 
 def test_must_empty_method_handled():
     method = method_of("class C { native void f(); }", "C", "f")
     cfg = build_cfg(method)
-    ins, outs = solve_forward_must(cfg, lambda pc: (frozenset(), frozenset()),
-                                   frozenset({"u"}))
-    assert ins == [] and outs == []
+    for direction in ("forward", "backward"):
+        ins, outs = solve(cfg, lambda pc: (frozenset(), frozenset()), direction,
+                          universe=frozenset({"u"}))
+        assert ins == [] and outs == []
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +263,12 @@ def test_rpo_seeding_matches_linear_fixpoint_with_fewer_iterations():
     iteration_counts = {}
     for order in ("rpo", "linear"):
         dataflow.stats.reset()
-        fwd = solve_forward(cfg, gen_kill, order=order)
-        bwd = solve_backward(cfg, gen_kill, order=order)
-        fwd_must = solve_forward_must(cfg, gen_kill, frozenset(range(method.nlocals)),
-                                      order=order)
-        results[order] = (fwd, bwd, fwd_must)
+        slots = frozenset(range(method.nlocals))
+        results[order] = tuple(
+            solve(cfg, gen_kill, direction, universe=universe, order=order)
+            for direction in ("forward", "backward")
+            for universe in (None, slots)
+        )
         iteration_counts[order] = dataflow.stats.total_iterations
 
     assert results["rpo"] == results["linear"]  # unique fixpoint
@@ -294,8 +300,8 @@ def test_solver_stats_track_last_and_total():
     method = method_of(LOOPY, "C", "sum")
     cfg = build_cfg(method)
     dataflow.stats.reset()
-    solve_forward(cfg, lambda pc: (frozenset(), frozenset()))
+    solve(cfg, lambda pc: (frozenset(), frozenset()), "forward")
     first = dataflow.stats.last_iterations
     assert first >= len(method.code)
-    solve_backward(cfg, lambda pc: (frozenset(), frozenset()))
+    solve(cfg, lambda pc: (frozenset(), frozenset()), "backward")
     assert dataflow.stats.total_iterations == first + dataflow.stats.last_iterations

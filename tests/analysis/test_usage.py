@@ -1,6 +1,6 @@
 """Usage analysis: written-never-read fields, visibility scoping."""
 
-from repro.analysis.callgraph import build_call_graph
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.usage import field_usage
 from tests.conftest import compile_app
 
@@ -110,7 +110,7 @@ def test_usage_refined_by_call_graph():
     program = compile_app(source)
     whole = field_usage(program)
     assert whole.is_instance_field_read("Scene", "detail")
-    cg = build_call_graph(program)
+    cg = CallGraph(program)
     assert not cg.is_reachable("Scene", "getDetail")
     refined = field_usage(program, cg.reachable_compiled_methods())
     assert not refined.is_instance_field_read("Scene", "detail")

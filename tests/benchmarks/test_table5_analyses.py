@@ -10,7 +10,7 @@ raytrace, purity/min-code-insertion for jack.
 import pytest
 
 from repro.analysis.array_liveness import logical_size_pairs
-from repro.analysis.callgraph import build_call_graph
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.indirect_usage import indirectly_unused_fields
 from repro.analysis.lazy_points import first_use_sites
 from repro.analysis.liveness import null_insertion_candidates
@@ -56,7 +56,7 @@ def test_raytrace_call_graph_refinement():
     unreachable, so the refined usage analysis shows the field unread,
     and the Detail constructor is pure."""
     program = compiled_of("raytrace")
-    cg = build_call_graph(program)
+    cg = CallGraph(program)
     assert not cg.is_reachable("Scene", "getDetail")
     refined = field_usage(program, cg.reachable_compiled_methods())
     # the only reachable 'reads' of details are the ctor's own element
